@@ -87,7 +87,6 @@ from .decoy import (
 from .security import (
     PROTOCOL_ANGLES,
     DualSourceParams,
-    KeyRatePoint,
     ThaParams,
     binary_entropy,
     calibrated_intensity,
@@ -140,7 +139,7 @@ __all__ = [
     "DecoyObservations", "SinglePhotonBounds", "y0_lower", "y1_lower",
     "e1_upper", "q1_lower", "single_photon_bounds",
     # security
-    "PROTOCOL_ANGLES", "ThaParams", "DualSourceParams", "KeyRatePoint",
+    "PROTOCOL_ANGLES", "ThaParams", "DualSourceParams",
     "binary_entropy", "coin_imbalance", "phase_error_with_tha",
     "gllp_key_rate", "dual_source_key_rate", "calibrated_intensity",
     # scenario

@@ -31,6 +31,7 @@ from .scenario import (
     ScenarioResult,
     SweepResult,
     WavelengthResult,
+    _fmt,
     load_config,
     run_scenario,
     sweep_to_text,
@@ -43,10 +44,6 @@ _COMMAND_MODES = {
     "ivfit": ("iv_fit",),
     "leakage": ("device",),
 }
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def format_result(result: ScenarioResult) -> str:

@@ -156,6 +156,12 @@ def y1_lower(obs: DecoyObservations) -> float:
     return min(max(_y1_raw(obs, y0_l), 0.0), 1.0)
 
 
+def _e1_raw(obs: DecoyObservations, y1_l: float) -> float:
+    num = (obs.e_nu * obs.q_nu * math.exp(obs.nu)
+           - obs.e_omega * obs.q_omega * math.exp(obs.omega))
+    return num / ((obs.nu - obs.omega) * y1_l)
+
+
 def e1_upper(obs: DecoyObservations, y1_l: float) -> float:
     """Upper bound on the single-photon error rate e1.
 
@@ -173,9 +179,7 @@ def e1_upper(obs: DecoyObservations, y1_l: float) -> float:
     if y1_l == 0.0:
         raise UndefinedBoundError(
             "y1_lower is zero; single-photon error bound undefined")
-    num = (obs.e_nu * obs.q_nu * math.exp(obs.nu)
-           - obs.e_omega * obs.q_omega * math.exp(obs.omega))
-    return min(max(num / ((obs.nu - obs.omega) * y1_l), 0.0), 0.5)
+    return min(max(_e1_raw(obs, y1_l), 0.0), 0.5)
 
 
 def q1_lower(obs: DecoyObservations, y1_l: float) -> float:
@@ -211,9 +215,7 @@ def single_photon_bounds(obs: DecoyObservations) -> SinglePhotonBounds:
         clamps += 1
 
     if y1_l > 0.0:
-        num = (obs.e_nu * obs.q_nu * math.exp(obs.nu)
-               - obs.e_omega * obs.q_omega * math.exp(obs.omega))
-        e1_raw = num / ((obs.nu - obs.omega) * y1_l)
+        e1_raw = _e1_raw(obs, y1_l)
         e1_u = min(max(e1_raw, 0.0), 0.5)
         if e1_u != e1_raw:
             clamps += 1

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BoundaryAmbiguityError,
@@ -82,17 +82,27 @@ class ExtremaPair:
 
 def _moving_average(y: np.ndarray, window: int) -> np.ndarray:
     # Centered average with a window that shrinks at the scan edges,
-    # so no padding artifacts are introduced.
-    if window == 1:
-        return y.copy()
+    # so no padding artifacts are introduced. Every output is the plain
+    # mean of its window (no running sum), so equal windows give equal
+    # values and flat tops stay flat.
     h = window // 2
-    out = np.empty_like(y)
     n = y.size
-    for k in range(n):
-        lo = max(0, k - h)
-        hi = min(n, k + h + 1)
-        out[k] = y[lo:hi].mean()
+    out = np.empty_like(y)
+    if n >= window:
+        out[h:n - h] = sliding_window_view(y, window).mean(axis=1)
+    for k in (*range(min(h, n)), *range(max(h, n - h), n)):
+        out[k] = y[max(0, k - h):k + h + 1].mean()
     return out
+
+
+def _local_maxima(x: np.ndarray) -> np.ndarray:
+    # Interior local maxima. A flat top counts once, at the midpoint
+    # (left + right) // 2 of its samples; a plateau touching either end
+    # of the trace is not a peak.
+    step = (x[1:] > x[:-1]).astype(np.int8) - (x[1:] < x[:-1])
+    k = np.flatnonzero(step)
+    top = (step[k[:-1]] > 0) & (step[k[1:]] < 0)
+    return (k[:-1][top] + 1 + k[1:][top]) // 2
 
 
 def _parabolic_vertex(u: np.ndarray, s: np.ndarray, idx: int) -> float:
@@ -145,8 +155,8 @@ def find_extrema_pair(
     u = trace.voltages
     s = _moving_average(trace.counts, smooth_window)
 
-    maxima, _ = find_peaks(s)
-    minima, _ = find_peaks(-s)
+    maxima = _local_maxima(s)
+    minima = _local_maxima(-s)
 
     if maxima.size == 0:
         d = np.diff(s)

@@ -39,7 +39,6 @@ from .fringe import ExtremaPair, FringeTrace, center_wavelength, find_extrema_pa
 from .leakage import EmissionSpec, Placement, mean_photon_number
 from .security import (
     DualSourceParams,
-    KeyRatePoint,
     ThaParams,
     dual_source_key_rate,
     gllp_key_rate,
@@ -83,6 +82,14 @@ WAVELENGTH_HEADER = ("wavelength_nm,ref_u_max_v,ref_u_min_v,"
                      "unk_u_max_v,unk_u_min_v")
 IVFIT_HEADER = "v_lo_v,v_hi_v,slope_decades_per_v,beta,temperature_k"
 LEAKAGE_HEADER = "drive_voltage_v,count_rate_hz,pulse_width_s,mu"
+
+# Largest sweep grid a config may ask for (one row per point).
+MAX_SWEEP_POINTS = 1_000_000
+# Largest mean photon number a config may set for the signal, decoy or
+# leaked light. The decoy bounds weigh each gain by e^s, which overflows
+# a double above 709 photons, and coin_imbalance overflows above about
+# 1004 photons.
+MAX_INTENSITY = 100.0
 
 
 # ============================================================
@@ -136,22 +143,28 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
         if self.mode in ("passive_tha", "dual_source"):
-            if not (math.isfinite(self.step) and self.step > 0.0):
-                bad.append("sweep.step (must be > 0)")
-            if not (math.isfinite(self.distance_min) and self.distance_min >= 0.0):
-                bad.append("sweep.distance_min (must be >= 0)")
-            if not self.distance_min <= self.distance_max:
-                bad.append("sweep.distance_max (must be >= distance_min)")
-            if not (math.isfinite(self.mu_leak) and self.mu_leak >= 0.0):
-                bad.append("leakage.mu (must be >= 0)")
-            if not self.s > self.nu > self.omega >= 0.0:
-                bad.append("intensities (must satisfy s > nu > omega >= 0)")
+            # Every comparison below is false for NaN, so each check
+            # also rejects non-finite values.
+            if not 0.0 < self.step < math.inf:
+                bad.append("sweep.step (must be finite and > 0)")
+            if not 0.0 <= self.distance_min < math.inf:
+                bad.append("sweep.distance_min (must be finite and >= 0)")
+            if not self.distance_min <= self.distance_max < math.inf:
+                bad.append("sweep.distance_max (must be finite and >= distance_min)")
+            # The grid can be sized once the three checks above passed.
+            if not bad and not _grid_steps(self) < MAX_SWEEP_POINTS:
+                bad.append(f"sweep.step (grid exceeds {MAX_SWEEP_POINTS} points)")
+            if not 0.0 <= self.mu_leak <= MAX_INTENSITY:
+                bad.append(f"leakage.mu (must lie in [0, {MAX_INTENSITY:g}])")
+            if not MAX_INTENSITY >= self.s > self.nu > self.omega >= 0.0:
+                bad.append("intensities (must satisfy "
+                           f"{MAX_INTENSITY:g} >= s > nu > omega >= 0)")
             if not 0.0 < self.p_z <= 1.0:
                 bad.append("conventions.p_z (must lie in (0, 1])")
             if not 0.0 < self.q_proto <= 1.0:
                 bad.append("conventions.q_proto (must lie in (0, 1])")
-            if self.f_ec < 1.0:
-                bad.append("conventions.f_ec (must be >= 1)")
+            if not 1.0 <= self.f_ec < math.inf:
+                bad.append("conventions.f_ec (must be finite and >= 1)")
         elif self.mode == "fringe":
             if self.reference_trace is None:
                 bad.append("fringe.reference_trace (required)")
@@ -168,6 +181,8 @@ class ScenarioConfig:
                 bad.append("ivfit.temperature (must be > 0)")
             if not self.windows:
                 bad.append("ivfit.windows (at least one lo:hi window)")
+            if not all(-math.inf < lo < hi < math.inf for lo, hi in self.windows):
+                bad.append("ivfit.windows (each lo:hi must be finite with lo < hi)")
         elif self.mode == "device":
             if not self.emission:
                 bad.append("emission (at least one emission.N.* block)")
@@ -277,6 +292,17 @@ def _take_channel(data: dict[str, str]) -> ChannelParams:
         raise ConfigurationError(f"channel: {exc}") from exc
 
 
+def _take_emission_spec(data: dict[str, str], prefix: str) -> EmissionSpec:
+    try:
+        return EmissionSpec(
+            drive_voltage=_take_float(data, f"{prefix}drive_voltage", 0.0),
+            count_rate=_take_float(data, f"{prefix}count_rate", 0.0),
+            pulse_width=_take_float(data, f"{prefix}pulse_width", 0.0),
+        )
+    except DomainError as exc:
+        raise ConfigurationError(f"{prefix[:-1]}: {exc}") from exc
+
+
 def _take_leakage(data: dict[str, str], placement: Placement) -> float:
     has_mu = "leakage.mu" in data
     has_counts = "leakage.count_rate" in data or "leakage.pulse_width" in data
@@ -290,12 +316,8 @@ def _take_leakage(data: dict[str, str], placement: Placement) -> float:
     if "leakage.count_rate" not in data or "leakage.pulse_width" not in data:
         raise ConfigurationError(
             "leakage.count_rate and leakage.pulse_width must be given together")
-    spec = EmissionSpec(
-        drive_voltage=_take_float(data, "leakage.drive_voltage", 0.0),
-        count_rate=_take_float(data, "leakage.count_rate", 0.0),
-        pulse_width=_take_float(data, "leakage.pulse_width", 0.0),
-    )
-    return mean_photon_number(spec, placement).mu
+    return mean_photon_number(_take_emission_spec(data, "leakage."),
+                              placement).mu
 
 
 def _take_emission(data: dict[str, str]) -> tuple[EmissionSpec, ...]:
@@ -319,11 +341,7 @@ def _take_emission(data: dict[str, str]) -> tuple[EmissionSpec, ...]:
         if f"{prefix}count_rate" not in data or f"{prefix}pulse_width" not in data:
             raise ConfigurationError(
                 f"emission block {n} needs count_rate and pulse_width")
-        specs.append(EmissionSpec(
-            drive_voltage=_take_float(data, f"{prefix}drive_voltage", 0.0),
-            count_rate=_take_float(data, f"{prefix}count_rate", 0.0),
-            pulse_width=_take_float(data, f"{prefix}pulse_width", 0.0),
-        ))
+        specs.append(_take_emission_spec(data, prefix))
     return tuple(specs)
 
 
@@ -425,13 +443,6 @@ class SweepResult:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def baseline_points(self) -> list[KeyRatePoint]:
-        return [KeyRatePoint(r.distance_km, r.rate_baseline) for r in self.rows]
-
-    def contaminated_points(self) -> list[KeyRatePoint]:
-        return [KeyRatePoint(r.distance_km, r.rate_contaminated)
-                for r in self.rows]
-
 
 @dataclass(frozen=True)
 class WavelengthResult:
@@ -472,16 +483,19 @@ ScenarioResult = Union[SweepResult, WavelengthResult, IvFitResult, LeakageResult
 # Scenario evaluation
 # ============================================================
 
+def _grid_steps(config: ScenarioConfig) -> float:
+    # Steps from min to max; a small relative tolerance keeps an
+    # intended endpoint from being dropped to floating-point rounding.
+    return (config.distance_max - config.distance_min) / config.step + 1e-9
+
+
 def sweep_distances(config: ScenarioConfig) -> list[float]:
     """Arithmetic distance grid min, min+step, ... capped at max.
 
     Each point is computed as min + k*step (no cumulative summation),
-    so the grid is exactly reproducible. A small relative tolerance
-    keeps an intended endpoint from being dropped to floating-point
-    rounding of (max - min)/step.
+    so the grid is exactly reproducible.
     """
-    span = config.distance_max - config.distance_min
-    n = int(math.floor(span / config.step + 1e-9)) + 1
+    n = math.floor(_grid_steps(config)) + 1
     return [config.distance_min + k * config.step for k in range(n)]
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "PROTOCOL_ANGLES",
     "ThaParams",
     "DualSourceParams",
-    "KeyRatePoint",
     "binary_entropy",
     "coin_imbalance",
     "phase_error_with_tha",
@@ -91,25 +90,6 @@ class DualSourceParams:
             raise DomainError(f"q_proto must lie in (0, 1], got {self.q_proto!r}")
         if not math.isfinite(self.f_ec) or self.f_ec < 1.0:
             raise DomainError(f"f_ec must be >= 1, got {self.f_ec!r}")
-
-
-@dataclass(frozen=True)
-class KeyRatePoint:
-    """One point of a key-rate vs distance curve.
-
-    Attributes:
-        distance: Fiber length [km], >= 0.
-        rate: Secret key rate per pulse, >= 0.
-    """
-
-    distance: float
-    rate: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.distance) or self.distance < 0.0:
-            raise DomainError(f"distance must be >= 0, got {self.distance!r}")
-        if not math.isfinite(self.rate) or self.rate < 0.0:
-            raise DomainError(f"rate must be >= 0, got {self.rate!r}")
 
 
 def binary_entropy(x: float) -> float:

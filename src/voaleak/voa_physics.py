@@ -18,16 +18,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import (
-    Boltzmann,
-    elementary_charge,
-    epsilon_0,
-    m_e,
-    Planck,
-    speed_of_light,
-)
 
 from .errors import DomainError, InsufficientDataError
+
+# CODATA 2022 physical constants, SI. q, h, c and k_B are exact since
+# the 2019 SI redefinition; eps0 and m_e are the 2022 recommended values.
+elementary_charge = 1.602176634e-19
+Planck = 6.62607015e-34
+speed_of_light = 299792458.0
+Boltzmann = 1.380649e-23
+epsilon_0 = 8.8541878188e-12
+m_e = 9.1093837139e-31
 
 __all__ = [
     "CarrierState",

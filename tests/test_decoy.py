@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voaleak import (
     ChannelParams,
@@ -159,3 +160,31 @@ class TestBundledBounds:
         assert b.e1_upper == 0.5
         assert b.q1_lower == 0.0
         assert b.clamp_events >= 1
+
+
+@st.composite
+def usable_observations(draw):
+    s = draw(st.floats(0.05, 1.0))
+    nu = s * draw(st.floats(0.01, 0.45))
+    omega = nu * draw(st.floats(0.0, 0.9))
+    gain = st.floats(1e-9, 1.0)
+    qber = st.floats(0.0, 0.5)
+    return DecoyObservations(
+        s=s, nu=nu, omega=omega,
+        q_s=draw(gain), q_nu=draw(gain), q_omega=draw(gain),
+        e_s=draw(qber), e_nu=draw(qber), e_omega=draw(qber))
+
+
+class TestOneCodePath:
+    @settings(max_examples=500, deadline=None)
+    @given(usable_observations())
+    def test_bundled_e1_is_e1_upper(self, obs):
+        b = single_photon_bounds(obs)
+        y1_l = y1_lower(obs)
+        assert b.y1_lower == y1_l
+        if y1_l > 0.0:
+            assert b.e1_upper == e1_upper(obs, y1_l)
+        else:
+            assert b.e1_upper == 0.5
+            with pytest.raises(UndefinedBoundError):
+                e1_upper(obs, y1_l)

@@ -16,6 +16,7 @@ from voaleak import (
     center_wavelength,
     find_extrema_pair,
 )
+from voaleak.fringe import _local_maxima, _moving_average
 from helpers import synthetic_fringe
 
 # Fringe shapes used throughout: max at U^2 = 0.9025 (0.95 V) with the
@@ -179,3 +180,66 @@ class TestEndToEndSynthetic:
                 FringeTrace(*synthetic_fringe(UNK_C2, UNK_PHI0 + extra)))
             lams.append(center_wavelength(1550.82, ref, unk))
         assert max(lams) - min(lams) <= 0.02 * min(lams)
+
+
+def loop_moving_average(y, window):
+    """The per-sample loop `_moving_average` replaced, kept as its oracle."""
+    if window == 1:
+        return y.copy()
+    h = window // 2
+    out = np.empty_like(y)
+    n = y.size
+    for k in range(n):
+        lo = max(0, k - h)
+        hi = min(n, k + h + 1)
+        out[k] = y[lo:hi].mean()
+    return out
+
+
+class TestMovingAverage:
+    def test_bit_identical_to_loop(self):
+        rng = np.random.default_rng(11)
+        for window in range(1, 52, 2):
+            for n in (*range(1, 60), 201, 1001):
+                y = rng.uniform(0.0, 5e3, n)
+                assert np.array_equal(_moving_average(y, window),
+                                      loop_moving_average(y, window))
+
+    def test_equal_windows_stay_equal(self):
+        y = np.array([1.0, 0.1, 0.7, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.7, 0.1])
+        s = _moving_average(y, 3)
+        assert s[4] == s[5] == s[6] == s[7]
+
+
+class TestLocalMaxima:
+    @pytest.mark.parametrize("x, want", [
+        ([0, 2, 1], [1]),
+        ([0, 1, 0, 3, 0], [1, 3]),
+        ([0, 2, 2, 2, 0], [2]),          # odd plateau: its middle sample
+        ([0, 2, 2, 2, 2, 0], [2]),       # even plateau: (left + right) // 2
+        ([2, 2, 1, 0], []),              # plateau at the left edge
+        ([0, 1, 2, 2], []),              # plateau at the right edge
+        ([0, 1, 2, 3, 4], []),           # monotone rising
+        ([4, 3, 2, 1, 0], []),           # monotone falling
+        ([1, 1, 1, 1], []),              # constant
+        ([0, 2, 2, 1, 1, 3, 3, 3, 0], [1, 6]),
+        ([], []),
+        ([5], []),
+    ])
+    def test_hand_written_cases(self, x, want):
+        got = _local_maxima(np.asarray(x, dtype=float))
+        assert got.tolist() == want
+
+    def test_matches_scipy_find_peaks(self):
+        signal = pytest.importorskip("scipy.signal")
+        rng = np.random.default_rng(5)
+        for _ in range(5000):
+            # few distinct levels, so plateaus of every length occur
+            x = rng.integers(0, 4, size=int(rng.integers(0, 40))).astype(float)
+            assert np.array_equal(_local_maxima(x), signal.find_peaks(x)[0])
+        for _ in range(200):
+            u = np.linspace(0.0, 2.0, int(rng.integers(5, 400)))
+            c2, phi0 = rng.uniform(1.0, 8.0), rng.uniform(0.0, 2.0 * math.pi)
+            s = _moving_average(synthetic_fringe(c2, phi0, u)[1], 5)
+            for y in (s, -s):
+                assert np.array_equal(_local_maxima(y), signal.find_peaks(y)[0])

@@ -1,0 +1,35 @@
+"""Runtime dependencies and the reproducibility of the shipped data."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import voaleak
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_import_loads_no_scipy():
+    env = dict(os.environ)
+    src = str(Path(voaleak.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, voaleak\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))\n")
+    child = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, check=True)
+    assert child.stdout.strip() == "[]"
+
+
+def test_generate_data_rebuilds_data_byte_for_byte(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "generate_data", ROOT / "scripts" / "generate_data.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "DATA_DIR", tmp_path)
+    script.main()
+    for name in ("fringe_reference.csv", "fringe_voa.csv", "iv_trace.csv"):
+        assert (tmp_path / name).read_bytes() == (ROOT / "data" / name).read_bytes()

@@ -24,6 +24,7 @@ from voaleak import (
 )
 from voaleak.cli import main
 from voaleak.scenario import (
+    MAX_SWEEP_POINTS,
     RESULT_HEADER,
     WAVELENGTH_HEADER,
     apply_overrides,
@@ -376,6 +377,50 @@ class TestCli:
         code = main(["wavelength", "--config", str(cfg)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:data:")
+
+
+class TestCliErrorContract:
+    """Every bad config value ends in one error:config line and exit 2."""
+
+    @pytest.mark.parametrize("command, config, override", [
+        ("sweep", "passive_tha.cfg", "sweep.distance_max=inf"),
+        ("sweep", "passive_tha.cfg", "conventions.f_ec=nan"),
+        ("sweep", "passive_tha.cfg", "conventions.f_ec=inf"),
+        ("sweep", "passive_tha.cfg", "intensities.s=inf"),
+        ("sweep", "passive_tha.cfg", "intensities.s=1000"),
+        ("sweep", "passive_tha.cfg", "leakage.count_rate=nan"),
+        ("sweep", "passive_tha.cfg", "leakage.pulse_width=inf"),
+        ("sweep", "passive_tha.cfg", "leakage.drive_voltage=nan"),
+        ("sweep", "passive_tha.cfg", "sweep.step=1e-9"),
+        ("sweep", "passive_tha.cfg", "sweep.distance_max=1e300"),
+        ("sweep", "dual_source.cfg", "intensities.s=inf"),
+        ("sweep", "dual_source.cfg", "leakage.count_rate=nan"),
+        ("ivfit", "ivfit.cfg", "ivfit.windows=0.5:0.1"),
+        ("ivfit", "ivfit.cfg", "ivfit.windows=nan:nan"),
+        ("leakage", "device.cfg", "emission.1.drive_voltage=nan"),
+    ])
+    def test_bad_value_is_config_error(self, capsys, command, config,
+                                       override):
+        code = main([command, "--config", str(CONFIGS / config),
+                     "--override", override])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:config:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("mu", ["1e5", "nan", "-1"])
+    def test_bad_leak_is_config_error(self, tmp_path, capsys, mu):
+        cfg = tmp_path / "leak.cfg"
+        cfg.write_text(f"mode = passive_tha\nleakage.mu = {mu}\n")
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error:config:")
+
+    def test_grid_cap_is_inclusive(self):
+        cfg = ScenarioConfig(mode="passive_tha",
+                             distance_max=MAX_SWEEP_POINTS - 1.0)
+        assert len(sweep_distances(cfg)) == MAX_SWEEP_POINTS
+        with pytest.raises(ConfigurationError, match="grid exceeds"):
+            ScenarioConfig(mode="passive_tha", distance_max=MAX_SWEEP_POINTS)
 
 
 class TestLoadConfig:

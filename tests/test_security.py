@@ -11,7 +11,6 @@ from voaleak import (
     ChannelParams,
     DomainError,
     DualSourceParams,
-    KeyRatePoint,
     SinglePhotonBounds,
     ThaParams,
     binary_entropy,
@@ -143,13 +142,6 @@ class TestParams:
             DualSourceParams(q_proto=0.0)
         with pytest.raises(DomainError):
             DualSourceParams(f_ec=0.5)
-
-    def test_key_rate_point_validation(self):
-        KeyRatePoint(10.0, 0.0)
-        with pytest.raises(DomainError):
-            KeyRatePoint(-1.0, 0.1)
-        with pytest.raises(DomainError):
-            KeyRatePoint(1.0, -0.1)
 
 
 class TestGllpKeyRate:
