@@ -23,16 +23,9 @@ from typing import Sequence
 
 from .errors import ConfigurationError, VoaleakError
 from .scenario import (
-    IVFIT_HEADER,
-    LEAKAGE_HEADER,
-    WAVELENGTH_HEADER,
-    IvFitResult,
-    LeakageResult,
-    ScenarioResult,
     SweepResult,
-    WavelengthResult,
-    _fmt,
     load_config,
+    result_to_text,
     run_scenario,
     sweep_to_text,
 )
@@ -44,29 +37,6 @@ _COMMAND_MODES = {
     "ivfit": ("iv_fit",),
     "leakage": ("device",),
 }
-
-
-def format_result(result: ScenarioResult) -> str:
-    """Render any scenario result as comma-separated text."""
-    if isinstance(result, SweepResult):
-        return sweep_to_text(result)
-    if isinstance(result, WavelengthResult):
-        row = (result.wavelength_nm,
-               result.reference.u_max, result.reference.u_min,
-               result.unknown.u_max, result.unknown.u_min)
-        return WAVELENGTH_HEADER + "\n" + ",".join(_fmt(v) for v in row) + "\n"
-    if isinstance(result, IvFitResult):
-        lines = [IVFIT_HEADER]
-        lines.extend(
-            ",".join(_fmt(v) for v in
-                     (f.v_lo, f.v_hi, f.slope, f.beta, f.temperature))
-            for f in result.fits)
-        return "\n".join(lines) + "\n"
-    if isinstance(result, LeakageResult):
-        lines = [LEAKAGE_HEADER]
-        lines.extend(",".join(_fmt(v) for v in row) for row in result.rows)
-        return "\n".join(lines) + "\n"
-    raise TypeError(f"unknown result type {type(result).__name__}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,7 +74,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ConfigurationError(
                 f"subcommand {args.command!r} requires mode in "
                 f"{allowed}, config has {config.mode!r}")
-        text = format_result(run_scenario(config))
+        result = run_scenario(config)
+        # Sweeps are rendered under this module's `sweep_to_text`, the
+        # name perfbench/tracer.py wraps to time rendering.
+        text = (sweep_to_text(result) if isinstance(result, SweepResult)
+                else result_to_text(result))
         if args.out:
             Path(args.out).write_text(text)
         else:

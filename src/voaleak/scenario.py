@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import starmap
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -66,6 +67,7 @@ __all__ = [
     "load_trace",
     "save_trace",
     "sweep_to_text",
+    "result_to_text",
     "emit_results",
     "read_results",
 ]
@@ -151,9 +153,14 @@ class ScenarioConfig:
                 bad.append("sweep.distance_min (must be finite and >= 0)")
             if not self.distance_min <= self.distance_max < math.inf:
                 bad.append("sweep.distance_max (must be finite and >= distance_min)")
-            # The grid can be sized once the three checks above passed.
-            if not bad and not _grid_steps(self) < MAX_SWEEP_POINTS:
-                bad.append(f"sweep.step (grid exceeds {MAX_SWEEP_POINTS} points)")
+            # The grid can be sized once the three checks above passed,
+            # and built once it is known to be small enough.
+            if not bad:
+                if not _grid_steps(self) < MAX_SWEEP_POINTS:
+                    bad.append(f"sweep.step (grid exceeds {MAX_SWEEP_POINTS} points)")
+                elif not _ascending(sweep_distances(self)):
+                    bad.append("sweep.step (too small for distinct grid points "
+                               "at these distances)")
             if not 0.0 <= self.mu_leak <= MAX_INTENSITY:
                 bad.append(f"leakage.mu (must lie in [0, {MAX_INTENSITY:g}])")
             if not MAX_INTENSITY >= self.s > self.nu > self.omega >= 0.0:
@@ -426,19 +433,11 @@ class SweepResult:
 
     rate_baseline is the leak-free curve; rate_contaminated applies the
     configured leakage (pre-encoder coin bound or post-encoder
-    dual-source model depending on the scenario mode).
+    dual-source model depending on the scenario mode). Rows are checked
+    where they come in from a file, in `read_results`.
     """
 
     rows: tuple[SweepRow, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(SweepRow(*r) for r in self.rows))
-        dists = [r.distance_km for r in self.rows]
-        if any(b <= a for a, b in zip(dists, dists[1:])):
-            raise DomainError("sweep distances must be strictly ascending")
-        for r in self.rows:
-            if r.rate_baseline < 0.0 or r.rate_contaminated < 0.0:
-                raise DomainError("key rates must be >= 0")
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -512,45 +511,40 @@ def _decoy_observables(
     )
 
 
-def _sweep_passive(config: ScenarioConfig) -> SweepResult:
-    # Pre-encoder leakage never reaches Bob, so the channel observables
-    # are leak-free; only the privacy amplification term changes.
-    tha_base = ThaParams(mu_eve=0.0, p_z=config.p_z, f_ec=config.f_ec)
-    tha_leak = ThaParams(mu_eve=config.mu_leak, p_z=config.p_z, f_ec=config.f_ec)
-    rows = []
-    for d in sweep_distances(config):
-        ch = replace(config.channel, distance=d)
-        obs = _decoy_observables(ch, config.s, config.nu, config.omega, 0.0)
-        bounds = single_photon_bounds(obs)
-        rows.append(SweepRow(
-            distance_km=d,
-            rate_baseline=gllp_key_rate(obs, bounds, tha_base),
-            rate_contaminated=gllp_key_rate(obs, bounds, tha_leak),
-            q_s=obs.q_s, e_s=obs.e_s,
-            y1_lower=bounds.y1_lower, e1_upper=bounds.e1_upper,
-        ))
-    return SweepResult(tuple(rows))
+def _ascending(values: Sequence[float]) -> bool:
+    return all(a < b for a, b in zip(values, values[1:]))
 
 
-def _sweep_dual(config: ScenarioConfig) -> SweepResult:
+def _sweep(config: ScenarioConfig) -> SweepResult:
+    # Pre-encoder leakage never reaches Bob, so passive observables are
+    # leak-free and only the privacy amplification term changes.
     # Post-encoder leakage rides down the fiber with every intensity
-    # setting, so the decoy observables themselves are contaminated.
-    params = DualSourceParams(q_proto=config.q_proto, f_ec=config.f_ec)
+    # setting, so dual-mode observables are contaminated; they are
+    # computed even at zero leak, so that path is always exercised.
+    dual = config.mode == "dual_source"
+    s, nu, omega = config.s, config.nu, config.omega
+    if dual:
+        params = DualSourceParams(q_proto=config.q_proto, f_ec=config.f_ec)
+    else:
+        tha_base = ThaParams(mu_eve=0.0, p_z=config.p_z, f_ec=config.f_ec)
+        tha_leak = ThaParams(mu_eve=config.mu_leak, p_z=config.p_z,
+                             f_ec=config.f_ec)
     rows = []
     for d in sweep_distances(config):
         ch = replace(config.channel, distance=d)
-        obs_base = _decoy_observables(ch, config.s, config.nu, config.omega, 0.0)
+        obs_base = _decoy_observables(ch, s, nu, omega, 0.0)
         b_base = single_photon_bounds(obs_base)
-        obs_leak = _decoy_observables(
-            ch, config.s, config.nu, config.omega, config.mu_leak)
-        b_leak = single_photon_bounds(obs_leak)
-        rows.append(SweepRow(
-            distance_km=d,
-            rate_baseline=dual_source_key_rate(obs_base, b_base, params),
-            rate_contaminated=dual_source_key_rate(obs_leak, b_leak, params),
-            q_s=obs_leak.q_s, e_s=obs_leak.e_s,
-            y1_lower=b_leak.y1_lower, e1_upper=b_leak.e1_upper,
-        ))
+        if dual:
+            obs = _decoy_observables(ch, s, nu, omega, config.mu_leak)
+            bounds = single_photon_bounds(obs)
+            base = dual_source_key_rate(obs_base, b_base, params)
+            leak = dual_source_key_rate(obs, bounds, params)
+        else:
+            obs, bounds = obs_base, b_base
+            base = gllp_key_rate(obs, bounds, tha_base)
+            leak = gllp_key_rate(obs, bounds, tha_leak)
+        rows.append(SweepRow(d, base, leak, obs.q_s, obs.e_s,
+                             bounds.y1_lower, bounds.e1_upper))
     return SweepResult(tuple(rows))
 
 
@@ -587,10 +581,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     return their respective result records. Deterministic: identical
     configs yield identical results.
     """
-    if config.mode == "passive_tha":
-        return _sweep_passive(config)
-    if config.mode == "dual_source":
-        return _sweep_dual(config)
+    if config.mode in ("passive_tha", "dual_source"):
+        return _sweep(config)
     if config.mode == "fringe":
         return _run_fringe(config)
     if config.mode == "iv_fit":
@@ -602,9 +594,50 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 # Text IO
 # ============================================================
 
-def _fmt(x: float) -> str:
-    # 17 significant digits round-trip any IEEE double exactly.
-    return format(float(x), ".17g")
+def _render(header: str, rows: Iterable[Sequence[float]]) -> str:
+    """Header line, then rows of .17g cells (which round-trip any double)."""
+    cells = ",".join(["{:.17g}"] * (header.count(",") + 1))
+    return "\n".join([header, *starmap(cells.format, rows)]) + "\n"
+
+
+def _read_table(path: Path, header: str) -> np.ndarray:
+    """The rows of a table written by `_render`, as an (n, columns) array.
+
+    Blank lines are skipped. A wrong header raises TraceSchemaError; a
+    malformed row raises TraceParseError with its line number.
+    """
+    lines = path.read_text().splitlines()
+    if not lines or lines[0].strip() != header:
+        raise TraceSchemaError(f"{path}: expected header {header!r}")
+    width = header.count(",") + 1
+    cells: list[str] = []
+    for num, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != width:
+            raise TraceParseError(
+                f"{path}:{num}: expected {width} comma-separated fields",
+                line=num)
+        cells += parts
+    try:
+        # One conversion for the whole table; numpy parses each string
+        # exactly as float() does.
+        values = np.array(cells, dtype=float)
+    except ValueError:
+        # Rescan only on failure, to name the bad line.
+        for num, line in enumerate(map(str.strip, lines[1:]), start=2):
+            if not line:
+                continue
+            try:
+                list(map(float, line.split(",")))
+            except ValueError:
+                raise TraceParseError(
+                    f"{path}:{num}: non-numeric field in {line!r}",
+                    line=num) from None
+        raise
+    return values.reshape(-1, width)
 
 
 def load_trace(path: Path | str, kind: str) -> FringeTrace | IvCurve:
@@ -627,38 +660,18 @@ def load_trace(path: Path | str, kind: str) -> FringeTrace | IvCurve:
     if kind not in ("fringe", "iv"):
         raise ConfigurationError(f"kind must be 'fringe' or 'iv', got {kind!r}")
     path = Path(path)
-    expected = FRINGE_HEADER if kind == "fringe" else IV_HEADER
-    lines = path.read_text().splitlines()
-    if not lines or lines[0].strip() != expected:
-        raise TraceSchemaError(f"{path}: expected header {expected!r}")
-    xs: list[float] = []
-    ys: list[float] = []
-    for num, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise TraceParseError(
-                f"{path}:{num}: expected two comma-separated fields", line=num)
-        try:
-            xs.append(float(parts[0]))
-            ys.append(float(parts[1]))
-        except ValueError:
-            raise TraceParseError(
-                f"{path}:{num}: non-numeric field in {line!r}", line=num
-            ) from None
+    table = _read_table(path, FRINGE_HEADER if kind == "fringe" else IV_HEADER)
+    xs, ys = np.ascontiguousarray(table.T)
     try:
         if kind == "fringe":
-            return FringeTrace(np.asarray(xs), np.asarray(ys))
-        return IvCurve(np.asarray(xs), np.asarray(ys))
+            return FringeTrace(xs, ys)
+        return IvCurve(xs, ys)
     except DomainError as exc:
         raise TraceSchemaError(f"{path}: {exc}") from exc
 
 
 def save_trace(trace: FringeTrace | IvCurve, path: Path | str) -> None:
     """Write a trace in the same two-column format load_trace reads."""
-    path = Path(path)
     if isinstance(trace, FringeTrace):
         header, xs, ys = FRINGE_HEADER, trace.voltages, trace.counts
     elif isinstance(trace, IvCurve):
@@ -666,16 +679,29 @@ def save_trace(trace: FringeTrace | IvCurve, path: Path | str) -> None:
     else:
         raise ConfigurationError(
             f"expected FringeTrace or IvCurve, got {type(trace).__name__}")
-    lines = [header]
-    lines.extend(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
-    path.write_text("\n".join(lines) + "\n")
+    Path(path).write_text(_render(header, zip(xs.tolist(), ys.tolist())))
 
 
 def sweep_to_text(result: SweepResult) -> str:
     """Render a sweep as the canonical results CSV text."""
-    lines = [RESULT_HEADER]
-    lines.extend(",".join(_fmt(v) for v in row) for row in result.rows)
-    return "\n".join(lines) + "\n"
+    return _render(RESULT_HEADER, result.rows)
+
+
+def result_to_text(result: ScenarioResult) -> str:
+    """Render any scenario result as its comma-separated table text."""
+    if isinstance(result, SweepResult):
+        return sweep_to_text(result)
+    if isinstance(result, WavelengthResult):
+        ref, unk = result.reference, result.unknown
+        return _render(WAVELENGTH_HEADER, [(
+            result.wavelength_nm, ref.u_max, ref.u_min, unk.u_max, unk.u_min)])
+    if isinstance(result, IvFitResult):
+        return _render(IVFIT_HEADER, [
+            (f.v_lo, f.v_hi, f.slope, f.beta, f.temperature)
+            for f in result.fits])
+    if isinstance(result, LeakageResult):
+        return _render(LEAKAGE_HEADER, result.rows)
+    raise TypeError(f"unknown result type {type(result).__name__}")
 
 
 def emit_results(result: SweepResult, path: Path | str) -> None:
@@ -684,24 +710,20 @@ def emit_results(result: SweepResult, path: Path | str) -> None:
 
 
 def read_results(path: Path | str) -> SweepResult:
-    """Reload a results table written by emit_results."""
+    """Reload a results table written by emit_results.
+
+    Raises:
+        TraceSchemaError: wrong header, a non-finite cell, distances
+            that are not strictly ascending, or a negative key rate.
+        TraceParseError: malformed data row (carries the line number).
+    """
     path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines or lines[0].strip() != RESULT_HEADER:
-        raise TraceSchemaError(f"{path}: expected header {RESULT_HEADER!r}")
-    rows = []
-    for num, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise TraceParseError(
-                f"{path}:{num}: expected seven comma-separated fields", line=num)
-        try:
-            rows.append(SweepRow(*(float(p) for p in parts)))
-        except ValueError:
-            raise TraceParseError(
-                f"{path}:{num}: non-numeric field in {line!r}", line=num
-            ) from None
-    return SweepResult(tuple(rows))
+    table = _read_table(path, RESULT_HEADER)
+    distances = table[:, 0]
+    if not np.isfinite(table).all():
+        raise TraceSchemaError(f"{path}: every cell must be finite")
+    if not (distances[1:] > distances[:-1]).all():
+        raise TraceSchemaError(f"{path}: distances must be strictly ascending")
+    if not (table[:, 1:3] >= 0.0).all():
+        raise TraceSchemaError(f"{path}: key rates must be >= 0")
+    return SweepResult(tuple(map(SweepRow._make, table.tolist())))

@@ -131,13 +131,16 @@ def coin_imbalance(mu: float) -> float:
         mu: Mean leaked photon number, >= 0.
 
     Returns:
-        Delta in [0, 1/2); exactly 0 at mu = 0 and strictly increasing.
+        Delta in [0, 1/2]; exactly 0 at mu = 0 and non-decreasing. It
+        rounds to 1/2 in double precision from mu ~ 127 on.
 
     Raises:
         DomainError: if mu is negative or non-finite.
     """
     if not math.isfinite(mu) or mu < 0.0:
         raise DomainError(f"mu must be finite and >= 0, got {mu!r}")
+    # Delta is 1/2 long before cosh overflows (mu ~ 1004), so cap mu.
+    mu = min(mu, 700.0)
     x = mu / math.sqrt(2.0)
     return 0.5 * (1.0 - math.exp(-mu) * (math.cosh(x) + 0.5 * math.sinh(x)))
 

@@ -33,3 +33,16 @@ def test_generate_data_rebuilds_data_byte_for_byte(tmp_path, monkeypatch):
     script.main()
     for name in ("fringe_reference.csv", "fringe_voa.csv", "iv_trace.csv"):
         assert (tmp_path / name).read_bytes() == (ROOT / "data" / name).read_bytes()
+
+
+def test_tracer_wrapped_names_resolve():
+    # perfbench/tracer.py wraps these names with getattr; a refactor that
+    # drops one breaks the traced benchmark run.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    import voaleak.cli  # noqa: F401  (imports every wrapped module)
+    missing = [(module, attr) for module, attr, _ in tracer.WRAPPED
+               if not hasattr(sys.modules[module], attr)]
+    assert missing == []

@@ -71,6 +71,13 @@ class TestCoinImbalance:
     def test_stays_below_half(self):
         assert coin_imbalance(50.0) < 0.5
 
+    @pytest.mark.parametrize("mu", [130.0, 1010.0, 1e6])
+    def test_large_leak_rounds_to_half(self, mu):
+        # Past mu ~ 127 the exact value lies within half an ulp of 1/2;
+        # past ~1004 cosh(mu/sqrt2) alone would overflow.
+        assert coin_imbalance(mu) == 0.5
+        assert coin_imbalance(100.0) < coin_imbalance(mu)
+
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             coin_imbalance(-0.01)
