@@ -17,7 +17,12 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import DomainError, UndefinedConditionalError, UndefinedQberError
+from .errors import (
+    DomainError,
+    UndefinedConditionalError,
+    UndefinedQberError,
+    check_range,
+)
 
 __all__ = [
     "ChannelParams",
@@ -68,30 +73,22 @@ class ChannelParams:
     e0: float = 0.5
 
     def __post_init__(self):
-        if not math.isfinite(self.distance) or self.distance < 0.0:
-            raise DomainError(f"distance must be >= 0, got {self.distance!r}")
-        for name in ("alpha_sig", "alpha_par"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0.0:
-                raise DomainError(f"{name} must be >= 0, got {v!r}")
-        for name in ("eta_bob_sig", "eta_bob_par"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or not 0.0 < v <= 1.0:
-                raise DomainError(f"{name} must lie in (0, 1], got {v!r}")
-        if not math.isfinite(self.y0) or not 0.0 <= self.y0 < 1.0:
-            raise DomainError(f"y0 must lie in [0, 1), got {self.y0!r}")
-        if not math.isfinite(self.e_d) or not 0.0 <= self.e_d <= 0.5:
-            raise DomainError(f"e_d must lie in [0, 0.5], got {self.e_d!r}")
-        if not math.isfinite(self.e0) or not 0.0 <= self.e0 <= 1.0:
-            raise DomainError(f"e0 must lie in [0, 1], got {self.e0!r}")
+        check_range("distance", self.distance, 0.0)
+        check_range("alpha_sig", self.alpha_sig, 0.0)
+        check_range("alpha_par", self.alpha_par, 0.0)
+        check_range("eta_bob_sig", self.eta_bob_sig, 0.0, 1.0, lo_open=True)
+        check_range("eta_bob_par", self.eta_bob_par, 0.0, 1.0, lo_open=True)
+        check_range("y0", self.y0, 0.0, 1.0, hi_open=True)
+        check_range("e_d", self.e_d, 0.0, 0.5)
+        check_range("e0", self.e0, 0.0, 1.0)
 
     def eta_signal(self) -> float:
         """End-to-end signal transmittance including the receiver."""
-        return transmittance(self.alpha_sig, self.distance) * self.eta_bob_sig
+        return _transmittance(self.alpha_sig, self.distance) * self.eta_bob_sig
 
     def eta_parasitic(self) -> float:
         """End-to-end parasitic transmittance including the receiver."""
-        return transmittance(self.alpha_par, self.distance) * self.eta_bob_par
+        return _transmittance(self.alpha_par, self.distance) * self.eta_bob_par
 
 
 @dataclass(frozen=True)
@@ -110,10 +107,8 @@ class SourcePair:
     mu_el: float = 0.0
 
     def __post_init__(self):
-        for name in ("gamma", "mu_el"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0.0:
-                raise DomainError(f"{name} must be finite and >= 0, got {v!r}")
+        check_range("gamma", self.gamma, 0.0)
+        check_range("mu_el", self.mu_el, 0.0)
 
 
 @dataclass(frozen=True)
@@ -125,18 +120,19 @@ class Observables:
     gain : float
         Detection probability per pulse, in [0, 1].
     qber : float
-        Error fraction among detections, in [0, 1]; bounded by 0.5
-        under the e0 = 1/2 convention.
+        Error fraction among detections, in [0, 1]. It can exceed 1/2
+        even under the e0 = 1/2 convention: a pulse on which two
+        sources click counts as an error if either click is
+        erroneous, so parasitic light and dark counts together give a
+        vacuum-like decoy 0.5000000049999959 on the shipped
+        dual-source channel.
+
+    Built only by `observables_for_intensity`, whose inputs are checked,
+    so the record does not check its fields again.
     """
 
     gain: float
     qber: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.gain) or not 0.0 <= self.gain <= 1.0:
-            raise DomainError(f"gain must lie in [0, 1], got {self.gain!r}")
-        if not math.isfinite(self.qber) or not 0.0 <= self.qber <= 1.0:
-            raise DomainError(f"qber must lie in [0, 1], got {self.qber!r}")
 
 
 def transmittance(alpha_db_per_km: float, distance_km: float) -> float:
@@ -154,10 +150,12 @@ def transmittance(alpha_db_per_km: float, distance_km: float) -> float:
     float
         Transmittance in (0, 1].
     """
-    if not math.isfinite(alpha_db_per_km) or alpha_db_per_km < 0.0:
-        raise DomainError(f"alpha must be >= 0, got {alpha_db_per_km!r}")
-    if not math.isfinite(distance_km) or distance_km < 0.0:
-        raise DomainError(f"distance must be >= 0, got {distance_km!r}")
+    check_range("alpha", alpha_db_per_km, 0.0)
+    check_range("distance", distance_km, 0.0)
+    return _transmittance(alpha_db_per_km, distance_km)
+
+
+def _transmittance(alpha_db_per_km: float, distance_km: float) -> float:
     return 10.0 ** (-alpha_db_per_km * distance_km / 10.0)
 
 
@@ -248,9 +246,8 @@ def error_ij(
         If Y_ij = 0 (no detections to condition on).
     """
     i, j = _check_yield_args(i, j, eta, eta_par, y0)
-    for name, v, hi in (("e_d", e_d, 0.5), ("e0", e0, 1.0)):
-        if not math.isfinite(v) or not 0.0 <= v <= hi:
-            raise DomainError(f"{name} must lie in [0, {hi}], got {v!r}")
+    check_range("e_d", e_d, 0.0, 0.5)
+    check_range("e0", e0, 0.0, 1.0)
 
     y = yield_ij(i, j, eta, eta_par, y0)
     if y == 0.0:
@@ -284,7 +281,12 @@ def dual_source_gain(src: SourcePair, ch: ChannelParams) -> float:
         Gain in [0, 1]. Exactly independent of the parasitic path when
         src.mu_el == 0.
     """
-    x = src.gamma * ch.eta_signal() + src.mu_el * ch.eta_parasitic()
+    return _gain(src.gamma, src.mu_el, ch.eta_signal(), ch.eta_parasitic(), ch)
+
+
+def _gain(gamma: float, mu_el: float, eta: float, eta_par: float,
+          ch: ChannelParams) -> float:
+    x = gamma * eta + mu_el * eta_par
     return -math.expm1(math.log1p(-ch.y0) - x)
 
 
@@ -300,8 +302,14 @@ def dual_source_error_gain(src: SourcePair, ch: ChannelParams) -> float:
     float
         E Q in [0, 1].
     """
-    a = -math.expm1(-src.gamma * ch.eta_signal())
-    b = -math.expm1(-src.mu_el * ch.eta_parasitic())
+    return _error_gain(src.gamma, src.mu_el, ch.eta_signal(),
+                       ch.eta_parasitic(), ch)
+
+
+def _error_gain(gamma: float, mu_el: float, eta: float, eta_par: float,
+                ch: ChannelParams) -> float:
+    a = -math.expm1(-gamma * eta)
+    b = -math.expm1(-mu_el * eta_par)
     y0, e_d, e0 = ch.y0, ch.e_d, ch.e0
     return (e_d * a + e0 * b + y0 * e0
             - e_d * e0 * a * b - y0 * e0 * e_d * a
@@ -332,11 +340,13 @@ def observables_for_intensity(
     UndefinedQberError
         If the gain is exactly zero (no clicks to form a QBER).
     """
-    src = SourcePair(gamma=gamma, mu_el=mu_el)
-    q = dual_source_gain(src, ch)
+    check_range("gamma", gamma, 0.0)
+    check_range("mu_el", mu_el, 0.0)
+    eta, eta_par = ch.eta_signal(), ch.eta_parasitic()
+    q = _gain(gamma, mu_el, eta, eta_par, ch)
     if q == 0.0:
         raise UndefinedQberError("gain is zero; QBER undefined")
-    e = dual_source_error_gain(src, ch) / q
+    e = _error_gain(gamma, mu_el, eta, eta_par, ch) / q
     return Observables(gain=q, qber=min(e, 1.0))
 
 
@@ -348,9 +358,7 @@ def _check_yield_args(i: int, j: int, eta: float, eta_par: float, y0: float):
         raise DomainError(f"photon numbers must be integers, got {i!r}, {j!r}") from None
     if i < 0 or j < 0:
         raise DomainError(f"photon numbers must be >= 0, got {i}, {j}")
-    for name, v in (("eta", eta), ("eta_par", eta_par)):
-        if not math.isfinite(v) or not 0.0 <= v <= 1.0:
-            raise DomainError(f"{name} must lie in [0, 1], got {v!r}")
-    if not math.isfinite(y0) or not 0.0 <= y0 < 1.0:
-        raise DomainError(f"y0 must lie in [0, 1), got {y0!r}")
+    check_range("eta", eta, 0.0, 1.0)
+    check_range("eta_par", eta_par, 0.0, 1.0)
+    check_range("y0", y0, 0.0, 1.0, hi_open=True)
     return i, j

@@ -19,7 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, DomainError, UndefinedBoundError
+from .errors import (
+    ConfigurationError,
+    DomainError,
+    UndefinedBoundError,
+    check_range,
+)
 
 __all__ = [
     "DecoyObservations",
@@ -58,21 +63,15 @@ class DecoyObservations:
 
     def __post_init__(self):
         for name in ("s", "nu", "omega"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0.0:
-                raise ConfigurationError(f"{name} must be finite and >= 0, got {v!r}")
+            check_range(name, getattr(self, name), 0.0, error=ConfigurationError)
         if not self.s > self.nu > self.omega:
             raise ConfigurationError(
                 "intensity ordering violated: require s > nu > omega, got "
                 f"s={self.s!r}, nu={self.nu!r}, omega={self.omega!r}")
         for name in ("q_s", "q_nu", "q_omega"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or not 0.0 < v <= 1.0:
-                raise DomainError(f"{name} must lie in (0, 1], got {v!r}")
+            check_range(name, getattr(self, name), 0.0, 1.0, lo_open=True)
         for name in ("e_s", "e_nu", "e_omega"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or not 0.0 <= v <= 0.5:
-                raise DomainError(f"{name} must lie in [0, 0.5], got {v!r}")
+            check_range(name, getattr(self, name), 0.0, 0.5)
 
 
 @dataclass(frozen=True)
@@ -101,11 +100,10 @@ class SinglePhotonBounds:
     clamp_events: int = 0
 
     def __post_init__(self):
-        for name, hi in (("y1_lower", 1.0), ("e1_upper", 0.5),
-                         ("q1_lower", 1.0), ("y0_lower", 1.0)):
-            v = getattr(self, name)
-            if not math.isfinite(v) or not 0.0 <= v <= hi:
-                raise DomainError(f"{name} must lie in [0, {hi}], got {v!r}")
+        check_range("y1_lower", self.y1_lower, 0.0, 1.0)
+        check_range("e1_upper", self.e1_upper, 0.0, 0.5)
+        check_range("q1_lower", self.q1_lower, 0.0, 1.0)
+        check_range("y0_lower", self.y0_lower, 0.0, 1.0)
         if self.clamp_events < 0:
             raise DomainError("clamp_events must be >= 0")
 
@@ -174,8 +172,7 @@ def e1_upper(obs: DecoyObservations, y1_l: float) -> float:
         If y1_l == 0; the caller must force the key rate to zero.
     """
     _check_decoy_usable(obs)
-    if not math.isfinite(y1_l) or not 0.0 <= y1_l <= 1.0:
-        raise DomainError(f"y1_l must lie in [0, 1], got {y1_l!r}")
+    check_range("y1_l", y1_l, 0.0, 1.0)
     if y1_l == 0.0:
         raise UndefinedBoundError(
             "y1_lower is zero; single-photon error bound undefined")
@@ -184,8 +181,11 @@ def e1_upper(obs: DecoyObservations, y1_l: float) -> float:
 
 def q1_lower(obs: DecoyObservations, y1_l: float) -> float:
     """Lower bound on the single-photon gain, Q1 >= y1_l s e^-s."""
-    if not math.isfinite(y1_l) or not 0.0 <= y1_l <= 1.0:
-        raise DomainError(f"y1_l must lie in [0, 1], got {y1_l!r}")
+    check_range("y1_l", y1_l, 0.0, 1.0)
+    return _q1(obs, y1_l)
+
+
+def _q1(obs: DecoyObservations, y1_l: float) -> float:
     return y1_l * obs.s * math.exp(-obs.s)
 
 
@@ -226,7 +226,7 @@ def single_photon_bounds(obs: DecoyObservations) -> SinglePhotonBounds:
     return SinglePhotonBounds(
         y1_lower=y1_l,
         e1_upper=e1_u,
-        q1_lower=q1_lower(obs, y1_l),
+        q1_lower=_q1(obs, y1_l),
         y0_lower=y0_l,
         clamp_events=clamps,
     )

@@ -2,8 +2,11 @@
 
 Everything derives from ValueError so callers that only care about
 "bad input" can catch a single familiar type, while the CLI maps each
-subclass to a stable error category string.
+subclass to a stable error category string. `check_range` is the one
+place where a scalar input is checked against its interval.
 """
+
+import math
 
 
 class VoaleakError(ValueError):
@@ -92,3 +95,26 @@ class TraceSchemaError(VoaleakError):
     """A trace file violates the expected column schema or ordering."""
 
     category = "schema"
+
+
+def check_range(name: str, value: float, lo: float, hi: float = math.inf,
+                error: type[VoaleakError] = DomainError, *,
+                lo_open: bool = False, hi_open: bool = False) -> None:
+    """Raise error unless value is finite and lies between lo and hi.
+
+    Each end is closed unless its `*_open` flag is set. NaN and +-inf
+    are always rejected, so an infinite end reads as "finite and
+    beyond the other end".
+    """
+    if (math.isfinite(value)
+            and (lo < value if lo_open else lo <= value)
+            and (value < hi if hi_open else value <= hi)):
+        return
+    if hi < math.inf:
+        rule = (f"lie in {'(' if lo_open else '['}{lo:g}, "
+                f"{hi:g}{')' if hi_open else ']'}")
+    elif lo > -math.inf:
+        rule = f"be finite and {'>' if lo_open else '>='} {lo:g}"
+    else:
+        rule = "be finite"
+    raise error(f"{name} must {rule}, got {value!r}")

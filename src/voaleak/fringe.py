@@ -22,6 +22,7 @@ from .errors import (
     DomainError,
     InsufficientDataError,
     NoFringeError,
+    check_range,
 )
 
 __all__ = ["FringeTrace", "ExtremaPair", "find_extrema_pair", "center_wavelength"]
@@ -74,8 +75,8 @@ class ExtremaPair:
     u_min: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.u_max) and math.isfinite(self.u_min)):
-            raise DomainError("extrema voltages must be finite")
+        check_range("u_max", self.u_max, -math.inf)
+        check_range("u_min", self.u_min, -math.inf)
         if self.u_max == self.u_min:
             raise DomainError("u_max and u_min must differ")
 
@@ -204,8 +205,7 @@ def center_wavelength(
         DomainError: non-positive reference wavelength.
         DegenerateReferenceError: reference span is zero.
     """
-    if not math.isfinite(lambda_ref) or lambda_ref <= 0.0:
-        raise DomainError(f"lambda_ref must be finite and > 0, got {lambda_ref!r}")
+    check_range("lambda_ref", lambda_ref, 0.0, lo_open=True)
     den = abs(reference.u_max ** 2 - reference.u_min ** 2)
     if den == 0.0:
         raise DegenerateReferenceError(

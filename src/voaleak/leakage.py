@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, SaturationError
+from .errors import SaturationError, check_range
 
 __all__ = ["Placement", "EmissionSpec", "LeakageIntensity", "mean_photon_number"]
 
@@ -42,15 +42,9 @@ class EmissionSpec:
     pulse_width: float
 
     def __post_init__(self):
-        if not math.isfinite(self.drive_voltage) or self.drive_voltage < 0.0:
-            raise DomainError(
-                f"drive_voltage must be finite and >= 0, got {self.drive_voltage!r}")
-        if not math.isfinite(self.count_rate) or self.count_rate < 0.0:
-            raise DomainError(
-                f"count_rate must be finite and >= 0, got {self.count_rate!r}")
-        if not math.isfinite(self.pulse_width) or self.pulse_width <= 0.0:
-            raise DomainError(
-                f"pulse_width must be finite and > 0, got {self.pulse_width!r}")
+        check_range("drive_voltage", self.drive_voltage, 0.0)
+        check_range("count_rate", self.count_rate, 0.0)
+        check_range("pulse_width", self.pulse_width, 0.0, lo_open=True)
         if self.count_rate * self.pulse_width >= 1.0:
             raise SaturationError(
                 "count_rate * pulse_width = "
@@ -71,8 +65,7 @@ class LeakageIntensity:
     placement: Placement
 
     def __post_init__(self):
-        if not math.isfinite(self.mu) or self.mu < 0.0:
-            raise DomainError(f"mu must be finite and >= 0, got {self.mu!r}")
+        check_range("mu", self.mu, 0.0)
 
 
 def mean_photon_number(

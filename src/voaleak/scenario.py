@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 import numpy as np
 
 from .channel import ChannelParams, observables_for_intensity
-from .decoy import DecoyObservations, SinglePhotonBounds, single_photon_bounds
+from .decoy import DecoyObservations, single_photon_bounds
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -359,41 +359,41 @@ def config_from_mapping(
 
     Relative trace paths are resolved against base_dir. Unrecognized
     keys are an error so typos cannot silently fall back to defaults.
+    Missing keys take ScenarioConfig's field defaults, which a dataclass
+    keeps as class attributes; ScenarioConfig checks the mode.
     """
     data = dict(data)
     base_dir = Path(base_dir)
     if "mode" not in data:
         raise ConfigurationError("missing required key 'mode'")
     mode = data.pop("mode")
-    if mode not in MODES:
-        raise ConfigurationError(
-            f"mode must be one of {', '.join(MODES)}, got {mode!r}")
 
+    defaults = ScenarioConfig
     channel = _take_channel(data)
     placement = (Placement.POST_ENCODER if mode == "dual_source"
                  else Placement.PRE_ENCODER)
     config = ScenarioConfig(
         mode=mode,
         channel=channel,
-        s=_take_float(data, "intensities.s", 0.48),
-        nu=_take_float(data, "intensities.nu", 0.02),
-        omega=_take_float(data, "intensities.omega", 0.001),
-        p_z=_take_float(data, "conventions.p_z", 1.0),
-        q_proto=_take_float(data, "conventions.q_proto", 0.5),
-        f_ec=_take_float(data, "conventions.f_ec", 1.2),
+        s=_take_float(data, "intensities.s", defaults.s),
+        nu=_take_float(data, "intensities.nu", defaults.nu),
+        omega=_take_float(data, "intensities.omega", defaults.omega),
+        p_z=_take_float(data, "conventions.p_z", defaults.p_z),
+        q_proto=_take_float(data, "conventions.q_proto", defaults.q_proto),
+        f_ec=_take_float(data, "conventions.f_ec", defaults.f_ec),
         mu_leak=_take_leakage(data, placement),
-        distance_min=_take_float(data, "sweep.distance_min", 0.0),
-        distance_max=_take_float(data, "sweep.distance_max", 0.0),
-        step=_take_float(data, "sweep.step", 1.0),
+        distance_min=_take_float(data, "sweep.distance_min", defaults.distance_min),
+        distance_max=_take_float(data, "sweep.distance_max", defaults.distance_max),
+        step=_take_float(data, "sweep.step", defaults.step),
         emission=_take_emission(data),
         reference_trace=_take_path(data, "fringe.reference_trace", base_dir),
         unknown_trace=_take_path(data, "fringe.unknown_trace", base_dir),
-        lambda_ref_nm=_take_float(data, "fringe.lambda_ref_nm", 0.0),
-        smooth_window=_take_int(data, "fringe.smooth_window", 5),
+        lambda_ref_nm=_take_float(data, "fringe.lambda_ref_nm", defaults.lambda_ref_nm),
+        smooth_window=_take_int(data, "fringe.smooth_window", defaults.smooth_window),
         iv_trace=_take_path(data, "ivfit.trace", base_dir),
-        temperature=_take_float(data, "ivfit.temperature", 300.0),
+        temperature=_take_float(data, "ivfit.temperature", defaults.temperature),
         windows=(_parse_windows(data.pop("ivfit.windows"))
-                 if "ivfit.windows" in data else DEFAULT_FIT_WINDOWS),
+                 if "ivfit.windows" in data else defaults.windows),
     )
     if data:
         raise ConfigurationError(

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .decoy import DecoyObservations, SinglePhotonBounds
-from .errors import CalibrationError, DomainError
+from .errors import CalibrationError, check_range
 
 __all__ = [
     "PROTOCOL_ANGLES",
@@ -41,7 +41,7 @@ __all__ = [
 
 # Polarization/phase encoding angles of the four BB84 states. The coin
 # imbalance below is derived for leaked coherent states carrying these
-# angles in two quadratures.
+# angles in two quadratures; they are fixed in its closed form.
 PROTOCOL_ANGLES: tuple[float, float, float, float] = (
     0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
 
@@ -54,23 +54,16 @@ class ThaParams:
         mu_eve: Mean leaked photon number available to Eve, >= 0.
         p_z: Key-basis selection probability, in (0, 1].
         f_ec: Error-correction inefficiency, >= 1.
-        protocol_angles: Encoding angles of the four protocol states.
     """
 
     mu_eve: float
     p_z: float = 1.0
     f_ec: float = 1.2
-    protocol_angles: tuple[float, ...] = PROTOCOL_ANGLES
 
     def __post_init__(self):
-        if not math.isfinite(self.mu_eve) or self.mu_eve < 0.0:
-            raise DomainError(f"mu_eve must be finite and >= 0, got {self.mu_eve!r}")
-        if not math.isfinite(self.p_z) or not 0.0 < self.p_z <= 1.0:
-            raise DomainError(f"p_z must lie in (0, 1], got {self.p_z!r}")
-        if not math.isfinite(self.f_ec) or self.f_ec < 1.0:
-            raise DomainError(f"f_ec must be >= 1, got {self.f_ec!r}")
-        if len(self.protocol_angles) != 4:
-            raise DomainError("protocol_angles must contain four angles")
+        check_range("mu_eve", self.mu_eve, 0.0)
+        check_range("p_z", self.p_z, 0.0, 1.0, lo_open=True)
+        check_range("f_ec", self.f_ec, 1.0)
 
 
 @dataclass(frozen=True)
@@ -86,10 +79,8 @@ class DualSourceParams:
     f_ec: float = 1.2
 
     def __post_init__(self):
-        if not math.isfinite(self.q_proto) or not 0.0 < self.q_proto <= 1.0:
-            raise DomainError(f"q_proto must lie in (0, 1], got {self.q_proto!r}")
-        if not math.isfinite(self.f_ec) or self.f_ec < 1.0:
-            raise DomainError(f"f_ec must be >= 1, got {self.f_ec!r}")
+        check_range("q_proto", self.q_proto, 0.0, 1.0, lo_open=True)
+        check_range("f_ec", self.f_ec, 1.0)
 
 
 def binary_entropy(x: float) -> float:
@@ -104,8 +95,11 @@ def binary_entropy(x: float) -> float:
     Raises:
         DomainError: if x lies outside [0, 1].
     """
-    if not math.isfinite(x) or not 0.0 <= x <= 1.0:
-        raise DomainError(f"binary_entropy argument must lie in [0, 1], got {x!r}")
+    check_range("binary_entropy argument", x, 0.0, 1.0)
+    return _h2(x)
+
+
+def _h2(x: float) -> float:
     if x == 0.0 or x == 1.0:
         return 0.0
     return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
@@ -137,8 +131,11 @@ def coin_imbalance(mu: float) -> float:
     Raises:
         DomainError: if mu is negative or non-finite.
     """
-    if not math.isfinite(mu) or mu < 0.0:
-        raise DomainError(f"mu must be finite and >= 0, got {mu!r}")
+    check_range("mu", mu, 0.0)
+    return _coin(mu)
+
+
+def _coin(mu: float) -> float:
     # Delta is 1/2 long before cosh overflows (mu ~ 1004), so cap mu.
     mu = min(mu, 700.0)
     x = mu / math.sqrt(2.0)
@@ -166,10 +163,12 @@ def phase_error_with_tha(e_x: float, delta_prime: float) -> float:
     Raises:
         DomainError: if arguments are outside their domains.
     """
-    if not math.isfinite(e_x) or not 0.0 <= e_x <= 0.5:
-        raise DomainError(f"e_x must lie in [0, 0.5], got {e_x!r}")
-    if not math.isfinite(delta_prime) or delta_prime < 0.0:
-        raise DomainError(f"delta_prime must be >= 0, got {delta_prime!r}")
+    check_range("e_x", e_x, 0.0, 0.5)
+    check_range("delta_prime", delta_prime, 0.0)
+    return _phase_error(e_x, delta_prime)
+
+
+def _phase_error(e_x: float, delta_prime: float) -> float:
     if delta_prime >= 0.5:
         return 0.5
     inflated = (e_x
@@ -202,12 +201,14 @@ def gllp_key_rate(
     y1 = bounds.y1_lower
     if y1 <= 0.0:
         return 0.0
-    delta = coin_imbalance(tha.mu_eve)
+    # Every input was checked by its record, so the formula bodies run
+    # without the checks of their public entry points.
+    delta = _coin(tha.mu_eve)
     delta_prime = delta / y1
-    ex_prime = phase_error_with_tha(bounds.e1_upper, delta_prime)
+    ex_prime = _phase_error(bounds.e1_upper, delta_prime)
     p1 = obs.s * math.exp(-obs.s)
-    priv = tha.p_z ** 2 * p1 * y1 * (1.0 - binary_entropy(ex_prime))
-    ec = tha.p_z ** 2 * obs.q_s * tha.f_ec * binary_entropy(obs.e_s)
+    priv = tha.p_z ** 2 * p1 * y1 * (1.0 - _h2(ex_prime))
+    ec = tha.p_z ** 2 * obs.q_s * tha.f_ec * _h2(obs.e_s)
     return max(0.0, priv - ec)
 
 
@@ -234,8 +235,8 @@ def dual_source_key_rate(
     Returns:
         Secret key rate per pulse, >= 0.
     """
-    priv = bounds.q1_lower * (1.0 - binary_entropy(bounds.e1_upper))
-    ec = obs.q_s * params.f_ec * binary_entropy(obs.e_s)
+    priv = bounds.q1_lower * (1.0 - _h2(bounds.e1_upper))
+    ec = obs.q_s * params.f_ec * _h2(obs.e_s)
     return max(0.0, params.q_proto * (priv - ec))
 
 
@@ -259,12 +260,9 @@ def calibrated_intensity(q_observed: float, eta: float, y0: float) -> float:
         DomainError: if an argument is outside its domain.
         CalibrationError: if q_observed <= y0 (below the background).
     """
-    if not math.isfinite(q_observed) or not 0.0 < q_observed < 1.0:
-        raise DomainError(f"q_observed must lie in (0, 1), got {q_observed!r}")
-    if not math.isfinite(eta) or not 0.0 < eta <= 1.0:
-        raise DomainError(f"eta must lie in (0, 1], got {eta!r}")
-    if not math.isfinite(y0) or not 0.0 <= y0 < 1.0:
-        raise DomainError(f"y0 must lie in [0, 1), got {y0!r}")
+    check_range("q_observed", q_observed, 0.0, 1.0, lo_open=True, hi_open=True)
+    check_range("eta", eta, 0.0, 1.0, lo_open=True)
+    check_range("y0", y0, 0.0, 1.0, hi_open=True)
     if q_observed <= y0:
         raise CalibrationError(
             f"gain {q_observed:g} does not exceed the background yield {y0:g}")

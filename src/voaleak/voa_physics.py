@@ -15,11 +15,11 @@ happen internally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError
+from .errors import DomainError, InsufficientDataError, check_range
 
 # CODATA 2022 physical constants, SI. q, h, c and k_B are exact since
 # the 2019 SI redefinition; eps0 and m_e are the 2022 recommended values.
@@ -77,10 +77,8 @@ class CarrierState:
     delta_n_h: float
 
     def __post_init__(self):
-        for name in ("delta_n_e", "delta_n_h"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0.0:
-                raise DomainError(f"{name} must be finite and >= 0, got {v!r}")
+        check_range("delta_n_e", self.delta_n_e, 0.0)
+        check_range("delta_n_h", self.delta_n_h, 0.0)
 
 
 @dataclass(frozen=True)
@@ -119,9 +117,7 @@ class SiliconConstants:
     def __post_init__(self):
         for name in ("q", "eps0", "n0", "m_ce", "m_ch", "mu_n", "mu_p",
                      "c", "h_planck", "k_boltzmann"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0.0:
-                raise DomainError(f"{name} must be finite and > 0, got {v!r}")
+            check_range(name, getattr(self, name), 0.0, lo_open=True)
 
 
 @dataclass(frozen=True)
@@ -137,11 +133,8 @@ class VoaGeometry:
     wavelength: float = 1550.0
 
     def __post_init__(self):
-        if not math.isfinite(self.length) or self.length <= 0.0:
-            raise DomainError(f"length must be finite and > 0, got {self.length!r}")
-        if not math.isfinite(self.wavelength) or self.wavelength <= 0.0:
-            raise DomainError(
-                f"wavelength must be finite and > 0, got {self.wavelength!r}")
+        check_range("length", self.length, 0.0, lo_open=True)
+        check_range("wavelength", self.wavelength, 0.0, lo_open=True)
 
 
 @dataclass(frozen=True)
@@ -225,9 +218,7 @@ def plasma_dispersion_general(
     Raises:
         DomainError: if wavelength is not positive and finite.
     """
-    if not math.isfinite(wavelength) or wavelength <= 0.0:
-        raise DomainError(f"wavelength must be finite and > 0, got {wavelength!r}")
-
+    check_range("wavelength", wavelength, 0.0, lo_open=True)
     lam = wavelength * 1e-9               # nm -> m
     ne = carriers.delta_n_e * 1e6         # cm^-3 -> m^-3
     nh = carriers.delta_n_h * 1e6
@@ -282,8 +273,7 @@ def attenuation_db(delta_alpha: float, geometry: VoaGeometry) -> float:
     Raises:
         DomainError: if delta_alpha is negative or non-finite.
     """
-    if not math.isfinite(delta_alpha) or delta_alpha < 0.0:
-        raise DomainError(f"delta_alpha must be finite and >= 0, got {delta_alpha!r}")
+    check_range("delta_alpha", delta_alpha, 0.0)
     return 10.0 * math.log10(math.e) * delta_alpha * geometry.length
 
 
@@ -301,9 +291,8 @@ def attenuation_from_counts(counts_on: float, counts_off: float) -> float:
     Raises:
         DomainError: if either count rate is not positive and finite.
     """
-    for name, v in (("counts_on", counts_on), ("counts_off", counts_off)):
-        if not math.isfinite(v) or v <= 0.0:
-            raise DomainError(f"{name} must be finite and > 0, got {v!r}")
+    check_range("counts_on", counts_on, 0.0, lo_open=True)
+    check_range("counts_off", counts_off, 0.0, lo_open=True)
     return -10.0 * math.log10(counts_on / counts_off)
 
 
@@ -326,8 +315,7 @@ def bandgap_wavelength(
     Raises:
         DomainError: if e_g is not positive and finite.
     """
-    if not math.isfinite(e_g) or e_g <= 0.0:
-        raise DomainError(f"e_g must be finite and > 0, got {e_g!r}")
+    check_range("e_g", e_g, 0.0, lo_open=True)
     return constants.h_planck * constants.c / (e_g * constants.q) * 1e9
 
 
@@ -359,10 +347,9 @@ def fit_ideality(
             inside the window, or a non-positive fitted slope.
         InsufficientDataError: fewer than 3 samples in the window.
     """
-    if not (math.isfinite(v_lo) and math.isfinite(v_hi)) or v_hi <= v_lo:
-        raise DomainError(f"require v_lo < v_hi, got [{v_lo!r}, {v_hi!r}]")
-    if not math.isfinite(temperature) or temperature <= 0.0:
-        raise DomainError(f"temperature must be finite and > 0, got {temperature!r}")
+    check_range("v_lo", v_lo, -math.inf)
+    check_range("v_hi", v_hi, v_lo, lo_open=True)
+    check_range("temperature", temperature, 0.0, lo_open=True)
 
     mask = (iv.voltages >= v_lo) & (iv.voltages <= v_hi)
     v = iv.voltages[mask]

@@ -131,7 +131,6 @@ class TestPhaseErrorInflation:
 
 class TestParams:
     def test_protocol_angles_default(self):
-        assert ThaParams(0.0).protocol_angles == PROTOCOL_ANGLES
         assert len(PROTOCOL_ANGLES) == 4
 
     def test_tha_validation(self):
@@ -141,8 +140,6 @@ class TestParams:
             ThaParams(0.1, p_z=0.0)
         with pytest.raises(DomainError):
             ThaParams(0.1, f_ec=0.9)
-        with pytest.raises(DomainError):
-            ThaParams(0.1, protocol_angles=(0.0, 1.0))
 
     def test_dual_validation(self):
         with pytest.raises(DomainError):
