@@ -37,7 +37,6 @@ from .errors import (
     SaturationError,
     TraceParseError,
     TraceSchemaError,
-    UndefinedBoundError,
     UndefinedConditionalError,
     UndefinedQberError,
     VoaleakError,
@@ -63,27 +62,16 @@ from .fringe import (
     center_wavelength,
     find_extrema_pair,
 )
-from .leakage import EmissionSpec, LeakageIntensity, Placement, mean_photon_number
+from .leakage import EmissionSpec, mean_photon_number
 from .channel import (
     ChannelParams,
     Observables,
-    SourcePair,
-    dual_source_error_gain,
-    dual_source_gain,
     error_ij,
     observables_for_intensity,
     transmittance,
     yield_ij,
 )
-from .decoy import (
-    DecoyObservations,
-    SinglePhotonBounds,
-    e1_upper,
-    q1_lower,
-    single_photon_bounds,
-    y0_lower,
-    y1_lower,
-)
+from .decoy import DecoyObservations, SinglePhotonBounds, single_photon_bounds
 from .security import (
     PROTOCOL_ANGLES,
     DualSourceParams,
@@ -119,7 +107,7 @@ __all__ = [
     "VoaleakError", "DomainError", "InsufficientDataError",
     "SaturationError", "NoFringeError", "BoundaryAmbiguityError",
     "DegenerateReferenceError", "UndefinedConditionalError",
-    "UndefinedQberError", "UndefinedBoundError", "CalibrationError",
+    "UndefinedQberError", "CalibrationError",
     "ConfigurationError", "TraceParseError", "TraceSchemaError",
     # voa_physics
     "CarrierState", "SiliconConstants", "VoaGeometry", "IvCurve",
@@ -130,14 +118,12 @@ __all__ = [
     "FringeTrace", "ExtremaPair", "MIN_SAMPLES", "find_extrema_pair",
     "center_wavelength",
     # leakage
-    "Placement", "EmissionSpec", "LeakageIntensity", "mean_photon_number",
+    "EmissionSpec", "mean_photon_number",
     # channel
-    "ChannelParams", "SourcePair", "Observables", "transmittance",
-    "yield_ij", "error_ij", "dual_source_gain", "dual_source_error_gain",
+    "ChannelParams", "Observables", "transmittance", "yield_ij", "error_ij",
     "observables_for_intensity",
     # decoy
-    "DecoyObservations", "SinglePhotonBounds", "y0_lower", "y1_lower",
-    "e1_upper", "q1_lower", "single_photon_bounds",
+    "DecoyObservations", "SinglePhotonBounds", "single_photon_bounds",
     # security
     "PROTOCOL_ANGLES", "ThaParams", "DualSourceParams",
     "binary_entropy", "coin_imbalance", "phase_error_with_tha",

@@ -26,13 +26,10 @@ from .errors import (
 
 __all__ = [
     "ChannelParams",
-    "SourcePair",
     "Observables",
     "transmittance",
     "yield_ij",
     "error_ij",
-    "dual_source_gain",
-    "dual_source_error_gain",
     "observables_for_intensity",
 ]
 
@@ -89,26 +86,6 @@ class ChannelParams:
     def eta_parasitic(self) -> float:
         """End-to-end parasitic transmittance including the receiver."""
         return _transmittance(self.alpha_par, self.distance) * self.eta_bob_par
-
-
-@dataclass(frozen=True)
-class SourcePair:
-    """Mean photon numbers of the two co-propagating sources.
-
-    Parameters
-    ----------
-    gamma : float
-        Signal intensity (photons/pulse), >= 0.
-    mu_el : float
-        Parasitic intensity (photons/pulse), >= 0.
-    """
-
-    gamma: float
-    mu_el: float = 0.0
-
-    def __post_init__(self):
-        check_range("gamma", self.gamma, 0.0)
-        check_range("mu_el", self.mu_el, 0.0)
 
 
 @dataclass(frozen=True)
@@ -253,64 +230,12 @@ def error_ij(
     if y == 0.0:
         raise UndefinedConditionalError(
             f"Y_{i}{j} = 0; conditional error rate undefined")
-    hi_ = _arrival(i, eta)
-    hj = _arrival(j, eta_par)
-    num = (hi_ * e_d + hj * e0 + y0 * e0
-           - hi_ * hj * e_d * e0 - hi_ * y0 * e_d * e0
-           - hj * y0 * e0 ** 2 + hi_ * hj * y0 * e_d * e0 ** 2)
-    return num / y
+    return _error_gain(_arrival(i, eta), _arrival(j, eta_par), y0, e_d, e0) / y
 
 
-def dual_source_gain(src: SourcePair, ch: ChannelParams) -> float:
-    """Per-pulse gain with both Poissonian sources present.
-
-    Poisson averaging of Y_ij gives the closed form
-
-    Q = 1 - (1 - Y0) exp(-gamma eta) exp(-mu_el eta')
-
-    Parameters
-    ----------
-    src : SourcePair
-        Signal and parasitic intensities.
-    ch : ChannelParams
-        Channel, receiver and background parameters.
-
-    Returns
-    -------
-    float
-        Gain in [0, 1]. Exactly independent of the parasitic path when
-        src.mu_el == 0.
-    """
-    return _gain(src.gamma, src.mu_el, ch.eta_signal(), ch.eta_parasitic(), ch)
-
-
-def _gain(gamma: float, mu_el: float, eta: float, eta_par: float,
-          ch: ChannelParams) -> float:
-    x = gamma * eta + mu_el * eta_par
-    return -math.expm1(math.log1p(-ch.y0) - x)
-
-
-def dual_source_error_gain(src: SourcePair, ch: ChannelParams) -> float:
-    """Per-pulse error gain E Q with both sources present.
-
-    Poisson averaging of e_ij Y_ij replaces eta_i by 1 - exp(-gamma eta)
-    and eta'_j by 1 - exp(-mu_el eta') in the inclusion-exclusion
-    expression of `error_ij`.
-
-    Returns
-    -------
-    float
-        E Q in [0, 1].
-    """
-    return _error_gain(src.gamma, src.mu_el, ch.eta_signal(),
-                       ch.eta_parasitic(), ch)
-
-
-def _error_gain(gamma: float, mu_el: float, eta: float, eta_par: float,
-                ch: ChannelParams) -> float:
-    a = -math.expm1(-gamma * eta)
-    b = -math.expm1(-mu_el * eta_par)
-    y0, e_d, e0 = ch.y0, ch.e_d, ch.e0
+def _error_gain(a: float, b: float, y0: float, e_d: float, e0: float) -> float:
+    # The inclusion-exclusion polynomial of `error_ij`, with a and b the
+    # arrival probabilities of the signal and the parasitic light.
     return (e_d * a + e0 * b + y0 * e0
             - e_d * e0 * a * b - y0 * e0 * e_d * a
             - y0 * e0 ** 2 * b + y0 * e0 ** 2 * e_d * a * b)
@@ -320,6 +245,15 @@ def observables_for_intensity(
     gamma: float, mu_el: float, ch: ChannelParams
 ) -> Observables:
     """Gain and QBER a receiver would record at one signal intensity.
+
+    Poisson averaging of Y_ij over both photon numbers gives the gain
+
+    Q = 1 - (1 - Y0) exp(-gamma eta) exp(-mu_el eta'),
+
+    and Poisson averaging of e_ij Y_ij replaces eta_i by
+    1 - exp(-gamma eta) and eta'_j by 1 - exp(-mu_el eta') in the
+    inclusion-exclusion expression of `error_ij`. With mu_el == 0 both
+    are exactly independent of the parasitic path.
 
     Parameters
     ----------
@@ -343,10 +277,11 @@ def observables_for_intensity(
     check_range("gamma", gamma, 0.0)
     check_range("mu_el", mu_el, 0.0)
     eta, eta_par = ch.eta_signal(), ch.eta_parasitic()
-    q = _gain(gamma, mu_el, eta, eta_par, ch)
+    q = -math.expm1(math.log1p(-ch.y0) - (gamma * eta + mu_el * eta_par))
     if q == 0.0:
         raise UndefinedQberError("gain is zero; QBER undefined")
-    e = _error_gain(gamma, mu_el, eta, eta_par, ch) / q
+    e = _error_gain(-math.expm1(-gamma * eta), -math.expm1(-mu_el * eta_par),
+                    ch.y0, ch.e_d, ch.e0) / q
     return Observables(gain=q, qber=min(e, 1.0))
 
 

@@ -19,22 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    UndefinedBoundError,
-    check_range,
-)
+from .errors import ConfigurationError, DomainError, check_range
 
-__all__ = [
-    "DecoyObservations",
-    "SinglePhotonBounds",
-    "y0_lower",
-    "y1_lower",
-    "e1_upper",
-    "q1_lower",
-    "single_photon_bounds",
-]
+__all__ = ["DecoyObservations", "SinglePhotonBounds", "single_photon_bounds"]
 
 
 @dataclass(frozen=True)
@@ -48,7 +35,8 @@ class DecoyObservations:
     q_s, q_nu, q_omega : float
         Gains at each intensity, in (0, 1].
     e_s, e_nu, e_omega : float
-        QBERs at each intensity, in [0, 0.5].
+        QBERs at each intensity, in [0, 1]. A vacuum-like decoy can
+        record slightly more than 1/2 (see `channel.Observables`).
     """
 
     s: float
@@ -71,7 +59,7 @@ class DecoyObservations:
         for name in ("q_s", "q_nu", "q_omega"):
             check_range(name, getattr(self, name), 0.0, 1.0, lo_open=True)
         for name in ("e_s", "e_nu", "e_omega"):
-            check_range(name, getattr(self, name), 0.0, 0.5)
+            check_range(name, getattr(self, name), 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -108,114 +96,58 @@ class SinglePhotonBounds:
             raise DomainError("clamp_events must be >= 0")
 
 
-def _check_decoy_usable(obs: DecoyObservations):
-    if not obs.nu + obs.omega < obs.s:
-        raise ConfigurationError(
-            "two-decoy bound requires nu + omega < s, got "
-            f"nu={obs.nu!r}, omega={obs.omega!r}, s={obs.s!r}")
-
-
-def _y0_raw(obs: DecoyObservations) -> float:
-    nu, om = obs.nu, obs.omega
-    return (nu * obs.q_omega * math.exp(om) - om * obs.q_nu * math.exp(nu)) / (nu - om)
-
-
-def y0_lower(obs: DecoyObservations) -> float:
-    """Lower bound on the background yield Y0 from the two decoys.
-
-    Y0 >= (nu Q_omega e^omega - omega Q_nu e^nu) / (nu - omega),
-    clamped to [0, 1].
-    """
-    _check_decoy_usable(obs)
-    return min(max(_y0_raw(obs), 0.0), 1.0)
-
-
-def _y1_raw(obs: DecoyObservations, y0_l: float) -> float:
-    s, nu, om = obs.s, obs.nu, obs.omega
-    front = s / (s * (nu - om) - nu ** 2 + om ** 2)
-    inner = (obs.q_nu * math.exp(nu) - obs.q_omega * math.exp(om)
-             - ((nu ** 2 - om ** 2) / s ** 2) * (obs.q_s * math.exp(s) - y0_l))
-    return front * inner
-
-
-def y1_lower(obs: DecoyObservations) -> float:
-    """Lower bound on the single-photon yield Y1.
-
-    Uses the two-decoy difference bound with the background estimate
-    from `y0_lower`; the result is clamped to [0, 1].
-
-    Raises
-    ------
-    ConfigurationError
-        If nu + omega >= s (bound prefactor loses its sign guarantee).
-    """
-    _check_decoy_usable(obs)
-    y0_l = min(max(_y0_raw(obs), 0.0), 1.0)
-    return min(max(_y1_raw(obs, y0_l), 0.0), 1.0)
-
-
-def _e1_raw(obs: DecoyObservations, y1_l: float) -> float:
-    num = (obs.e_nu * obs.q_nu * math.exp(obs.nu)
-           - obs.e_omega * obs.q_omega * math.exp(obs.omega))
-    return num / ((obs.nu - obs.omega) * y1_l)
-
-
-def e1_upper(obs: DecoyObservations, y1_l: float) -> float:
-    """Upper bound on the single-photon error rate e1.
-
-    e1 <= (E_nu Q_nu e^nu - E_omega Q_omega e^omega)
-          / ((nu - omega) y1_l), clamped to [0, 0.5].
-
-    Raises
-    ------
-    UndefinedBoundError
-        If y1_l == 0; the caller must force the key rate to zero.
-    """
-    _check_decoy_usable(obs)
-    check_range("y1_l", y1_l, 0.0, 1.0)
-    if y1_l == 0.0:
-        raise UndefinedBoundError(
-            "y1_lower is zero; single-photon error bound undefined")
-    return min(max(_e1_raw(obs, y1_l), 0.0), 0.5)
-
-
-def q1_lower(obs: DecoyObservations, y1_l: float) -> float:
-    """Lower bound on the single-photon gain, Q1 >= y1_l s e^-s."""
-    check_range("y1_l", y1_l, 0.0, 1.0)
-    return _q1(obs, y1_l)
-
-
-def _q1(obs: DecoyObservations, y1_l: float) -> float:
-    return y1_l * obs.s * math.exp(-obs.s)
-
-
 def single_photon_bounds(obs: DecoyObservations) -> SinglePhotonBounds:
-    """Bundle all decoy bounds for one set of observations.
+    """All two-decoy bounds for one set of observations.
 
-    When y1_lower comes out zero the error bound is undefined and is
-    reported as the uninformative 0.5, which zeroes the single-photon
-    key-rate term downstream.
+    With E_x the QBER and Q_x the gain at intensity x:
+
+    Y0 >= (nu Q_omega e^omega - omega Q_nu e^nu) / (nu - omega)
+    Y1 >= s / (s (nu - omega) - nu^2 + omega^2)
+          * (Q_nu e^nu - Q_omega e^omega
+             - (nu^2 - omega^2) / s^2 * (Q_s e^s - Y0_L))
+    e1 <= (E_nu Q_nu e^nu - E_omega Q_omega e^omega) / ((nu - omega) Y1_L)
+    Q1 >= Y1_L s e^-s
+
+    Y0_L and Y1_L are clamped to [0, 1] and e1_U to [0, 0.5]. When
+    Y1_L comes out zero the error bound is undefined and is reported as
+    the uninformative 0.5, which zeroes the single-photon key-rate term
+    downstream. Each clamp, and that fallback, counts one clamp event.
 
     Returns
     -------
     SinglePhotonBounds
         Bounds plus the number of clamping events that occurred.
+
+    Raises
+    ------
+    ConfigurationError
+        If nu + omega >= s (the Y1 prefactor loses its sign guarantee).
     """
-    _check_decoy_usable(obs)
+    s, nu, om = obs.s, obs.nu, obs.omega
+    if not nu + om < s:
+        raise ConfigurationError(
+            "two-decoy bound requires nu + omega < s, got "
+            f"nu={nu!r}, omega={om!r}, s={s!r}")
     clamps = 0
 
-    y0_raw = _y0_raw(obs)
+    y0_raw = ((nu * obs.q_omega * math.exp(om) - om * obs.q_nu * math.exp(nu))
+              / (nu - om))
     y0_l = min(max(y0_raw, 0.0), 1.0)
     if y0_l != y0_raw:
         clamps += 1
 
-    y1_raw = _y1_raw(obs, y0_l)
+    front = s / (s * (nu - om) - nu ** 2 + om ** 2)
+    inner = (obs.q_nu * math.exp(nu) - obs.q_omega * math.exp(om)
+             - ((nu ** 2 - om ** 2) / s ** 2) * (obs.q_s * math.exp(s) - y0_l))
+    y1_raw = front * inner
     y1_l = min(max(y1_raw, 0.0), 1.0)
     if y1_l != y1_raw:
         clamps += 1
 
     if y1_l > 0.0:
-        e1_raw = _e1_raw(obs, y1_l)
+        e1_raw = ((obs.e_nu * obs.q_nu * math.exp(nu)
+                   - obs.e_omega * obs.q_omega * math.exp(om))
+                  / ((nu - om) * y1_l))
         e1_u = min(max(e1_raw, 0.0), 0.5)
         if e1_u != e1_raw:
             clamps += 1
@@ -226,7 +158,7 @@ def single_photon_bounds(obs: DecoyObservations) -> SinglePhotonBounds:
     return SinglePhotonBounds(
         y1_lower=y1_l,
         e1_upper=e1_u,
-        q1_lower=_q1(obs, y1_l),
+        q1_lower=y1_l * s * math.exp(-s),
         y0_lower=y0_l,
         clamp_events=clamps,
     )

@@ -63,12 +63,6 @@ class UndefinedQberError(UndefinedConditionalError):
     category = "domain"
 
 
-class UndefinedBoundError(VoaleakError):
-    """Single-photon error bound undefined because the yield bound is zero."""
-
-    category = "domain"
-
-
 class CalibrationError(VoaleakError):
     """Observed gain is incompatible with the assumed background."""
 

@@ -13,18 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import SaturationError, check_range
 
-__all__ = ["Placement", "EmissionSpec", "LeakageIntensity", "mean_photon_number"]
-
-
-class Placement(Enum):
-    """Where the parasitic emitter sits relative to the state encoder."""
-
-    PRE_ENCODER = "pre_encoder"
-    POST_ENCODER = "post_encoder"
+__all__ = ["EmissionSpec", "mean_photon_number"]
 
 
 @dataclass(frozen=True)
@@ -52,37 +44,19 @@ class EmissionSpec:
                 "probability saturates and the intensity is undefined")
 
 
-@dataclass(frozen=True)
-class LeakageIntensity:
-    """Mean photon number of the leaked state, tagged by placement.
+def mean_photon_number(spec: EmissionSpec) -> float:
+    """Mean leaked photon number per gate for one driving configuration.
 
-    Attributes:
-        mu: Mean leaked photon number per gate, >= 0.
-        placement: Pre- or post-encoder location of the emitter.
-    """
-
-    mu: float
-    placement: Placement
-
-    def __post_init__(self):
-        check_range("mu", self.mu, 0.0)
-
-
-def mean_photon_number(
-    spec: EmissionSpec, placement: Placement = Placement.PRE_ENCODER
-) -> LeakageIntensity:
-    """Mean leaked photon number for one driving configuration.
+    The same mu serves both placements of the emitter: before the
+    encoder it sets the coin imbalance, after it the parasitic
+    intensity that reaches the receiver.
 
     Args:
         spec: Emission count rate and gate width; the click probability
             C(U) dt must lie in [0, 1).
-        placement: Copied into the result so downstream security models
-            know which attack geometry applies.
 
     Returns:
-        LeakageIntensity with mu = -ln(1 - C(U) dt).
+        mu = -ln(1 - C(U) dt), >= 0.
     """
-    p_click = spec.count_rate * spec.pulse_width
     # log1p keeps full relative precision in the dim limit p_click -> 0.
-    mu = -math.log1p(-p_click)
-    return LeakageIntensity(mu=mu, placement=placement)
+    return -math.log1p(-(spec.count_rate * spec.pulse_width))

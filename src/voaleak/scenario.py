@@ -37,7 +37,7 @@ from .errors import (
     TraceSchemaError,
 )
 from .fringe import ExtremaPair, FringeTrace, center_wavelength, find_extrema_pair
-from .leakage import EmissionSpec, Placement, mean_photon_number
+from .leakage import EmissionSpec, mean_photon_number
 from .security import (
     DualSourceParams,
     ThaParams,
@@ -89,8 +89,8 @@ LEAKAGE_HEADER = "drive_voltage_v,count_rate_hz,pulse_width_s,mu"
 MAX_SWEEP_POINTS = 1_000_000
 # Largest mean photon number a config may set for the signal, decoy or
 # leaked light. The decoy bounds weigh each gain by e^s, which overflows
-# a double above 709 photons, and coin_imbalance overflows above about
-# 1004 photons.
+# a double above 709 photons; coin_imbalance evaluates any leak above 700
+# photons at 700, where it has long since rounded to 1/2.
 MAX_INTENSITY = 100.0
 
 
@@ -258,8 +258,8 @@ def _take_path(data: dict[str, str], key: str, base_dir: Path) -> Path | None:
     if key not in data:
         return None
     raw = data.pop(key)
-    if not raw:
-        raise ConfigurationError(f"{key}: expected a file path")
+    if not raw or "\0" in raw:
+        raise ConfigurationError(f"{key}: expected a file path, got {raw!r}")
     p = Path(raw)
     return p if p.is_absolute() else base_dir / p
 
@@ -310,7 +310,7 @@ def _take_emission_spec(data: dict[str, str], prefix: str) -> EmissionSpec:
         raise ConfigurationError(f"{prefix[:-1]}: {exc}") from exc
 
 
-def _take_leakage(data: dict[str, str], placement: Placement) -> float:
+def _take_leakage(data: dict[str, str]) -> float:
     has_mu = "leakage.mu" in data
     has_counts = "leakage.count_rate" in data or "leakage.pulse_width" in data
     if has_mu and has_counts:
@@ -323,8 +323,7 @@ def _take_leakage(data: dict[str, str], placement: Placement) -> float:
     if "leakage.count_rate" not in data or "leakage.pulse_width" not in data:
         raise ConfigurationError(
             "leakage.count_rate and leakage.pulse_width must be given together")
-    return mean_photon_number(_take_emission_spec(data, "leakage."),
-                              placement).mu
+    return mean_photon_number(_take_emission_spec(data, "leakage."))
 
 
 def _take_emission(data: dict[str, str]) -> tuple[EmissionSpec, ...]:
@@ -332,7 +331,8 @@ def _take_emission(data: dict[str, str]) -> tuple[EmissionSpec, ...]:
     for key in data:
         if key.startswith("emission."):
             parts = key.split(".")
-            if len(parts) != 3 or not parts[1].isdigit():
+            # isdecimal, not isdigit: int() rejects digits such as "²".
+            if len(parts) != 3 or not parts[1].isdecimal():
                 raise ConfigurationError(
                     f"emission keys must look like emission.N.field, got {key!r}")
             indices.add(int(parts[1]))
@@ -369,19 +369,16 @@ def config_from_mapping(
     mode = data.pop("mode")
 
     defaults = ScenarioConfig
-    channel = _take_channel(data)
-    placement = (Placement.POST_ENCODER if mode == "dual_source"
-                 else Placement.PRE_ENCODER)
     config = ScenarioConfig(
         mode=mode,
-        channel=channel,
+        channel=_take_channel(data),
         s=_take_float(data, "intensities.s", defaults.s),
         nu=_take_float(data, "intensities.nu", defaults.nu),
         omega=_take_float(data, "intensities.omega", defaults.omega),
         p_z=_take_float(data, "conventions.p_z", defaults.p_z),
         q_proto=_take_float(data, "conventions.q_proto", defaults.q_proto),
         f_ec=_take_float(data, "conventions.f_ec", defaults.f_ec),
-        mu_leak=_take_leakage(data, placement),
+        mu_leak=_take_leakage(data),
         distance_min=_take_float(data, "sweep.distance_min", defaults.distance_min),
         distance_max=_take_float(data, "sweep.distance_max", defaults.distance_max),
         step=_take_float(data, "sweep.step", defaults.step),
@@ -404,9 +401,14 @@ def config_from_mapping(
 def load_config(
     path: Path | str, overrides: Sequence[str] = ()
 ) -> ScenarioConfig:
-    """Load, override, and validate a scenario config file."""
+    """Load, override, and validate a UTF-8 scenario config file."""
     path = Path(path)
-    data = parse_config_text(path.read_text(), source=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(
+            f"{path}: not UTF-8 text (bad byte at offset {exc.start})") from None
+    data = parse_config_text(text, source=str(path))
     apply_overrides(data, overrides)
     return config_from_mapping(data, base_dir=path.parent)
 
@@ -566,12 +568,10 @@ def _run_iv_fit(config: ScenarioConfig) -> IvFitResult:
 
 
 def _run_device(config: ScenarioConfig) -> LeakageResult:
-    rows = []
-    for spec in config.emission:
-        mu = mean_photon_number(spec).mu
-        rows.append(LeakageRow(spec.drive_voltage, spec.count_rate,
-                               spec.pulse_width, mu))
-    return LeakageResult(rows=tuple(rows))
+    return LeakageResult(rows=tuple(
+        LeakageRow(spec.drive_voltage, spec.count_rate, spec.pulse_width,
+                   mean_photon_number(spec))
+        for spec in config.emission))
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
@@ -604,9 +604,16 @@ def _read_table(path: Path, header: str) -> np.ndarray:
     """The rows of a table written by `_render`, as an (n, columns) array.
 
     Blank lines are skipped. A wrong header raises TraceSchemaError; a
-    malformed row raises TraceParseError with its line number.
+    malformed row or a line that is not UTF-8 raises TraceParseError
+    with its line number.
     """
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # Number the bad line as splitlines() does for the others.
+        num = len((exc.object[:exc.start].decode() + ".").splitlines())
+        raise TraceParseError(f"{path}:{num}: not UTF-8 text ({exc.reason})",
+                              line=num) from None
     if not lines or lines[0].strip() != header:
         raise TraceSchemaError(f"{path}: expected header {header!r}")
     width = header.count(",") + 1
@@ -655,7 +662,8 @@ def load_trace(path: Path | str, kind: str) -> FringeTrace | IvCurve:
         ConfigurationError: unknown kind.
         TraceSchemaError: wrong header or a constraint violation such
             as non-increasing voltages.
-        TraceParseError: malformed data row (carries the line number).
+        TraceParseError: malformed data row or non-UTF-8 text (carries
+            the line number).
     """
     if kind not in ("fringe", "iv"):
         raise ConfigurationError(f"kind must be 'fringe' or 'iv', got {kind!r}")
@@ -715,7 +723,8 @@ def read_results(path: Path | str) -> SweepResult:
     Raises:
         TraceSchemaError: wrong header, a non-finite cell, distances
             that are not strictly ascending, or a negative key rate.
-        TraceParseError: malformed data row (carries the line number).
+        TraceParseError: malformed data row or non-UTF-8 text (carries
+            the line number).
     """
     path = Path(path)
     table = _read_table(path, RESULT_HEADER)

@@ -17,17 +17,15 @@ from voaleak import (
     ExtremaPair,
     IvCurve,
     ScenarioConfig,
-    SourcePair,
     ThaParams,
     bandgap_wavelength,
     binary_entropy,
     center_wavelength,
     coin_imbalance,
-    dual_source_error_gain,
-    dual_source_gain,
     fit_ideality,
     gllp_key_rate,
     mean_photon_number,
+    observables_for_intensity,
     phase_error_with_tha,
     run_scenario,
     single_photon_bounds,
@@ -100,7 +98,7 @@ def dual_sweeps():
 
 
 def test_leakage_photon_numbers():
-    errs = [abs(mean_photon_number(spec).mu - want)
+    errs = [abs(mean_photon_number(spec) - want)
             for spec, want in DRIVE_TABLE]
     check(max(errs) <= 5e-4,
           "leaked photon numbers 0.0048/0.0388/0.0977 within 5e-4")
@@ -190,12 +188,12 @@ def test_gain_closed_forms_match_brute_force():
         ch, _ = random_channel(rng)
         gamma = float(rng.uniform(0.0, 2.0))
         mu_el = float(rng.uniform(0.0, 1.0))
-        src = SourcePair(gamma, mu_el)
+        obs = observables_for_intensity(gamma, mu_el, ch)
         q_ref = brute_force_gain(gamma, mu_el, ch)
         eq_ref = brute_force_error_gain(gamma, mu_el, ch)
         worst = max(worst,
-                    abs(dual_source_gain(src, ch) - q_ref) / q_ref,
-                    abs(dual_source_error_gain(src, ch) - eq_ref) / eq_ref)
+                    abs(obs.gain - q_ref) / q_ref,
+                    abs(obs.gain * obs.qber - eq_ref) / eq_ref)
     runtime = time.perf_counter() - t0
     check(worst <= 1e-10 and runtime < 10.0,
           f"closed-form gains match truncated Poisson sums "

@@ -8,11 +8,8 @@ import pytest
 from voaleak import (
     ChannelParams,
     DomainError,
-    SourcePair,
     UndefinedConditionalError,
     UndefinedQberError,
-    dual_source_error_gain,
-    dual_source_gain,
     error_ij,
     observables_for_intensity,
     transmittance,
@@ -136,14 +133,15 @@ class TestErrorIj:
             error_ij(0, 0, 0.3, 0.1, 0.0, 0.02, 0.5)
 
 
-class TestDualSourceGain:
-    def test_all_dark_sources_off(self):
-        ch = ChannelParams(distance=10.0, y0=0.0)
-        assert dual_source_gain(SourcePair(0.0, 0.0), ch) == 0.0
+def error_gain(gamma, mu_el, ch):
+    obs = observables_for_intensity(gamma, mu_el, ch)
+    return obs.gain * obs.qber
 
+
+class TestDualSourceGain:
     def test_single_source_reduction(self):
         ch = ChannelParams(distance=20.0)
-        got = dual_source_gain(SourcePair(0.48, 0.0), ch)
+        got = observables_for_intensity(0.48, 0.0, ch).gain
         eta = ch.eta_signal()
         want = 1.0 - (1.0 - ch.y0) * math.exp(-0.48 * eta)
         assert got == pytest.approx(want, rel=1e-12)
@@ -151,15 +149,15 @@ class TestDualSourceGain:
     def test_alpha_par_irrelevant_without_leak(self):
         a = ChannelParams(distance=30.0, alpha_par=0.8)
         b = ChannelParams(distance=30.0, alpha_par=7.3)
-        src = SourcePair(0.48, 0.0)
-        assert dual_source_gain(src, a) == dual_source_gain(src, b)
-        assert dual_source_error_gain(src, a) == dual_source_error_gain(src, b)
+        # Equal records: the same gain and the same QBER.
+        assert (observables_for_intensity(0.48, 0.0, a)
+                == observables_for_intensity(0.48, 0.0, b))
 
     def test_monotone_in_intensities(self):
         ch = ChannelParams(distance=25.0)
-        q = dual_source_gain(SourcePair(0.48, 0.05), ch)
-        assert dual_source_gain(SourcePair(0.49, 0.05), ch) > q
-        assert dual_source_gain(SourcePair(0.48, 0.06), ch) > q
+        q = observables_for_intensity(0.48, 0.05, ch).gain
+        assert observables_for_intensity(0.49, 0.05, ch).gain > q
+        assert observables_for_intensity(0.48, 0.06, ch).gain > q
 
     def test_matches_poisson_oracle(self):
         rng = np.random.default_rng(13)
@@ -167,7 +165,7 @@ class TestDualSourceGain:
             ch, _ = random_channel(rng)
             gamma = float(rng.uniform(0.0, 2.0))
             mu_el = float(rng.uniform(0.0, 1.0))
-            got = dual_source_gain(SourcePair(gamma, mu_el), ch)
+            got = observables_for_intensity(gamma, mu_el, ch).gain
             want = brute_force_gain(gamma, mu_el, ch)
             assert got == pytest.approx(want, rel=1e-10)
 
@@ -175,13 +173,13 @@ class TestDualSourceGain:
 class TestDualSourceErrorGain:
     def test_signal_only_reduction(self):
         ch = ChannelParams(distance=20.0, y0=0.0)
-        got = dual_source_error_gain(SourcePair(0.48, 0.0), ch)
+        got = error_gain(0.48, 0.0, ch)
         want = ch.e_d * (-math.expm1(-0.48 * ch.eta_signal()))
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_parasitic_only_reduction(self):
         ch = ChannelParams(distance=20.0, y0=0.0)
-        got = dual_source_error_gain(SourcePair(0.0, 0.3), ch)
+        got = error_gain(0.0, 0.3, ch)
         want = ch.e0 * (-math.expm1(-0.3 * ch.eta_parasitic()))
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -190,8 +188,8 @@ class TestDualSourceErrorGain:
         for _ in range(50):
             ch, mu_el = random_channel(rng)
             gamma = float(rng.uniform(0.0, 2.0))
-            src = SourcePair(gamma, mu_el)
-            assert dual_source_error_gain(src, ch) <= dual_source_gain(src, ch)
+            # The QBER is capped at 1; below the cap, E Q < Q held unaided.
+            assert observables_for_intensity(gamma, mu_el, ch).qber < 1.0
 
     def test_matches_poisson_oracle(self):
         rng = np.random.default_rng(19)
@@ -199,7 +197,7 @@ class TestDualSourceErrorGain:
             ch, _ = random_channel(rng)
             gamma = float(rng.uniform(0.0, 2.0))
             mu_el = float(rng.uniform(0.0, 1.0))
-            got = dual_source_error_gain(SourcePair(gamma, mu_el), ch)
+            got = error_gain(gamma, mu_el, ch)
             want = brute_force_error_gain(gamma, mu_el, ch)
             assert got == pytest.approx(want, rel=1e-10)
 
@@ -218,6 +216,17 @@ class TestObservables:
         dirty = observables_for_intensity(0.48, 0.0977, ch)
         assert dirty.gain > clean.gain
         assert dirty.qber > clean.qber
+
+    def test_vacuum_decoy_qber_exceeds_half(self):
+        # Parasitic light and a dark count that click together count as an
+        # error if either errs, so with e0 = 1/2 a vacuum decoy records
+        # (b + y0 - y0 b / 2) / (2 (b + y0 - y0 b)) > 1/2.
+        ch = ChannelParams(distance=0.0)
+        obs = observables_for_intensity(0.0, 0.0977, ch)
+        b = -math.expm1(-0.0977 * ch.eta_parasitic())
+        want = (b + ch.y0 - ch.y0 * b / 2) / (2 * (b + ch.y0 - ch.y0 * b))
+        assert obs.qber == pytest.approx(want, rel=1e-12)
+        assert obs.qber > 0.5
 
     def test_undefined_qber_when_everything_off(self):
         ch = ChannelParams(distance=10.0, y0=0.0)

@@ -1,7 +1,9 @@
-"""Runtime dependencies and the reproducibility of the shipped data."""
+"""Runtime dependencies, export lists and the reproducibility of the shipped data."""
 
+import importlib
 import importlib.util
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +24,18 @@ def test_import_loads_no_scipy():
     child = subprocess.run([sys.executable, "-c", code], env=env,
                            capture_output=True, text=True, check=True)
     assert child.stdout.strip() == "[]"
+
+
+def test_export_lists_resolve():
+    modules = [voaleak] + [importlib.import_module(f"voaleak.{m.name}")
+                           for m in pkgutil.iter_modules(voaleak.__path__)]
+    missing = [(module.__name__, name) for module in modules
+               for name in getattr(module, "__all__", ())
+               if not hasattr(module, name)]
+    assert missing == []
+    namespace: dict = {}
+    exec("from voaleak import *", namespace)
+    assert set(voaleak.__all__) <= namespace.keys()
 
 
 def test_generate_data_rebuilds_data_byte_for_byte(tmp_path, monkeypatch):

@@ -28,6 +28,8 @@ from voaleak import (
 )
 from voaleak.cli import main
 from voaleak.scenario import (
+    FRINGE_HEADER,
+    IV_HEADER,
     MAX_SWEEP_POINTS,
     RESULT_HEADER,
     WAVELENGTH_HEADER,
@@ -40,6 +42,7 @@ from voaleak.scenario import (
 from helpers import synthetic_fringe
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+DATA = CONFIGS.parent / "data"
 
 
 class TestParseConfigText:
@@ -303,6 +306,13 @@ class TestResultsIO:
             read_results(path)
         assert info.value.line == 5
 
+    def test_non_utf8_header_is_parse_error(self, tmp_path):
+        path = tmp_path / "rates.csv"
+        path.write_bytes(b"\xfe" + RESULT_HEADER.encode() + b"\n")
+        with pytest.raises(TraceParseError) as info:
+            read_results(path)
+        assert info.value.line == 1
+
     @pytest.mark.parametrize("rows, match", [
         (["1,0.1,0.1,0.3,0.01,0.7,0.01", "1,0.1,0.1,0.3,0.01,0.7,0.01"],
          "ascending"),
@@ -352,9 +362,7 @@ class TestResultsRoundTripProperty:
     @settings(max_examples=30, deadline=None)
     @given(mode=st.sampled_from(["passive_tha", "dual_source"]),
            s=st.floats(0.1, 1.0), nu=st.floats(0.01, 0.09),
-           # omega = 0 with a post-encoder leak fails in the channel
-           # model (e_omega rounds above 1/2), so the draw starts at 1e-4.
-           omega=st.floats(1e-4, 0.009), mu_leak=st.floats(0.0, 1.0),
+           omega=st.floats(0.0, 0.009), mu_leak=st.floats(0.0, 1.0),
            distance_min=st.floats(0.0, 300.0), step=st.floats(0.5, 20.0),
            points=st.integers(1, 50))
     def test_sweeps_round_trip_bit_exactly(self, mode, s, nu, omega, mu_leak,
@@ -395,6 +403,15 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == RESULT_HEADER
         assert len(lines) == 4
+
+    def test_sweep_dual_vacuum_decoy(self, tmp_path, capsys):
+        # With omega = 0 the decoy QBER rounds just above 1/2.
+        out = tmp_path / "rates.csv"
+        code = main(["sweep", "--config", str(CONFIGS / "dual_source.cfg"),
+                     "--override", "intensities.omega=0", "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert len(read_results(out)) == 61
 
     def test_wavelength(self, capsys):
         code = main(["wavelength", "--config", str(CONFIGS / "fringe.cfg")])
@@ -469,9 +486,12 @@ class TestCliErrorContract:
                                      "sweep.distance_max=100000000000000032 sweep.step=1"),
         ("sweep", "dual_source.cfg", "intensities.s=inf"),
         ("sweep", "dual_source.cfg", "leakage.count_rate=nan"),
+        ("wavelength", "fringe.cfg", "fringe.reference_trace=a\x00b"),
         ("ivfit", "ivfit.cfg", "ivfit.windows=0.5:0.1"),
         ("ivfit", "ivfit.cfg", "ivfit.windows=nan:nan"),
         ("leakage", "device.cfg", "emission.1.drive_voltage=nan"),
+        ("leakage", "device.cfg", "emission.\u00b2.count_rate=1"),
+        ("leakage", "device.cfg", "emission.\u0663.count_rate=1"),
     ])
     def test_bad_value_is_config_error(self, capsys, command, config,
                                        override):
@@ -490,6 +510,27 @@ class TestCliErrorContract:
         cfg.write_text(f"mode = passive_tha\nleakage.mu = {mu}\n")
         assert main(["sweep", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error:config:")
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"mode = passive_tha\n# gain \xb5\nleakage.mu = 0.01\n")
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:config:") and err.count("\n") == 1
+
+    def test_non_utf8_trace_is_parse_error(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_bytes(FRINGE_HEADER.encode() + b"\n0,1\r\n\n1,\xff\n")
+        with pytest.raises(TraceParseError) as info:
+            load_trace(trace, "fringe")
+        assert info.value.line == 4
+        cfg = tmp_path / "fringe.cfg"
+        cfg.write_text("mode = fringe\nfringe.reference_trace = trace.csv\n"
+                       "fringe.unknown_trace = trace.csv\n"
+                       "fringe.lambda_ref_nm = 1550\n")
+        assert main(["wavelength", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:parse:") and err.count("\n") == 1
 
     def test_grid_cap_is_inclusive(self):
         cfg = ScenarioConfig(mode="passive_tha",
@@ -546,11 +587,119 @@ class TestCliErrorContractProperty:
         assert out.getvalue() == ""
 
 
+def _shipped_lines(name: str) -> list[str]:
+    # Trace paths made absolute, so a config written elsewhere finds them,
+    # and sweeps cut to 21 points, under the cap the property lowers to 50.
+    text = (CONFIGS / name).read_text().replace("../data/", f"{DATA}/")
+    return ["sweep.distance_max = 20" if line.startswith("sweep.distance_max")
+            else line for line in text.splitlines()]
+
+
+# Each shipped config with the subcommand that runs it.
+_SHIPPED = tuple((command, _shipped_lines(name)) for command, name in (
+    ("sweep", "passive_tha.cfg"), ("sweep", "dual_source.cfg"),
+    ("wavelength", "fringe.cfg"), ("ivfit", "ivfit.cfg"),
+    ("leakage", "device.cfg")))
+_INSERT_KEYS = _SWEEP_KEYS + (
+    "mode", "emission.1.count_rate", "emission.4.pulse_width",
+    "emission.\u00b2.count_rate",
+    "fringe.smooth_window", "ivfit.windows", "leakage.mu")
+_VALUE_TEXT = st.one_of(_FLOAT_TEXT, st.text(max_size=20),
+                        st.sampled_from(["", ".", "/", "a\x00b", "0:1, 1:0",
+                                         "\u00b2", "\u0663", "\ufeff1"]))
+
+
+@st.composite
+def _fuzzed_config(draw):
+    """A subcommand and its shipped config with values replaced, lines
+    dropped or added and bytes spliced in: text that is nearly valid as
+    well as garbage. Occasionally the subcommand is another one."""
+    command, lines = draw(st.sampled_from(_SHIPPED))
+    lines = list(lines)
+    if draw(st.integers(0, 9)) == 0:
+        command = draw(st.sampled_from(["sweep", "wavelength", "ivfit",
+                                        "leakage"]))
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(0, len(lines)))
+        action = draw(st.sampled_from(["value", "drop", "insert"]))
+        if action == "value" and n < len(lines) and "=" in lines[n]:
+            lines[n] = lines[n].split("=")[0] + "= " + draw(_VALUE_TEXT)
+        elif action == "drop" and n < len(lines):
+            del lines[n]
+        elif action == "insert" and draw(st.booleans()):
+            lines.insert(n, draw(st.text(max_size=30)))
+        elif action == "insert":
+            key = draw(st.sampled_from(_INSERT_KEYS))
+            lines.insert(n, f"{key} = {draw(_VALUE_TEXT)}")
+    data = "\n".join(lines).encode()
+    at = draw(st.integers(0, len(data)))
+    return command, data[:at] + draw(st.binary(max_size=3)) + data[at:]
+
+
+class TestWholeConfigProperty:
+    """Any config text, valid UTF-8 or not, keeps the CLI error contract."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_fuzzed_config())
+    def test_any_config_text(self, case):
+        command, text = case
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, \
+                pytest.MonkeyPatch.context() as mp, \
+                redirect_stdout(out), redirect_stderr(err):
+            cfg = Path(tmp) / "fuzz.cfg"
+            cfg.write_bytes(text)
+            mp.setattr(scenario, "MAX_SWEEP_POINTS", 50)
+            code = main([command, "--config", str(cfg)])
+        err = err.getvalue()
+        if code == 0:
+            assert err == ""
+            return
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        category = err.split(":", 2)[1]
+        assert code == (2 if category == "config" else 1), err
+        assert out.getvalue() == ""
+
+
+_TRACE_LINE = st.lists(_FLOAT_TEXT, min_size=1, max_size=8).map(",".join)
+
+
+class TestTraceFileProperty:
+    """Any bytes under a valid header fail only as parse or schema errors."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["fringe", "iv", "results"]),
+           body=st.one_of(
+               st.binary(max_size=200),
+               st.tuples(st.lists(_TRACE_LINE, max_size=8).map("\n".join),
+                         st.binary(max_size=3)).map(
+                   lambda t: t[0].encode() + t[1])))
+    def test_any_bytes_under_a_header(self, kind, body):
+        header = {"fringe": FRINGE_HEADER, "iv": IV_HEADER,
+                  "results": RESULT_HEADER}[kind]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.csv"
+            path.write_bytes(header.encode() + b"\n" + body)
+            try:
+                if kind == "results":
+                    read_results(path)
+                else:
+                    load_trace(path, kind)
+            except (TraceParseError, TraceSchemaError):
+                pass
+
+
 class TestLoadConfig:
     def test_shipped_configs_all_load(self):
         for name in ("passive_tha.cfg", "dual_source.cfg", "device.cfg",
                      "fringe.cfg", "ivfit.cfg"):
             load_config(CONFIGS / name)
+
+    def test_utf8_text_loads(self, tmp_path):
+        cfg = tmp_path / "utf8.cfg"
+        cfg.write_bytes("mode = passive_tha\n# \u00b5_Eve \u2248 0.01\n"
+                        "leakage.mu = 0.01\n".encode())
+        assert load_config(cfg).mu_leak == 0.01
 
     def test_override_applies(self):
         cfg = load_config(CONFIGS / "passive_tha.cfg",
