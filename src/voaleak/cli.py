@@ -39,8 +39,21 @@ _COMMAND_MODES = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors keep the one-line contract.
+
+    argparse prints a usage block and exits 2 on a bad command line;
+    here the error becomes a ConfigurationError, which `main` reports
+    as one `error:config:` line with exit status 2. Subcommand parsers
+    are built from this class too.
+    """
+
+    def error(self, message: str):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="voaleak",
         description=("Key-rate impact of parasitic emission from a "
                      "carrier-injection VOA in a decoy-state BB84 "
@@ -66,8 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = load_config(args.config, overrides=args.override)
         allowed = _COMMAND_MODES[args.command]
         if config.mode not in allowed:

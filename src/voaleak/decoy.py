@@ -19,7 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, DomainError, check_range
+import numpy as np
+
+from .errors import ConfigurationError, check_range, plain, unchecked
 
 __all__ = ["DecoyObservations", "SinglePhotonBounds", "single_photon_bounds"]
 
@@ -32,9 +34,10 @@ class DecoyObservations:
     ----------
     s, nu, omega : float
         Signal and decoy intensities with s > nu > omega >= 0.
-    q_s, q_nu, q_omega : float
-        Gains at each intensity, in (0, 1].
-    e_s, e_nu, e_omega : float
+    q_s, q_nu, q_omega : float or numpy.ndarray
+        Gains at each intensity, in (0, 1]; arrays hold one run per
+        element (a distance grid, say) and broadcast together.
+    e_s, e_nu, e_omega : float or numpy.ndarray
         QBERs at each intensity, in [0, 1]. A vacuum-like decoy can
         record slightly more than 1/2 (see `channel.Observables`).
     """
@@ -66,6 +69,9 @@ class DecoyObservations:
 class SinglePhotonBounds:
     """Decoy-estimated bounds entering the key-rate formulas.
 
+    Every field is a float, or an array of the shape of the
+    observations the bounds were estimated from.
+
     Parameters
     ----------
     y1_lower : float
@@ -92,8 +98,7 @@ class SinglePhotonBounds:
         check_range("e1_upper", self.e1_upper, 0.0, 0.5)
         check_range("q1_lower", self.q1_lower, 0.0, 1.0)
         check_range("y0_lower", self.y0_lower, 0.0, 1.0)
-        if self.clamp_events < 0:
-            raise DomainError("clamp_events must be >= 0")
+        check_range("clamp_events", self.clamp_events, 0)
 
 
 def single_photon_bounds(obs: DecoyObservations) -> SinglePhotonBounds:
@@ -113,6 +118,10 @@ def single_photon_bounds(obs: DecoyObservations) -> SinglePhotonBounds:
     the uninformative 0.5, which zeroes the single-photon key-rate term
     downstream. Each clamp, and that fallback, counts one clamp event.
 
+    Elementwise over the gains and QBERs: when they are arrays (of one
+    broadcast shape) every bound is an array of that shape, each element
+    bit-identical to the call with that element's floats.
+
     Returns
     -------
     SinglePhotonBounds
@@ -128,37 +137,33 @@ def single_photon_bounds(obs: DecoyObservations) -> SinglePhotonBounds:
         raise ConfigurationError(
             "two-decoy bound requires nu + omega < s, got "
             f"nu={nu!r}, omega={om!r}, s={s!r}")
-    clamps = 0
+    # The intensities are floats, so each weight e^x is one math.exp.
+    exp_s, exp_nu, exp_om = math.exp(s), math.exp(nu), math.exp(om)
 
-    y0_raw = ((nu * obs.q_omega * math.exp(om) - om * obs.q_nu * math.exp(nu))
-              / (nu - om))
-    y0_l = min(max(y0_raw, 0.0), 1.0)
-    if y0_l != y0_raw:
-        clamps += 1
+    y0_raw = (nu * obs.q_omega * exp_om - om * obs.q_nu * exp_nu) / (nu - om)
+    y0_l = np.minimum(np.maximum(y0_raw, 0.0), 1.0)
 
     front = s / (s * (nu - om) - nu ** 2 + om ** 2)
-    inner = (obs.q_nu * math.exp(nu) - obs.q_omega * math.exp(om)
-             - ((nu ** 2 - om ** 2) / s ** 2) * (obs.q_s * math.exp(s) - y0_l))
+    inner = (obs.q_nu * exp_nu - obs.q_omega * exp_om
+             - ((nu ** 2 - om ** 2) / s ** 2) * (obs.q_s * exp_s - y0_l))
     y1_raw = front * inner
-    y1_l = min(max(y1_raw, 0.0), 1.0)
-    if y1_l != y1_raw:
-        clamps += 1
+    y1_l = np.minimum(np.maximum(y1_raw, 0.0), 1.0)
 
-    if y1_l > 0.0:
-        e1_raw = ((obs.e_nu * obs.q_nu * math.exp(nu)
-                   - obs.e_omega * obs.q_omega * math.exp(om))
-                  / ((nu - om) * y1_l))
-        e1_u = min(max(e1_raw, 0.0), 0.5)
-        if e1_u != e1_raw:
-            clamps += 1
-    else:
-        e1_u = 0.5
-        clamps += 1
+    # Where Y1_L is zero the quotient gives way to the fallback 0.5: its
+    # lower clamp is raised to 0.5, and dividing by 1 keeps it finite.
+    dead = y1_l == 0.0
+    e1_raw = ((obs.e_nu * obs.q_nu * exp_nu - obs.e_omega * obs.q_omega * exp_om)
+              / ((nu - om) * y1_l + dead))
+    e1_u = np.minimum(np.maximum(e1_raw, 0.5 * dead), 0.5)
 
-    return SinglePhotonBounds(
-        y1_lower=y1_l,
-        e1_upper=e1_u,
-        q1_lower=y1_l * s * math.exp(-s),
-        y0_lower=y0_l,
-        clamp_events=clamps,
+    clamps = (np.add(y0_l != y0_raw, y1_l != y1_raw, dtype=int)
+              + ((e1_u != e1_raw) | dead))
+    # Clamped to their ranges, the bounds need no second check.
+    return unchecked(
+        SinglePhotonBounds,
+        y1_lower=plain(y1_l),
+        e1_upper=plain(e1_u),
+        q1_lower=plain(y1_l * s * math.exp(-s)),
+        y0_lower=plain(y0_l),
+        clamp_events=plain(clamps),
     )

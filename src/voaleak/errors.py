@@ -3,10 +3,15 @@
 Everything derives from ValueError so callers that only care about
 "bad input" can catch a single familiar type, while the CLI maps each
 subclass to a stable error category string. `check_range` is the one
-place where a scalar input is checked against its interval.
+place where an input, a float or a numpy array, is checked against its
+interval. `unchecked` builds a record from the package's own results
+without checking them again, and `plain` hands a 0-d numpy result back
+as a Python number.
 """
 
 import math
+
+import numpy as np
 
 
 class VoaleakError(ValueError):
@@ -91,15 +96,27 @@ class TraceSchemaError(VoaleakError):
     category = "schema"
 
 
-def check_range(name: str, value: float, lo: float, hi: float = math.inf,
+def check_range(name: str, value, lo: float, hi: float = math.inf,
                 error: type[VoaleakError] = DomainError, *,
                 lo_open: bool = False, hi_open: bool = False) -> None:
     """Raise error unless value is finite and lies between lo and hi.
 
     Each end is closed unless its `*_open` flag is set. NaN and +-inf
     are always rejected, so an infinite end reads as "finite and
-    beyond the other end".
+    beyond the other end". A numpy array passes when every element
+    does, and the message quotes an element that fails.
     """
+    if isinstance(value, np.ndarray):
+        # Checked through a NaN it holds, or else its least and greatest
+        # elements. Python's min and max over a list cost less than two
+        # numpy reductions on the few-element arrays a sweep passes, and
+        # stay linear in the size of a distance grid.
+        values = value.ravel().tolist()
+        if values:
+            nan = next(filter(math.isnan, values), None)
+            for end in (min(values), max(values)) if nan is None else (nan,):
+                check_range(name, end, lo, hi, error, lo_open=lo_open, hi_open=hi_open)
+        return
     if (math.isfinite(value)
             and (lo < value if lo_open else lo <= value)
             and (value < hi if hi_open else value <= hi)):
@@ -112,3 +129,25 @@ def check_range(name: str, value: float, lo: float, hi: float = math.inf,
     else:
         rule = "be finite"
     raise error(f"{name} must {rule}, got {value!r}")
+
+
+def unchecked(cls, **values):
+    """An instance of the frozen dataclass cls, built without its checks.
+
+    For records the package fills with its own results, which lie in
+    range by construction (clamped bounds, gains of checked inputs).
+    Every field must be given. A record built from a caller's values
+    goes through its constructor and is checked as usual.
+    """
+    record = object.__new__(cls)
+    record.__dict__.update(values)
+    return record
+
+
+def plain(value):
+    """A 0-d numpy value as the Python number it holds; arrays unchanged.
+
+    The elementwise formulas run floats and arrays through one numpy
+    body; this is how a float argument comes back as a float.
+    """
+    return value.item() if value.ndim == 0 else value

@@ -13,9 +13,10 @@ section prefixes, for example::
 
 `load_config` parses and validates such a file (plus optional
 key=value overrides), `run_scenario` dispatches on the mode, and the
-emit/load helpers read and write the comma-separated artifacts. All
-evaluation is pure floating-point arithmetic, so identical configs
-produce byte-identical output files.
+emit/load helpers read and write the comma-separated artifacts. A
+sweep evaluates each layer of the chain once over its whole distance
+grid. All evaluation is pure floating-point arithmetic, so identical
+configs produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .errors import (
     DomainError,
     TraceParseError,
     TraceSchemaError,
+    unchecked,
 )
 from .fringe import ExtremaPair, FringeTrace, center_wavelength, find_extrema_pair
 from .leakage import EmissionSpec, mean_photon_number
@@ -153,12 +155,17 @@ class ScenarioConfig:
                 bad.append("sweep.distance_min (must be finite and >= 0)")
             if not self.distance_min <= self.distance_max < math.inf:
                 bad.append("sweep.distance_max (must be finite and >= distance_min)")
-            # The grid can be sized once the three checks above passed,
-            # and built once it is known to be small enough.
+            # The grid can be sized once the three checks above passed.
+            # Its points min + k*step and the products k*step lie below
+            # M = max + step and are each rounded by at most ulp(M)/2, so
+            # neighbours differ by at least step - 2 ulp(M): a larger
+            # step keeps every point distinct without building the grid.
             if not bad:
-                if not _grid_steps(self) < MAX_SWEEP_POINTS:
+                steps = _grid_steps(self)
+                if not steps < MAX_SWEEP_POINTS:
                     bad.append(f"sweep.step (grid exceeds {MAX_SWEEP_POINTS} points)")
-                elif not _ascending(sweep_distances(self)):
+                elif steps >= 1.0 and not self.step > 2.0 * math.ulp(
+                        self.distance_max + self.step):
                     bad.append("sweep.step (too small for distinct grid points "
                                "at these distances)")
             if not 0.0 <= self.mu_leak <= MAX_INTENSITY:
@@ -285,7 +292,8 @@ _CHANNEL_FIELDS = (
 
 
 def _take_channel(data: dict[str, str]) -> ChannelParams:
-    defaults = ChannelParams()
+    # A dataclass keeps its field defaults as class attributes.
+    defaults = ChannelParams
     kwargs = {name: _take_float(data, f"channel.{name}", getattr(defaults, name))
               for name in _CHANNEL_FIELDS}
     if "channel.e0" in data and "conventions.e0" in data:
@@ -490,31 +498,14 @@ def _grid_steps(config: ScenarioConfig) -> float:
     return (config.distance_max - config.distance_min) / config.step + 1e-9
 
 
-def sweep_distances(config: ScenarioConfig) -> list[float]:
+def sweep_distances(config: ScenarioConfig) -> np.ndarray:
     """Arithmetic distance grid min, min+step, ... capped at max.
 
     Each point is computed as min + k*step (no cumulative summation),
     so the grid is exactly reproducible.
     """
     n = math.floor(_grid_steps(config)) + 1
-    return [config.distance_min + k * config.step for k in range(n)]
-
-
-def _decoy_observables(
-    ch: ChannelParams, s: float, nu: float, omega: float, mu_el: float
-) -> DecoyObservations:
-    obs_s = observables_for_intensity(s, mu_el, ch)
-    obs_n = observables_for_intensity(nu, mu_el, ch)
-    obs_w = observables_for_intensity(omega, mu_el, ch)
-    return DecoyObservations(
-        s=s, nu=nu, omega=omega,
-        q_s=obs_s.gain, q_nu=obs_n.gain, q_omega=obs_w.gain,
-        e_s=obs_s.qber, e_nu=obs_n.qber, e_omega=obs_w.qber,
-    )
-
-
-def _ascending(values: Sequence[float]) -> bool:
-    return all(a < b for a, b in zip(values, values[1:]))
+    return config.distance_min + np.arange(n) * config.step
 
 
 def _sweep(config: ScenarioConfig) -> SweepResult:
@@ -523,31 +514,38 @@ def _sweep(config: ScenarioConfig) -> SweepResult:
     # Post-encoder leakage rides down the fiber with every intensity
     # setting, so dual-mode observables are contaminated; they are
     # computed even at zero leak, so that path is always exercised.
+    #
+    # Each layer runs once over the grid. The intensities s, nu, omega
+    # lie on the leading axis of the observables; the zero-leak and the
+    # leaky case lie on the next axis in dual mode, and on the leading
+    # axis of the key rates in passive mode.
     dual = config.mode == "dual_source"
     s, nu, omega = config.s, config.nu, config.omega
+    grid = sweep_distances(config)
+    ch = replace(config.channel, distance=grid)
+    intensities = np.array((s, nu, omega))[:, None]
+    leaks = np.array((0.0, config.mu_leak))[:, None]
     if dual:
-        params = DualSourceParams(q_proto=config.q_proto, f_ec=config.f_ec)
+        obs = observables_for_intensity(intensities[..., None], leaks, ch)
     else:
-        tha_base = ThaParams(mu_eve=0.0, p_z=config.p_z, f_ec=config.f_ec)
-        tha_leak = ThaParams(mu_eve=config.mu_leak, p_z=config.p_z,
-                             f_ec=config.f_ec)
-    rows = []
-    for d in sweep_distances(config):
-        ch = replace(config.channel, distance=d)
-        obs_base = _decoy_observables(ch, s, nu, omega, 0.0)
-        b_base = single_photon_bounds(obs_base)
-        if dual:
-            obs = _decoy_observables(ch, s, nu, omega, config.mu_leak)
-            bounds = single_photon_bounds(obs)
-            base = dual_source_key_rate(obs_base, b_base, params)
-            leak = dual_source_key_rate(obs, bounds, params)
-        else:
-            obs, bounds = obs_base, b_base
-            base = gllp_key_rate(obs, bounds, tha_base)
-            leak = gllp_key_rate(obs, bounds, tha_leak)
-        rows.append(SweepRow(d, base, leak, obs.q_s, obs.e_s,
-                             bounds.y1_lower, bounds.e1_upper))
-    return SweepResult(tuple(rows))
+        obs = observables_for_intensity(intensities, 0.0, ch)
+    # Gains and QBERs of checked inputs lie in range by construction.
+    (q_s, q_nu, q_omega), (e_s, e_nu, e_omega) = obs.gain, obs.qber
+    decoy = unchecked(DecoyObservations, s=s, nu=nu, omega=omega,
+                      q_s=q_s, q_nu=q_nu, q_omega=q_omega,
+                      e_s=e_s, e_nu=e_nu, e_omega=e_omega)
+    bounds = single_photon_bounds(decoy)
+    columns = (decoy.q_s, decoy.e_s, bounds.y1_lower, bounds.e1_upper)
+    if dual:
+        base, leak = dual_source_key_rate(
+            decoy, bounds, DualSourceParams(q_proto=config.q_proto, f_ec=config.f_ec))
+        # The rows report the contaminated observables and bounds.
+        columns = [column[1] for column in columns]
+    else:
+        base, leak = gllp_key_rate(decoy, bounds, ThaParams(
+            mu_eve=leaks, p_z=config.p_z, f_ec=config.f_ec))
+    return SweepResult(tuple(map(SweepRow, *(
+        column.tolist() for column in (grid, base, leak, *columns)))))
 
 
 def _run_fringe(config: ScenarioConfig) -> WavelengthResult:

@@ -17,6 +17,11 @@ Two attack geometries are modeled:
 Conventions: basis probability p_z defaults to 1 (asymptotic efficient
 BB84), sifting factor q_proto defaults to 1/2, error-correction
 inefficiency f_ec defaults to 1.2.
+
+Both rates, the coin imbalance, the entropy and the phase-error
+inflation are elementwise: observables, bounds and the leak intensity
+may hold numpy arrays (one protocol run per element), and floats come
+back as floats.
 """
 
 from __future__ import annotations
@@ -24,8 +29,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .decoy import DecoyObservations, SinglePhotonBounds
-from .errors import CalibrationError, check_range
+from .errors import CalibrationError, check_range, plain
 
 __all__ = [
     "PROTOCOL_ANGLES",
@@ -45,13 +52,16 @@ __all__ = [
 PROTOCOL_ANGLES: tuple[float, float, float, float] = (
     0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
 
+_TINY = math.ulp(0.0)
+
 
 @dataclass(frozen=True)
 class ThaParams:
     """Parameters of the pre-encoder (Trojan-horse) analysis.
 
     Attributes:
-        mu_eve: Mean leaked photon number available to Eve, >= 0.
+        mu_eve: Mean leaked photon number available to Eve, >= 0; an
+            array of them gives one key rate per element.
         p_z: Key-basis selection probability, in (0, 1].
         f_ec: Error-correction inefficiency, >= 1.
     """
@@ -96,13 +106,16 @@ def binary_entropy(x: float) -> float:
         DomainError: if x lies outside [0, 1].
     """
     check_range("binary_entropy argument", x, 0.0, 1.0)
-    return _h2(x)
+    return plain(_h2(x))
 
 
-def _h2(x: float) -> float:
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
+def _h2(x):
+    # x log2 x is 0 at x = 0. Raising the log's argument to the least
+    # positive double keeps the log finite there and leaves every other
+    # x as it is; the leading 0.0 - makes h2(0) = h2(1) = +0.0.
+    y = 1.0 - x
+    return 0.0 - (x * np.log2(np.maximum(x, _TINY))
+                  + y * np.log2(np.maximum(y, _TINY)))
 
 
 def coin_imbalance(mu: float) -> float:
@@ -132,7 +145,7 @@ def coin_imbalance(mu: float) -> float:
         DomainError: if mu is negative or non-finite.
     """
     check_range("mu", mu, 0.0)
-    return _coin(mu)
+    return plain(_coins(mu))
 
 
 def _coin(mu: float) -> float:
@@ -140,6 +153,16 @@ def _coin(mu: float) -> float:
     mu = min(mu, 700.0)
     x = mu / math.sqrt(2.0)
     return 0.5 * (1.0 - math.exp(-mu) * (math.cosh(x) + 0.5 * math.sinh(x)))
+
+
+def _coins(mu) -> np.ndarray:
+    # _coin of each leak. A call sees a handful of leaks (two per
+    # sweep), for which math per element is cheaper than a numpy
+    # formula of eleven calls.
+    return np.asarray(_coin_each(mu), dtype=float)
+
+
+_coin_each = np.frompyfunc(_coin, 1, 1)
 
 
 def phase_error_with_tha(e_x: float, delta_prime: float) -> float:
@@ -165,17 +188,20 @@ def phase_error_with_tha(e_x: float, delta_prime: float) -> float:
     """
     check_range("e_x", e_x, 0.0, 0.5)
     check_range("delta_prime", delta_prime, 0.0)
-    return _phase_error(e_x, delta_prime)
+    return plain(_phase_error(e_x, delta_prime))
 
 
-def _phase_error(e_x: float, delta_prime: float) -> float:
-    if delta_prime >= 0.5:
-        return 0.5
+def _phase_error(e_x, delta_prime):
+    # At d' = 1/2 the bound is 1 - e_x >= 1/2, so capping d' there
+    # saturates the result without taking a root of a negative number.
+    # Scaling by 4 is exact, so 4 d'(1 - d')(1 - 2 e_X) is
+    # d'(1 - d')(4 - 8 e_X) to the bit, and 4 (1 - 2 d') is 4 - 8 d'.
+    d = np.minimum(delta_prime, 0.5)
+    dd = d * (1.0 - d)
     inflated = (e_x
-                + 4.0 * delta_prime * (1.0 - delta_prime) * (1.0 - 2.0 * e_x)
-                + 4.0 * (1.0 - 2.0 * delta_prime)
-                * math.sqrt(delta_prime * (1.0 - delta_prime) * e_x * (1.0 - e_x)))
-    return min(inflated, 0.5)
+                + dd * (4.0 - 8.0 * e_x)
+                + (4.0 - 8.0 * d) * np.sqrt(dd * e_x * (1.0 - e_x)))
+    return np.minimum(inflated, 0.5)
 
 
 def gllp_key_rate(
@@ -196,20 +222,20 @@ def gllp_key_rate(
         tha: Leakage intensity and protocol conventions.
 
     Returns:
-        Secret key rate per pulse, >= 0.
+        Secret key rate per pulse, >= 0: a float, or an array of the
+        shape of obs and bounds.
     """
     y1 = bounds.y1_lower
-    if y1 <= 0.0:
-        return 0.0
     # Every input was checked by its record, so the formula bodies run
-    # without the checks of their public entry points.
-    delta = _coin(tha.mu_eve)
-    delta_prime = delta / y1
+    # without the checks of their public entry points. Where Y1^L = 0
+    # the privacy term is 0 whatever e_X' is, so Delta' divides by 1
+    # there to stay finite.
+    delta_prime = _coins(tha.mu_eve) / (y1 + (y1 == 0.0))
     ex_prime = _phase_error(bounds.e1_upper, delta_prime)
     p1 = obs.s * math.exp(-obs.s)
     priv = tha.p_z ** 2 * p1 * y1 * (1.0 - _h2(ex_prime))
     ec = tha.p_z ** 2 * obs.q_s * tha.f_ec * _h2(obs.e_s)
-    return max(0.0, priv - ec)
+    return plain(np.maximum(priv - ec, 0.0))
 
 
 def dual_source_key_rate(
@@ -233,11 +259,12 @@ def dual_source_key_rate(
         params: Sifting and error-correction conventions.
 
     Returns:
-        Secret key rate per pulse, >= 0.
+        Secret key rate per pulse, >= 0: a float, or an array of the
+        shape of obs and bounds.
     """
     priv = bounds.q1_lower * (1.0 - _h2(bounds.e1_upper))
     ec = obs.q_s * params.f_ec * _h2(obs.e_s)
-    return max(0.0, params.q_proto * (priv - ec))
+    return plain(np.maximum(params.q_proto * (priv - ec), 0.0))
 
 
 def calibrated_intensity(q_observed: float, eta: float, y0: float) -> float:

@@ -53,8 +53,8 @@ def error_numerator_oracle(
 ) -> float:
     """e_ij Y_ij as 1 - P(no source produces an erroneous click).
 
-    Stabilized product form; independent of the expanded
-    inclusion-exclusion polynomial used by the library.
+    Stabilized product form in the log domain; independent of the
+    inclusion-exclusion polynomial the library evaluates.
     """
     a = -math.expm1(i * math.log1p(-eta)) if i else 0.0
     b = -math.expm1(j * math.log1p(-eta_par)) if j else 0.0
@@ -285,3 +285,102 @@ def synthetic_fringe(c2: float, phi0: float,
         u = np.linspace(0.0, 2.0, 201)
     counts = background + peak * 0.5 * (1.0 + np.cos(phi0 + c2 * u ** 2))
     return u, counts
+
+
+# ============================================================
+# Per-point reference of the sweep chain
+# ============================================================
+
+def _ref_transmittance(alpha: float, distance: float) -> float:
+    return 10.0 ** (-alpha * distance / 10.0)
+
+
+def _ref_error_gain(a, b, y0, e_d, e0):
+    return (e_d * a + e0 * b + y0 * e0
+            - e_d * e0 * a * b - y0 * e0 * e_d * a
+            - y0 * e0 ** 2 * b + y0 * e0 ** 2 * e_d * a * b)
+
+
+def _ref_observables(gamma, mu_el, ch, distance):
+    eta = _ref_transmittance(ch.alpha_sig, distance) * ch.eta_bob_sig
+    eta_par = _ref_transmittance(ch.alpha_par, distance) * ch.eta_bob_par
+    q = -math.expm1(math.log1p(-ch.y0) - (gamma * eta + mu_el * eta_par))
+    e = _ref_error_gain(-math.expm1(-gamma * eta), -math.expm1(-mu_el * eta_par),
+                        ch.y0, ch.e_d, ch.e0) / q
+    return q, min(e, 1.0)
+
+
+def _ref_bounds(s, nu, om, q, e):
+    (q_s, q_nu, q_om), (_, e_nu, e_om) = q, e
+    y0_l = min(max((nu * q_om * math.exp(om) - om * q_nu * math.exp(nu))
+                   / (nu - om), 0.0), 1.0)
+    front = s / (s * (nu - om) - nu ** 2 + om ** 2)
+    inner = (q_nu * math.exp(nu) - q_om * math.exp(om)
+             - ((nu ** 2 - om ** 2) / s ** 2) * (q_s * math.exp(s) - y0_l))
+    y1_l = min(max(front * inner, 0.0), 1.0)
+    e1_u = 0.5
+    if y1_l > 0.0:
+        e1_u = min(max((e_nu * q_nu * math.exp(nu) - e_om * q_om * math.exp(om))
+                       / ((nu - om) * y1_l), 0.0), 0.5)
+    return y1_l, e1_u, y1_l * s * math.exp(-s)
+
+
+def _ref_h2(x):
+    if x == 0.0 or x == 1.0:
+        return 0.0
+    return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
+
+
+def _ref_gllp(s, q_s, e_s, y1, e1, mu, p_z, f_ec):
+    # (rate, privacy term)
+    if y1 <= 0.0:
+        return 0.0, 0.0
+    mu = min(mu, 700.0)
+    x = mu / math.sqrt(2.0)
+    d = 0.5 * (1.0 - math.exp(-mu) * (math.cosh(x) + 0.5 * math.sinh(x))) / y1
+    ex = 0.5
+    if d < 0.5:
+        ex = min(e1 + 4.0 * d * (1.0 - d) * (1.0 - 2.0 * e1)
+                 + 4.0 * (1.0 - 2.0 * d) * math.sqrt(d * (1.0 - d) * e1 * (1.0 - e1)),
+                 0.5)
+    priv = p_z ** 2 * s * math.exp(-s) * y1 * (1.0 - _ref_h2(ex))
+    return max(0.0, priv - p_z ** 2 * q_s * f_ec * _ref_h2(e_s)), priv
+
+
+def _ref_dual(q_s, e_s, q1, e1, q_proto, f_ec):
+    priv = q1 * (1.0 - _ref_h2(e1))
+    return max(0.0, q_proto * (priv - q_s * f_ec * _ref_h2(e_s))), q_proto * priv
+
+
+def scalar_reference_sweep(config):
+    """The rows of a sweep, one distance at a time in `math` arithmetic.
+
+    This is the per-point chain the package ran before its formulas
+    became elementwise numpy code: `10 **` transmittances, `math`
+    expm1/log1p/exp/log2 and Python min/max clamps. It shares no code
+    with the package, so the array sweep can be compared with it at the
+    1e-12 relative tolerance of the goldens.
+
+    Returns the results rows and, for each, the privacy terms of its
+    baseline and contaminated rates (the terms a clipped rate loses).
+    """
+    c, ch = config, config.channel
+    n = math.floor((c.distance_max - c.distance_min) / c.step + 1e-9) + 1
+    rows, privacy = [], []
+    for k in range(n):
+        d = c.distance_min + k * c.step
+        cases = []
+        for mu_el in ((0.0, c.mu_leak) if c.mode == "dual_source" else (0.0,)):
+            obs = [_ref_observables(g, mu_el, ch, d) for g in (c.s, c.nu, c.omega)]
+            q, e = [o[0] for o in obs], [o[1] for o in obs]
+            cases.append((q, e, _ref_bounds(c.s, c.nu, c.omega, q, e)))
+        q, e, b = cases[-1]
+        if c.mode == "dual_source":
+            base, rate = (_ref_dual(q_[0], e_[0], b_[2], b_[1], c.q_proto, c.f_ec)
+                          for q_, e_, b_ in cases)
+        else:
+            base, rate = (_ref_gllp(c.s, q[0], e[0], b[0], b[1], mu, c.p_z, c.f_ec)
+                          for mu in (0.0, c.mu_leak))
+        rows.append((d, base[0], rate[0], q[0], e[0], b[0], b[1]))
+        privacy.append((base[1], rate[1]))
+    return rows, privacy

@@ -3,6 +3,7 @@
 import io
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,19 +13,26 @@ from hypothesis import given, settings, strategies as st
 import voaleak.scenario as scenario
 from voaleak import (
     ConfigurationError,
+    DecoyObservations,
+    DualSourceParams,
     FringeTrace,
     IvCurve,
     ScenarioConfig,
     SweepResult,
     SweepRow,
+    ThaParams,
     TraceParseError,
     TraceSchemaError,
+    dual_source_key_rate,
     emit_results,
+    gllp_key_rate,
     load_config,
     load_trace,
+    observables_for_intensity,
     read_results,
     run_scenario,
     save_trace,
+    single_photon_bounds,
 )
 from voaleak.cli import main
 from voaleak.scenario import (
@@ -39,7 +47,7 @@ from voaleak.scenario import (
     sweep_distances,
     sweep_to_text,
 )
-from helpers import synthetic_fringe
+from helpers import VERDICTS, scalar_reference_sweep, synthetic_fringe
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DATA = CONFIGS.parent / "data"
@@ -222,6 +230,93 @@ class TestSweepEvaluation:
         assert r1.e_s > r0.e_s
         assert r1.rate_contaminated < r1.rate_baseline
         assert r0.rate_contaminated == r0.rate_baseline
+
+
+def _scalar_chain_row(cfg: ScenarioConfig, d: float) -> tuple[float, ...]:
+    """The results row at distance d from the public functions on floats."""
+    ch = replace(cfg.channel, distance=d)
+
+    def decoy(mu_el):
+        o = [observables_for_intensity(x, mu_el, ch) for x in (cfg.s, cfg.nu, cfg.omega)]
+        obs = DecoyObservations(cfg.s, cfg.nu, cfg.omega, o[0].gain, o[1].gain,
+                                o[2].gain, o[0].qber, o[1].qber, o[2].qber)
+        return obs, single_photon_bounds(obs)
+
+    if cfg.mode == "dual_source":
+        params = DualSourceParams(q_proto=cfg.q_proto, f_ec=cfg.f_ec)
+        base = dual_source_key_rate(*decoy(0.0), params)
+        obs, bounds = decoy(cfg.mu_leak)
+        leak = dual_source_key_rate(obs, bounds, params)
+    else:
+        obs, bounds = decoy(0.0)
+        base, leak = (gllp_key_rate(obs, bounds, ThaParams(mu, p_z=cfg.p_z, f_ec=cfg.f_ec))
+                      for mu in (0.0, cfg.mu_leak))
+    return d, base, leak, obs.q_s, obs.e_s, bounds.y1_lower, bounds.e1_upper
+
+
+@st.composite
+def _sweep_configs(draw):
+    """Sweep configs of either mode: 1-50 points, leaks of 0-0.05."""
+    d0 = draw(st.floats(0.0, 250.0))
+    step = draw(st.floats(0.05, 10.0))
+    return ScenarioConfig(
+        mode=draw(st.sampled_from(["passive_tha", "dual_source"])),
+        s=draw(st.floats(0.2, 0.8)), nu=draw(st.floats(0.01, 0.1)),
+        omega=draw(st.floats(0.0, 0.009)), p_z=draw(st.floats(0.5, 1.0)),
+        q_proto=draw(st.floats(0.3, 0.6)), f_ec=draw(st.floats(1.0, 1.3)),
+        mu_leak=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.05))),
+        distance_min=d0, distance_max=d0 + (draw(st.integers(1, 50)) - 1) * step,
+        step=step)
+
+
+class TestOneCodePath:
+    """A sweep row is the scalar chain's result, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=_sweep_configs())
+    def test_rows_equal_one_point_sweeps_and_the_scalar_chain(self, cfg):
+        rows = run_scenario(cfg).rows
+        single = [run_scenario(replace(cfg, distance_min=r.distance_km,
+                                       distance_max=r.distance_km)).rows[0]
+                  for r in rows]
+        chain = [_scalar_chain_row(cfg, r.distance_km) for r in rows]
+        assert _bits(rows) == _bits(single)
+        assert _bits(rows) == _bits(chain)
+
+
+def _reference_mismatch(cfg: ScenarioConfig) -> tuple[int, int, float]:
+    """Compare a sweep with the per-point math reference at 1e-12 relative.
+
+    A clipped rate may also miss by 1e-12 times its privacy term. Returns
+    the number of cells that differ at all, the number of cells, and the
+    largest relative difference among nonzero reference cells.
+    """
+    got = np.asarray(run_scenario(cfg).rows)
+    rows, privacy = scalar_reference_sweep(cfg)
+    want = np.asarray(rows)
+    slack = np.zeros_like(want)
+    slack[:, 1:3] = 1e-12 * np.asarray(privacy)
+    err = np.abs(got - want)
+    assert np.all(err <= 1e-12 * np.abs(want) + slack), np.max(err / (np.abs(want) + slack))
+    nonzero = want != 0.0
+    worst = float(np.max(err[nonzero] / np.abs(want[nonzero]), initial=0.0))
+    return int(np.count_nonzero(got != want)), got.size, worst
+
+
+class TestScalarReference:
+    """The array sweep against the per-point `math` chain it replaced."""
+
+    @pytest.mark.parametrize("name", ["passive_tha.cfg", "dual_source.cfg"])
+    def test_shipped_configs(self, name):
+        differ, cells, worst = _reference_mismatch(load_config(CONFIGS / name))
+        VERDICTS.append(f"INFO {name} sweep vs per-point math reference: "
+                        f"{differ} of {cells} cells differ, by at most "
+                        f"{worst:.2g} relative")
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=_sweep_configs())
+    def test_drawn_configs(self, cfg):
+        _reference_mismatch(cfg)
 
 
 class TestTraceIO:
@@ -454,6 +549,18 @@ class TestCli:
         assert code == 2
         assert "unrecognized" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config", ["passive_tha.cfg", "dual_source.cfg"])
+    def test_zero_gain_is_domain_error(self, capsys, config):
+        # No dark counts and a vacuum decoy without leak: no click to
+        # form a QBER from, at any point of the grid.
+        argv = ["sweep", "--config", str(CONFIGS / config), "--override",
+                "channel.y0=0", "--override", "intensities.omega=0",
+                "--override", "leakage.count_rate=0"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error:domain: gain is zero; QBER undefined\n"
+        assert captured.out == ""
+
     def test_runtime_data_error(self, tmp_path, capsys):
         u = np.linspace(0.0, 2.0, 50)
         save_trace(FringeTrace(u, 100.0 + 40.0 * u), tmp_path / "mono.csv")
@@ -503,6 +610,19 @@ class TestCliErrorContract:
         assert code == 2
         assert err.startswith("error:config:")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep"],
+        ["frobnicate"],
+        ["sweep", "--config", str(CONFIGS / "passive_tha.cfg"), "--override"],
+    ], ids=["no-config", "unknown-command", "override-without-value"])
+    def test_usage_error_is_config_error(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:config:")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     @pytest.mark.parametrize("mu", ["1e5", "nan", "-1"])
     def test_bad_leak_is_config_error(self, tmp_path, capsys, mu):
