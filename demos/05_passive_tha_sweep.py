@@ -10,16 +10,19 @@ secure rate and, above all, the secure range.
 
 from pathlib import Path
 
-from voaleak import ScenarioConfig, coin_imbalance, run_scenario
+from voaleak import RESULT_HEADER, ScenarioConfig, coin_imbalance, run_scenario
 
 LEVELS = (0.0048, 0.0388, 0.0977)
+# Sweep rows are arrays in RESULT_HEADER column order.
+BASELINE, CONTAMINATED = (RESULT_HEADER.split(",").index(name)
+                          for name in ("rate_baseline", "rate_contaminated"))
 
 
-def last_positive(rows, attr):
+def last_positive(rows, column):
     dist = None
-    for row in rows:
-        if getattr(row, attr) > 0.0:
-            dist = row.distance_km
+    for row in rows.tolist():
+        if row[column] > 0.0:
+            dist = row[0]
     return dist
 
 
@@ -40,17 +43,17 @@ def main():
     print(f"\n{'L [km]':>7} {'ideal':>11} "
           + " ".join(f"mu={mu:<7.4f}" for mu in LEVELS))
     for d in (0, 5, 10, 25, 50, 100, 200, 300):
-        row = next(r for r in base_rows if r.distance_km == d)
-        rates = [next(r for r in sweeps[mu].rows
-                      if r.distance_km == d).rate_contaminated
+        row = next(r for r in base_rows.tolist() if r[0] == d)
+        rates = [next(r for r in sweeps[mu].rows.tolist()
+                      if r[0] == d)[CONTAMINATED]
                  for mu in LEVELS]
-        print(f"{d:>7.0f} {row.rate_baseline:>11.3e} "
+        print(f"{d:>7.0f} {row[BASELINE]:>11.3e} "
               + " ".join(f"{r:>10.3e}" for r in rates))
 
     print(f"\nsecure range (last positive rate):")
-    print(f"{'no leak':>12}: {last_positive(base_rows, 'rate_baseline'):.0f} km")
+    print(f"{'no leak':>12}: {last_positive(base_rows, BASELINE):.0f} km")
     for mu in LEVELS:
-        cut = last_positive(sweeps[mu].rows, "rate_contaminated")
+        cut = last_positive(sweeps[mu].rows, CONTAMINATED)
         print(f"{f'mu={mu:.4f}':>12}: {cut:.0f} km")
 
     print("""
@@ -69,13 +72,11 @@ the pre-encoder emission is not optional.
         print("matplotlib not installed; skipping the rate plot")
         return
     fig, ax = plt.subplots(figsize=(7, 5))
-    ax.semilogy([r.distance_km for r in base_rows],
-                [r.rate_baseline for r in base_rows], label="no leak")
+    ax.semilogy(base_rows[:, 0], base_rows[:, BASELINE], label="no leak")
     for mu in LEVELS:
         rows = sweeps[mu].rows
-        ax.semilogy([r.distance_km for r in rows if r.rate_contaminated > 0],
-                    [r.rate_contaminated for r in rows
-                     if r.rate_contaminated > 0],
+        alive = rows[rows[:, CONTAMINATED] > 0]
+        ax.semilogy(alive[:, 0], alive[:, CONTAMINATED],
                     label=f"mu_leak = {mu}")
     ax.set_xlabel("fiber length [km]")
     ax.set_ylabel("secret key rate [per pulse]")

@@ -13,6 +13,7 @@ attenuated) parasitic band.
 from pathlib import Path
 
 from voaleak import (
+    RESULT_HEADER,
     ChannelParams,
     ScenarioConfig,
     calibrated_intensity,
@@ -21,6 +22,9 @@ from voaleak import (
 )
 
 LEVELS = (0.0048, 0.0388, 0.0977)
+# Sweep rows are arrays in RESULT_HEADER column order.
+BASELINE, CONTAMINATED = (RESULT_HEADER.split(",").index(name)
+                          for name in ("rate_baseline", "rate_contaminated"))
 
 
 def main():
@@ -45,8 +49,8 @@ def main():
     for d in (0, 1, 2, 5, 10, 15, 30, 60):
         ratios = []
         for mu in LEVELS:
-            row = next(r for r in sweeps[mu].rows if r.distance_km == d)
-            ratios.append(row.rate_contaminated / row.rate_baseline)
+            row = next(r for r in sweeps[mu].rows.tolist() if r[0] == d)
+            ratios.append(row[CONTAMINATED] / row[BASELINE])
         print(f"{d:>7.0f} " + " ".join(f"{r:>15.4f}" for r in ratios))
 
     print("""
@@ -69,8 +73,7 @@ exactly where metropolitan links live: at short distance.
     fig, ax = plt.subplots(figsize=(7, 5))
     for mu in LEVELS:
         rows = sweeps[mu].rows
-        ax.plot([r.distance_km for r in rows],
-                [r.rate_contaminated / r.rate_baseline for r in rows],
+        ax.plot(rows[:, 0], rows[:, CONTAMINATED] / rows[:, BASELINE],
                 label=f"mu_EL = {mu}")
     ax.axhline(1.0, color="gray", lw=0.8)
     ax.set_xlabel("fiber length [km]")

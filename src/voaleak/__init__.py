@@ -89,7 +89,6 @@ from .scenario import (
     LeakageResult,
     ScenarioConfig,
     SweepResult,
-    SweepRow,
     WavelengthResult,
     emit_results,
     load_config,
@@ -129,7 +128,7 @@ __all__ = [
     "binary_entropy", "coin_imbalance", "phase_error_with_tha",
     "gllp_key_rate", "dual_source_key_rate", "calibrated_intensity",
     # scenario
-    "ScenarioConfig", "SweepRow", "SweepResult", "WavelengthResult",
+    "ScenarioConfig", "SweepResult", "WavelengthResult",
     "IvFitResult", "LeakageResult", "RESULT_HEADER", "load_config",
     "run_scenario", "load_trace", "save_trace", "emit_results",
     "read_results",

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import starmap
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -54,11 +53,9 @@ __all__ = [
     "IV_HEADER",
     "RESULT_HEADER",
     "ScenarioConfig",
-    "SweepRow",
     "SweepResult",
     "WavelengthResult",
     "IvFitResult",
-    "LeakageRow",
     "LeakageResult",
     "parse_config_text",
     "apply_overrides",
@@ -425,29 +422,22 @@ def load_config(
 # Results
 # ============================================================
 
-class SweepRow(NamedTuple):
-    """One distance point of a sweep (column order matches the CSV)."""
-
-    distance_km: float
-    rate_baseline: float
-    rate_contaminated: float
-    q_s: float
-    e_s: float
-    y1_lower: float
-    e1_upper: float
-
-
-@dataclass(frozen=True)
+# The result tables below are arrays, so they take eq=False: the __eq__
+# a dataclass generates would compare them with `==`, whose truth value
+# is ambiguous.
+@dataclass(frozen=True, eq=False)
 class SweepResult:
     """Key-rate sweep over distance for one scenario.
 
+    rows is a read-only (n, 7) float64 array, one row per distance, with
+    the columns in RESULT_HEADER order.
     rate_baseline is the leak-free curve; rate_contaminated applies the
     configured leakage (pre-encoder coin bound or post-encoder
     dual-source model depending on the scenario mode). Rows are checked
     where they come in from a file, in `read_results`.
     """
 
-    rows: tuple[SweepRow, ...]
+    rows: np.ndarray
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -469,20 +459,15 @@ class IvFitResult:
     fits: tuple[IdealityFit, ...]
 
 
-class LeakageRow(NamedTuple):
-    """Leaked mean photon number for one driving configuration."""
-
-    drive_voltage: float
-    count_rate: float
-    pulse_width: float
-    mu: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeakageResult:
-    """Leakage intensities for the configured emission table."""
+    """Leaked mean photon number per driving configuration.
 
-    rows: tuple[LeakageRow, ...]
+    rows is a read-only (n, 4) float64 array, one row per emission block,
+    with the columns in LEAKAGE_HEADER order.
+    """
+
+    rows: np.ndarray
 
 
 ScenarioResult = Union[SweepResult, WavelengthResult, IvFitResult, LeakageResult]
@@ -544,8 +529,9 @@ def _sweep(config: ScenarioConfig) -> SweepResult:
     else:
         base, leak = gllp_key_rate(decoy, bounds, ThaParams(
             mu_eve=leaks, p_z=config.p_z, f_ec=config.f_ec))
-    return SweepResult(tuple(map(SweepRow, *(
-        column.tolist() for column in (grid, base, leak, *columns)))))
+    table = np.column_stack((grid, base, leak, *columns))
+    table.flags.writeable = False
+    return SweepResult(table)
 
 
 def _run_fringe(config: ScenarioConfig) -> WavelengthResult:
@@ -566,10 +552,12 @@ def _run_iv_fit(config: ScenarioConfig) -> IvFitResult:
 
 
 def _run_device(config: ScenarioConfig) -> LeakageResult:
-    return LeakageResult(rows=tuple(
-        LeakageRow(spec.drive_voltage, spec.count_rate, spec.pulse_width,
-                   mean_photon_number(spec))
-        for spec in config.emission))
+    table = np.array([
+        (spec.drive_voltage, spec.count_rate, spec.pulse_width,
+         mean_photon_number(spec))
+        for spec in config.emission])
+    table.flags.writeable = False
+    return LeakageResult(table)
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
@@ -592,10 +580,10 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 # Text IO
 # ============================================================
 
-def _render(header: str, rows: Iterable[Sequence[float]]) -> str:
+def _render(header: str, table: np.ndarray) -> str:
     """Header line, then rows of .17g cells (which round-trip any double)."""
-    cells = ",".join(["{:.17g}"] * (header.count(",") + 1))
-    return "\n".join([header, *starmap(cells.format, rows)]) + "\n"
+    row = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
+    return f"{header}\n" + (row * len(table)) % tuple(table.ravel().tolist())
 
 
 def _read_table(path: Path, header: str) -> np.ndarray:
@@ -685,7 +673,7 @@ def save_trace(trace: FringeTrace | IvCurve, path: Path | str) -> None:
     else:
         raise ConfigurationError(
             f"expected FringeTrace or IvCurve, got {type(trace).__name__}")
-    Path(path).write_text(_render(header, zip(xs.tolist(), ys.tolist())))
+    Path(path).write_text(_render(header, np.column_stack((xs, ys))))
 
 
 def sweep_to_text(result: SweepResult) -> str:
@@ -699,12 +687,12 @@ def result_to_text(result: ScenarioResult) -> str:
         return sweep_to_text(result)
     if isinstance(result, WavelengthResult):
         ref, unk = result.reference, result.unknown
-        return _render(WAVELENGTH_HEADER, [(
-            result.wavelength_nm, ref.u_max, ref.u_min, unk.u_max, unk.u_min)])
+        return _render(WAVELENGTH_HEADER, np.array([(
+            result.wavelength_nm, ref.u_max, ref.u_min, unk.u_max, unk.u_min)]))
     if isinstance(result, IvFitResult):
-        return _render(IVFIT_HEADER, [
+        return _render(IVFIT_HEADER, np.array([
             (f.v_lo, f.v_hi, f.slope, f.beta, f.temperature)
-            for f in result.fits])
+            for f in result.fits]))
     if isinstance(result, LeakageResult):
         return _render(LEAKAGE_HEADER, result.rows)
     raise TypeError(f"unknown result type {type(result).__name__}")
@@ -733,4 +721,5 @@ def read_results(path: Path | str) -> SweepResult:
         raise TraceSchemaError(f"{path}: distances must be strictly ascending")
     if not (table[:, 1:3] >= 0.0).all():
         raise TraceSchemaError(f"{path}: key rates must be >= 0")
-    return SweepResult(tuple(map(SweepRow._make, table.tolist())))
+    table.flags.writeable = False
+    return SweepResult(table)

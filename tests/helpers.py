@@ -384,3 +384,17 @@ def scalar_reference_sweep(config):
         rows.append((d, base[0], rate[0], q[0], e[0], b[0], b[1]))
         privacy.append((base[1], rate[1]))
     return rows, privacy
+
+
+# ============================================================
+# Reference table writer
+# ============================================================
+
+def render_reference(header: str, rows) -> str:
+    """A table as `"{:.17g}".format` writes it, one row at a time.
+
+    The writer the package used before it formatted whole tables with
+    one `%` operation; `scenario._render` must give the same bytes.
+    """
+    cells = ",".join(["{:.17g}"] * (header.count(",") + 1))
+    return "\n".join([header, *(cells.format(*row) for row in rows)]) + "\n"

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from voaleak import (
+    RESULT_HEADER,
     ChannelParams,
     EmissionSpec,
     ExtremaPair,
@@ -50,6 +51,10 @@ DRIVE_TABLE = (
 LEAK_LEVELS = (0.0048, 0.0388, 0.0977)
 # Coin imbalance at the worst-case leak, mu = 0.0977.
 REFERENCE_DELTA = 0.029776
+# Column numbers of the results table.
+DISTANCE, BASELINE, CONTAMINATED = (
+    RESULT_HEADER.split(",").index(name)
+    for name in ("distance_km", "rate_baseline", "rate_contaminated"))
 
 
 def check(ok: bool, label: str):
@@ -59,11 +64,11 @@ def check(ok: bool, label: str):
     assert ok, label
 
 
-def last_positive_km(rows, attr) -> float:
+def last_positive_km(rows, column) -> float:
     dist = -1.0
-    for row in rows:
-        if getattr(row, attr) > 0.0:
-            dist = row.distance_km
+    for row in rows.tolist():
+        if row[column] > 0.0:
+            dist = row[DISTANCE]
     return dist
 
 
@@ -118,7 +123,7 @@ def test_bandgap_cutoff_wavelength():
 
 def test_passive_cutoff_leak_free(passive_sweeps):
     results, elapsed = passive_sweeps
-    cutoff = last_positive_km(results[0.0977].rows, "rate_baseline")
+    cutoff = last_positive_km(results[0.0977].rows, BASELINE)
     runtime_ok = max(elapsed.values()) < 5.0
     check(300.0 <= cutoff <= 340.0 and runtime_ok,
           f"leak-free range cutoff {cutoff:.0f} km within 320 +/- 20 km "
@@ -129,7 +134,7 @@ def test_passive_cutoff_worst_case(passive_sweeps):
     # The two-decoy estimate can never outrange a perfect single-photon
     # estimator, and on the 1 km grid it should lose less than one step.
     results, _ = passive_sweeps
-    cutoff = last_positive_km(results[0.0977].rows, "rate_contaminated")
+    cutoff = last_positive_km(results[0.0977].rows, CONTAMINATED)
     bound = exact_statistics_cutoff(REFERENCE_DELTA)
     check(bound - 1.0 < cutoff <= bound,
           f"worst-case leak range cutoff {cutoff:.0f} km within one 1 km "
@@ -138,11 +143,11 @@ def test_passive_cutoff_worst_case(passive_sweeps):
 
 def test_passive_curves_strictly_ordered(passive_sweeps):
     results, _ = passive_sweeps
-    base = [r.rate_baseline for r in results[0.0048].rows]
+    base = results[0.0048].rows[:, BASELINE].tolist()
     for mu in LEAK_LEVELS[1:]:
-        other = [r.rate_baseline for r in results[mu].rows]
+        other = results[mu].rows[:, BASELINE].tolist()
         assert other == base  # leak-free curve is identical in every sweep
-    curves = [base] + [[r.rate_contaminated for r in results[mu].rows]
+    curves = [base] + [results[mu].rows[:, CONTAMINATED].tolist()
                        for mu in LEAK_LEVELS]
     ok = all(ordered_everywhere(hi, lo)
              for hi, lo in zip(curves, curves[1:]))
@@ -151,8 +156,8 @@ def test_passive_curves_strictly_ordered(passive_sweeps):
 
 def test_dual_short_range_reduction(dual_sweeps):
     results, elapsed = dual_sweeps
-    ratios = [r.rate_contaminated / r.rate_baseline
-              for r in results[0.0977].rows if r.distance_km <= 5.0]
+    ratios = [r[CONTAMINATED] / r[BASELINE]
+              for r in results[0.0977].rows.tolist() if r[DISTANCE] <= 5.0]
     runtime_ok = max(elapsed.values()) < 5.0
     check(any(0.35 <= r <= 0.65 for r in ratios) and runtime_ok,
           f"short-range dual-source reduction ratio {min(ratios):.3f} "
@@ -163,8 +168,8 @@ def test_dual_long_range_recovery(dual_sweeps):
     results, _ = dual_sweeps
     ratios = []
     for mu in LEAK_LEVELS:
-        row = next(r for r in results[mu].rows if r.distance_km == 30.0)
-        ratios.append(row.rate_contaminated / row.rate_baseline)
+        row = next(r for r in results[mu].rows.tolist() if r[DISTANCE] == 30.0)
+        ratios.append(row[CONTAMINATED] / row[BASELINE])
     check(min(ratios) >= 0.95,
           f"dual-source penalty gone by 30 km (min ratio {min(ratios):.4f} "
           f">= 0.95)")
@@ -172,8 +177,8 @@ def test_dual_long_range_recovery(dual_sweeps):
 
 def test_dual_curves_strictly_ordered(dual_sweeps):
     results, _ = dual_sweeps
-    curves = [[r.rate_baseline for r in results[0.0048].rows]]
-    curves += [[r.rate_contaminated for r in results[mu].rows]
+    curves = [results[0.0048].rows[:, BASELINE].tolist()]
+    curves += [results[mu].rows[:, CONTAMINATED].tolist()
                for mu in LEAK_LEVELS]
     ok = all(ordered_everywhere(hi, lo)
              for hi, lo in zip(curves, curves[1:]))
@@ -257,8 +262,8 @@ def test_zero_leak_reduces_to_standard_rate():
 def test_zero_contamination_reduces_to_baseline():
     cfg = ScenarioConfig(mode="dual_source", mu_leak=0.0,
                          distance_min=0.0, distance_max=30.0, step=1.0)
-    rows = run_scenario(cfg).rows
-    ok = all(r.rate_contaminated == r.rate_baseline for r in rows)
+    rows = run_scenario(cfg).rows.tolist()
+    ok = all(r[CONTAMINATED] == r[BASELINE] for r in rows)
     check(ok, "zero contamination: dual-source rate equals baseline "
               "bit-for-bit")
 

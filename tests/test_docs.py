@@ -33,10 +33,18 @@ def test_demo_runs(demo, tmp_path):
     assert child.returncode == 0, child.stderr
 
 
+README_BLOCKS = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(),
+                           flags=re.DOTALL)
+
+
 def test_readme_quick_start_runs(tmp_path):
-    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(),
-                        flags=re.DOTALL)
-    assert blocks, "README has no python block"
-    child = run_python(["-c", blocks[0]], tmp_path)
+    assert README_BLOCKS, "README has no python block"
+    child = run_python(["-c", README_BLOCKS[0]], tmp_path)
     assert child.returncode == 0, child.stderr
     assert "secret bits per pulse" in child.stdout
+
+
+@pytest.mark.parametrize("block", README_BLOCKS[1:])
+def test_readme_example_runs(block, tmp_path):
+    child = run_python(["-c", block], tmp_path)
+    assert child.returncode == 0, child.stderr

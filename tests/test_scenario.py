@@ -1,6 +1,7 @@
 """Config parsing, scenario evaluation, trace IO, and the CLI."""
 
 import io
+import math
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import voaleak.scenario as scenario
 from voaleak import (
@@ -19,7 +21,6 @@ from voaleak import (
     IvCurve,
     ScenarioConfig,
     SweepResult,
-    SweepRow,
     ThaParams,
     TraceParseError,
     TraceSchemaError,
@@ -47,10 +48,19 @@ from voaleak.scenario import (
     sweep_distances,
     sweep_to_text,
 )
-from helpers import VERDICTS, scalar_reference_sweep, synthetic_fringe
+from helpers import (
+    VERDICTS,
+    render_reference,
+    scalar_reference_sweep,
+    synthetic_fringe,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DATA = CONFIGS.parent / "data"
+# Column numbers of the results table.
+BASELINE, CONTAMINATED, Q_S, E_S = (
+    RESULT_HEADER.split(",").index(name)
+    for name in ("rate_baseline", "rate_contaminated", "q_s", "e_s"))
 
 
 class TestParseConfigText:
@@ -217,7 +227,7 @@ class TestSweepEvaluation:
         cfg = ScenarioConfig(mode="passive_tha", mu_leak=0.0977,
                              distance_max=20.0)
         for row in run_scenario(cfg).rows:
-            assert row.rate_contaminated <= row.rate_baseline
+            assert row[CONTAMINATED] <= row[BASELINE]
 
     def test_dual_sweep_rows_carry_contaminated_observables(self):
         clean = ScenarioConfig(mode="dual_source", mu_leak=0.0,
@@ -226,10 +236,10 @@ class TestSweepEvaluation:
                                distance_max=0.0)
         r0 = run_scenario(clean).rows[0]
         r1 = run_scenario(dirty).rows[0]
-        assert r1.q_s > r0.q_s
-        assert r1.e_s > r0.e_s
-        assert r1.rate_contaminated < r1.rate_baseline
-        assert r0.rate_contaminated == r0.rate_baseline
+        assert r1[Q_S] > r0[Q_S]
+        assert r1[E_S] > r0[E_S]
+        assert r1[CONTAMINATED] < r1[BASELINE]
+        assert r0[CONTAMINATED] == r0[BASELINE]
 
 
 def _scalar_chain_row(cfg: ScenarioConfig, d: float) -> tuple[float, ...]:
@@ -276,10 +286,11 @@ class TestOneCodePath:
     @given(cfg=_sweep_configs())
     def test_rows_equal_one_point_sweeps_and_the_scalar_chain(self, cfg):
         rows = run_scenario(cfg).rows
-        single = [run_scenario(replace(cfg, distance_min=r.distance_km,
-                                       distance_max=r.distance_km)).rows[0]
-                  for r in rows]
-        chain = [_scalar_chain_row(cfg, r.distance_km) for r in rows]
+        distances = rows[:, 0].tolist()
+        single = [run_scenario(replace(cfg, distance_min=d,
+                                       distance_max=d)).rows[0]
+                  for d in distances]
+        chain = [_scalar_chain_row(cfg, d) for d in distances]
         assert _bits(rows) == _bits(single)
         assert _bits(rows) == _bits(chain)
 
@@ -377,14 +388,26 @@ class TestResultsIO:
         result = run_scenario(cfg)
         path = tmp_path / "rates.csv"
         emit_results(result, path)
-        assert read_results(path).rows == result.rows
+        back = read_results(path)
+        assert back.rows.tobytes() == result.rows.tobytes()
+        for rows in (result.rows, back.rows):
+            assert rows.dtype == np.float64 and rows.shape == (4, 7)
+            assert rows.flags.c_contiguous
+            with pytest.raises(ValueError):
+                rows[0, 1] = 0.0
+
+    def test_device_rows_are_read_only(self):
+        rows = run_scenario(load_config(CONFIGS / "device.cfg")).rows
+        assert rows.dtype == np.float64 and rows.shape == (3, 4)
+        with pytest.raises(ValueError):
+            rows[0, 3] = 0.0
 
     def test_empty_result_is_header_only(self, tmp_path):
-        empty = SweepResult(())
+        empty = SweepResult(np.empty((0, 7)))
         assert sweep_to_text(empty) == RESULT_HEADER + "\n"
         path = tmp_path / "rates.csv"
         emit_results(empty, path)
-        assert len(read_results(path)) == 0
+        assert read_results(path).rows.shape == (0, 7)
 
     def test_short_row_rejected(self, tmp_path):
         path = tmp_path / "rates.csv"
@@ -446,7 +469,7 @@ class TestResultsRoundTripProperty:
     @settings(max_examples=100, deadline=None)
     @given(rows=_valid_rows())
     def test_any_valid_rows_round_trip_bit_exactly(self, rows):
-        result = SweepResult(tuple(SweepRow(*r) for r in rows))
+        result = SweepResult(np.array(rows, dtype=float).reshape(-1, 7))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "rates.csv"
             emit_results(result, path)
@@ -474,6 +497,23 @@ class TestResultsRoundTripProperty:
         assert _bits(back.rows) == _bits(result.rows)
 
 
+# Every double: nan, infinities, signed zeros and subnormals included.
+_CELLS = st.one_of(st.floats(), st.sampled_from(
+    [math.nan, -math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2250738585072e-308]))
+
+
+class TestRenderProperty:
+    """One `%` over the whole table writes what `.17g` per cell did."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=st.tuples(st.integers(0, 50), st.sampled_from([2, 4, 5, 7])).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=_CELLS)))
+    def test_render_matches_reference(self, table):
+        header = ",".join(f"c{k}" for k in range(table.shape[1]))
+        assert (scenario._render(header, table)
+                == render_reference(header, table.tolist()))
+
+
 class TestCli:
     def test_sweep_passive_to_file(self, tmp_path, capsys):
         out = tmp_path / "rates.csv"
@@ -484,11 +524,11 @@ class TestCli:
         assert capsys.readouterr().out == ""
         result = read_results(out)
         assert len(result) == 4
-        assert result.rows[0].rate_baseline == pytest.approx(
+        assert result.rows[0, BASELINE] == pytest.approx(
             0.19844441919682251, rel=1e-12)
         # mu_leak comes from the configured count rate and gate width,
         # 5.82e7 Hz * 1.6 ns -> mu = 0.0977451..., not the rounded 0.0977.
-        assert result.rows[0].rate_contaminated == pytest.approx(
+        assert result.rows[0, CONTAMINATED] == pytest.approx(
             0.040849751650590946, rel=1e-12)
 
     def test_sweep_dual_to_stdout(self, capsys):
