@@ -13,7 +13,6 @@ import numpy as np
 
 from voaleak import (
     CarrierState,
-    VoaGeometry,
     attenuation_db,
     attenuation_from_counts,
     plasma_dispersion_general,
@@ -24,9 +23,8 @@ from voaleak import (
 def main():
     print(__doc__)
 
-    geometry = VoaGeometry(length=0.05, wavelength=1550.0)  # 500 um device
-    print(f"device: {geometry.length * 1e4:.0f} um active length "
-          f"at {geometry.wavelength:.0f} nm\n")
+    length = 0.05  # cm, a 500 um device
+    print(f"device: {length * 1e4:.0f} um active length at 1550 nm\n")
 
     print(f"{'dN=dP [cm^-3]':>14} {'dn (Soref)':>12} {'da (Soref)':>12} "
           f"{'dn (Drude)':>12} {'da (Drude)':>12} {'atten [dB]':>11}")
@@ -34,7 +32,7 @@ def main():
         carriers = CarrierState(density, density)
         dn_s, da_s = soref_1550(carriers)
         dn_d, da_d = plasma_dispersion_general(carriers)
-        db = attenuation_db(da_s, geometry)
+        db = attenuation_db(da_s, length)
         print(f"{density:>14.2e} {dn_s:>12.3e} {da_s:>12.3e} "
               f"{dn_d:>12.3e} {da_d:>12.3e} {db:>11.2f}")
 
@@ -51,7 +49,7 @@ the forward current that makes the junction emit.
     # single-photon detector count rates with the VOA on and off.
     carriers = CarrierState(5e17, 5e17)
     _, da = soref_1550(carriers)
-    db_model = attenuation_db(da, geometry)
+    db_model = attenuation_db(da, length)
     counts_off = 1.2e6
     counts_on = counts_off * 10.0 ** (-db_model / 10.0)
     db_counts = attenuation_from_counts(counts_on, counts_off)

@@ -46,8 +46,6 @@ from .voa_physics import (
     CarrierState,
     IdealityFit,
     IvCurve,
-    SiliconConstants,
-    VoaGeometry,
     attenuation_db,
     attenuation_from_counts,
     bandgap_wavelength,
@@ -109,10 +107,9 @@ __all__ = [
     "UndefinedQberError", "CalibrationError",
     "ConfigurationError", "TraceParseError", "TraceSchemaError",
     # voa_physics
-    "CarrierState", "SiliconConstants", "VoaGeometry", "IvCurve",
-    "IdealityFit", "DEFAULT_FIT_WINDOWS", "plasma_dispersion_general",
-    "soref_1550", "attenuation_db", "attenuation_from_counts",
-    "bandgap_wavelength", "fit_ideality",
+    "CarrierState", "IvCurve", "IdealityFit", "DEFAULT_FIT_WINDOWS",
+    "plasma_dispersion_general", "soref_1550", "attenuation_db",
+    "attenuation_from_counts", "bandgap_wavelength", "fit_ideality",
     # fringe
     "FringeTrace", "ExtremaPair", "MIN_SAMPLES", "find_extrema_pair",
     "center_wavelength",

@@ -4,9 +4,10 @@ Everything derives from ValueError so callers that only care about
 "bad input" can catch a single familiar type, while the CLI maps each
 subclass to a stable error category string. `check_range` is the one
 place where an input, a float or a numpy array, is checked against its
-interval. `unchecked` builds a record from the package's own results
-without checking them again, and `plain` hands a 0-d numpy result back
-as a Python number.
+interval, and `check_scan` the one where the two columns of a voltage
+scan are checked. `unchecked` builds a record from the package's own
+results without checking them again, and `plain` hands a 0-d numpy
+result back as a Python number.
 """
 
 import math
@@ -129,6 +130,27 @@ def check_range(name: str, value, lo: float, hi: float = math.inf,
     else:
         rule = "be finite"
     raise error(f"{name} must {rule}, got {value!r}")
+
+
+def check_scan(trace: str, voltages, name: str, values
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The voltages and the named sample column of a trace as float arrays.
+
+    Raises DomainError unless both are non-empty, finite 1-D arrays of
+    equal length and the voltages strictly increase. trace names the
+    trace in the messages.
+    """
+    v = np.asarray(voltages, dtype=float)
+    y = np.asarray(values, dtype=float)
+    if v.ndim != 1 or y.ndim != 1 or v.size != y.size:
+        raise DomainError(f"voltages and {name} must be 1-D arrays of equal length")
+    if v.size == 0:
+        raise DomainError(f"{trace} is empty")
+    if not np.all(np.isfinite(v)) or not np.all(np.isfinite(y)):
+        raise DomainError(f"{trace} contains non-finite samples")
+    if np.any(np.diff(v) <= 0.0):
+        raise DomainError("voltages must be strictly increasing")
+    return v, y
 
 
 def unchecked(cls, **values):

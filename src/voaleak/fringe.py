@@ -23,6 +23,7 @@ from .errors import (
     InsufficientDataError,
     NoFringeError,
     check_range,
+    check_scan,
 )
 
 __all__ = ["FringeTrace", "ExtremaPair", "find_extrema_pair", "center_wavelength"]
@@ -43,18 +44,9 @@ class FringeTrace:
     counts: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.voltages, dtype=float)
-        c = np.asarray(self.counts, dtype=float)
+        v, c = check_scan("fringe trace", self.voltages, "counts", self.counts)
         object.__setattr__(self, "voltages", v)
         object.__setattr__(self, "counts", c)
-        if v.ndim != 1 or c.ndim != 1 or v.size != c.size:
-            raise DomainError("voltages and counts must be 1-D arrays of equal length")
-        if v.size == 0:
-            raise DomainError("fringe trace is empty")
-        if not np.all(np.isfinite(v)) or not np.all(np.isfinite(c)):
-            raise DomainError("fringe trace contains non-finite samples")
-        if np.any(np.diff(v) <= 0.0):
-            raise DomainError("voltages must be strictly increasing")
         if np.any(c < 0.0):
             raise DomainError("count rates must be >= 0")
 

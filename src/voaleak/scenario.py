@@ -293,11 +293,7 @@ def _take_channel(data: dict[str, str]) -> ChannelParams:
     defaults = ChannelParams
     kwargs = {name: _take_float(data, f"channel.{name}", getattr(defaults, name))
               for name in _CHANNEL_FIELDS}
-    if "channel.e0" in data and "conventions.e0" in data:
-        raise ConfigurationError(
-            "channel.e0 and conventions.e0 are aliases; set only one")
-    e0 = _take_float(data, "channel.e0", defaults.e0)
-    e0 = _take_float(data, "conventions.e0", e0)
+    e0 = _take_float(data, "conventions.e0", defaults.e0)
     try:
         return ChannelParams(distance=0.0, e0=e0, **kwargs)
     except DomainError as exc:
@@ -362,10 +358,12 @@ def config_from_mapping(
 ) -> ScenarioConfig:
     """Build a validated ScenarioConfig from a parsed key=value mapping.
 
-    Relative trace paths are resolved against base_dir. Unrecognized
-    keys are an error so typos cannot silently fall back to defaults.
-    Missing keys take ScenarioConfig's field defaults, which a dataclass
-    keeps as class attributes; ScenarioConfig checks the mode.
+    Relative trace paths are resolved against base_dir. Only the keys
+    the mode reads are taken; any other key is an error, so typos and
+    settings meant for another mode cannot silently fall back to
+    defaults or be ignored. Missing keys take ScenarioConfig's field
+    defaults, which a dataclass keeps as class attributes;
+    ScenarioConfig checks the mode.
     """
     data = dict(data)
     base_dir = Path(base_dir)
@@ -374,29 +372,40 @@ def config_from_mapping(
     mode = data.pop("mode")
 
     defaults = ScenarioConfig
-    config = ScenarioConfig(
-        mode=mode,
-        channel=_take_channel(data),
-        s=_take_float(data, "intensities.s", defaults.s),
-        nu=_take_float(data, "intensities.nu", defaults.nu),
-        omega=_take_float(data, "intensities.omega", defaults.omega),
-        p_z=_take_float(data, "conventions.p_z", defaults.p_z),
-        q_proto=_take_float(data, "conventions.q_proto", defaults.q_proto),
-        f_ec=_take_float(data, "conventions.f_ec", defaults.f_ec),
-        mu_leak=_take_leakage(data),
-        distance_min=_take_float(data, "sweep.distance_min", defaults.distance_min),
-        distance_max=_take_float(data, "sweep.distance_max", defaults.distance_max),
-        step=_take_float(data, "sweep.step", defaults.step),
-        emission=_take_emission(data),
-        reference_trace=_take_path(data, "fringe.reference_trace", base_dir),
-        unknown_trace=_take_path(data, "fringe.unknown_trace", base_dir),
-        lambda_ref_nm=_take_float(data, "fringe.lambda_ref_nm", defaults.lambda_ref_nm),
-        smooth_window=_take_int(data, "fringe.smooth_window", defaults.smooth_window),
-        iv_trace=_take_path(data, "ivfit.trace", base_dir),
-        temperature=_take_float(data, "ivfit.temperature", defaults.temperature),
-        windows=(_parse_windows(data.pop("ivfit.windows"))
-                 if "ivfit.windows" in data else defaults.windows),
-    )
+    fields = {}
+    if mode in ("passive_tha", "dual_source"):
+        fields = dict(
+            channel=_take_channel(data),
+            s=_take_float(data, "intensities.s", defaults.s),
+            nu=_take_float(data, "intensities.nu", defaults.nu),
+            omega=_take_float(data, "intensities.omega", defaults.omega),
+            f_ec=_take_float(data, "conventions.f_ec", defaults.f_ec),
+            mu_leak=_take_leakage(data),
+            distance_min=_take_float(data, "sweep.distance_min", defaults.distance_min),
+            distance_max=_take_float(data, "sweep.distance_max", defaults.distance_max),
+            step=_take_float(data, "sweep.step", defaults.step),
+        )
+        if mode == "passive_tha":
+            fields["p_z"] = _take_float(data, "conventions.p_z", defaults.p_z)
+        else:
+            fields["q_proto"] = _take_float(data, "conventions.q_proto", defaults.q_proto)
+    elif mode == "fringe":
+        fields = dict(
+            reference_trace=_take_path(data, "fringe.reference_trace", base_dir),
+            unknown_trace=_take_path(data, "fringe.unknown_trace", base_dir),
+            lambda_ref_nm=_take_float(data, "fringe.lambda_ref_nm", defaults.lambda_ref_nm),
+            smooth_window=_take_int(data, "fringe.smooth_window", defaults.smooth_window),
+        )
+    elif mode == "iv_fit":
+        fields = dict(
+            iv_trace=_take_path(data, "ivfit.trace", base_dir),
+            temperature=_take_float(data, "ivfit.temperature", defaults.temperature),
+            windows=(_parse_windows(data.pop("ivfit.windows"))
+                     if "ivfit.windows" in data else defaults.windows),
+        )
+    elif mode == "device":
+        fields = dict(emission=_take_emission(data))
+    config = ScenarioConfig(mode=mode, **fields)
     if data:
         raise ConfigurationError(
             "unrecognized keys: " + ", ".join(sorted(data)))

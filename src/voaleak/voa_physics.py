@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError, check_range
+from .errors import DomainError, InsufficientDataError, check_range, check_scan
 
 # CODATA 2022 physical constants, SI. q, h, c and k_B are exact since
 # the 2019 SI redefinition; eps0 and m_e are the 2022 recommended values.
@@ -32,8 +32,6 @@ m_e = 9.1093837139e-31
 
 __all__ = [
     "CarrierState",
-    "SiliconConstants",
-    "VoaGeometry",
     "IvCurve",
     "IdealityFit",
     "DEFAULT_FIT_WINDOWS",
@@ -44,6 +42,16 @@ __all__ = [
     "bandgap_wavelength",
     "fit_ideality",
 ]
+
+# Crystalline silicon: refractive index near 1550 nm, conductivity
+# effective masses 0.26/0.39 m0 and low-doping mobilities 1450/450
+# cm^2/(V s). Widely used textbook values, assumptions rather than
+# measured device parameters.
+_N0 = 3.4757
+_M_CE = 0.26 * m_e
+_M_CH = 0.39 * m_e
+_MU_N = 1450.0 * 1e-4                     # cm^2/(V s) -> m^2/(V s)
+_MU_P = 450.0 * 1e-4
 
 # Soref & Bennett (1987) empirical coefficients at 1550 nm, cm^3 units.
 _SOREF_DN_E = 8.8e-22
@@ -82,62 +90,6 @@ class CarrierState:
 
 
 @dataclass(frozen=True)
-class SiliconConstants:
-    """Material and fundamental constants for crystalline silicon.
-
-    Defaults are widely used textbook values (conductivity effective
-    masses 0.26/0.39 m0, low-doping mobilities 1450/450 cm^2/(V s),
-    refractive index 3.4757 near 1550 nm). They are assumptions, not
-    measured device parameters; override per device as needed.
-
-    Attributes:
-        q: Elementary charge [C].
-        eps0: Vacuum permittivity [F/m].
-        n0: Unperturbed refractive index at the operating wavelength.
-        m_ce: Electron conductivity effective mass [kg].
-        m_ch: Hole conductivity effective mass [kg].
-        mu_n: Electron mobility [cm^2/(V s)].
-        mu_p: Hole mobility [cm^2/(V s)].
-        c: Speed of light [m/s].
-        h_planck: Planck constant [J s].
-        k_boltzmann: Boltzmann constant [J/K].
-    """
-
-    q: float = elementary_charge
-    eps0: float = epsilon_0
-    n0: float = 3.4757
-    m_ce: float = 0.26 * m_e
-    m_ch: float = 0.39 * m_e
-    mu_n: float = 1450.0
-    mu_p: float = 450.0
-    c: float = speed_of_light
-    h_planck: float = Planck
-    k_boltzmann: float = Boltzmann
-
-    def __post_init__(self):
-        for name in ("q", "eps0", "n0", "m_ce", "m_ch", "mu_n", "mu_p",
-                     "c", "h_planck", "k_boltzmann"):
-            check_range(name, getattr(self, name), 0.0, lo_open=True)
-
-
-@dataclass(frozen=True)
-class VoaGeometry:
-    """Attenuator interaction geometry.
-
-    Attributes:
-        length: Active-region optical path length [cm], > 0.
-        wavelength: Operating wavelength [nm], > 0.
-    """
-
-    length: float
-    wavelength: float = 1550.0
-
-    def __post_init__(self):
-        check_range("length", self.length, 0.0, lo_open=True)
-        check_range("wavelength", self.wavelength, 0.0, lo_open=True)
-
-
-@dataclass(frozen=True)
 class IvCurve:
     """Measured I-V trace of the junction.
 
@@ -153,18 +105,9 @@ class IvCurve:
     currents: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.voltages, dtype=float)
-        i = np.asarray(self.currents, dtype=float)
+        v, i = check_scan("I-V trace", self.voltages, "currents", self.currents)
         object.__setattr__(self, "voltages", v)
         object.__setattr__(self, "currents", i)
-        if v.ndim != 1 or i.ndim != 1 or v.size != i.size:
-            raise DomainError("voltages and currents must be 1-D arrays of equal length")
-        if v.size == 0:
-            raise DomainError("I-V trace is empty")
-        if not np.all(np.isfinite(v)) or not np.all(np.isfinite(i)):
-            raise DomainError("I-V trace contains non-finite samples")
-        if np.any(np.diff(v) <= 0.0):
-            raise DomainError("voltages must be strictly increasing")
 
     def __len__(self) -> int:
         return int(self.voltages.size)
@@ -194,9 +137,7 @@ class IdealityFit:
 # ============================================================
 
 def plasma_dispersion_general(
-    carriers: CarrierState,
-    constants: SiliconConstants = SiliconConstants(),
-    wavelength: float = 1550.0,
+    carriers: CarrierState, wavelength: float = 1550.0
 ) -> tuple[float, float]:
     """Drude-model free-carrier index and absorption change.
 
@@ -208,7 +149,6 @@ def plasma_dispersion_general(
 
     Args:
         carriers: Injected carrier densities [cm^-3].
-        constants: Material constants; see SiliconConstants.
         wavelength: Probe wavelength [nm].
 
     Returns:
@@ -222,18 +162,16 @@ def plasma_dispersion_general(
     lam = wavelength * 1e-9               # nm -> m
     ne = carriers.delta_n_e * 1e6         # cm^-3 -> m^-3
     nh = carriers.delta_n_h * 1e6
-    mu_n = constants.mu_n * 1e-4          # cm^2/(V s) -> m^2/(V s)
-    mu_p = constants.mu_p * 1e-4
 
-    c2 = constants.c ** 2
-    pref_n = constants.q ** 2 * lam ** 2 / (
-        8.0 * math.pi ** 2 * c2 * constants.eps0 * constants.n0)
-    pref_a = constants.q ** 3 * lam ** 2 / (
-        4.0 * math.pi ** 2 * c2 * constants.c * constants.eps0 * constants.n0)
+    c2 = speed_of_light ** 2
+    pref_n = elementary_charge ** 2 * lam ** 2 / (
+        8.0 * math.pi ** 2 * c2 * epsilon_0 * _N0)
+    pref_a = elementary_charge ** 3 * lam ** 2 / (
+        4.0 * math.pi ** 2 * c2 * speed_of_light * epsilon_0 * _N0)
 
-    delta_n = -pref_n * (ne / constants.m_ce + nh / constants.m_ch)
-    delta_alpha_m = pref_a * (ne / (constants.m_ce ** 2 * mu_n)
-                              + nh / (constants.m_ch ** 2 * mu_p))
+    delta_n = -pref_n * (ne / _M_CE + nh / _M_CH)
+    delta_alpha_m = pref_a * (ne / (_M_CE ** 2 * _MU_N)
+                              + nh / (_M_CH ** 2 * _MU_P))
     return delta_n, delta_alpha_m * 1e-2  # m^-1 -> cm^-1
 
 
@@ -260,21 +198,23 @@ def soref_1550(carriers: CarrierState) -> tuple[float, float]:
 # Attenuation
 # ============================================================
 
-def attenuation_db(delta_alpha: float, geometry: VoaGeometry) -> float:
+def attenuation_db(delta_alpha: float, length: float) -> float:
     """Decibel attenuation added by free-carrier absorption.
 
     Args:
         delta_alpha: Added absorption coefficient [cm^-1], >= 0.
-        geometry: Interaction geometry (length in cm).
+        length: Active-region optical path length [cm], > 0.
 
     Returns:
         Attenuation in dB: 10 log10(e) * delta_alpha * length.
 
     Raises:
-        DomainError: if delta_alpha is negative or non-finite.
+        DomainError: if delta_alpha is negative or length is not
+            positive, or either is non-finite.
     """
     check_range("delta_alpha", delta_alpha, 0.0)
-    return 10.0 * math.log10(math.e) * delta_alpha * geometry.length
+    check_range("length", length, 0.0, lo_open=True)
+    return 10.0 * math.log10(math.e) * delta_alpha * length
 
 
 def attenuation_from_counts(counts_on: float, counts_off: float) -> float:
@@ -300,14 +240,11 @@ def attenuation_from_counts(counts_on: float, counts_off: float) -> float:
 # Emission wavelength
 # ============================================================
 
-def bandgap_wavelength(
-    e_g: float, constants: SiliconConstants = SiliconConstants()
-) -> float:
+def bandgap_wavelength(e_g: float) -> float:
     """Photon wavelength of band-to-band recombination.
 
     Args:
         e_g: Bandgap or transition energy [eV], > 0.
-        constants: Provides h, c and the charge used for eV conversion.
 
     Returns:
         Wavelength lambda = h c / E_g in nm.
@@ -316,7 +253,7 @@ def bandgap_wavelength(
         DomainError: if e_g is not positive and finite.
     """
     check_range("e_g", e_g, 0.0, lo_open=True)
-    return constants.h_planck * constants.c / (e_g * constants.q) * 1e9
+    return Planck * speed_of_light / (e_g * elementary_charge) * 1e9
 
 
 # ============================================================
@@ -368,8 +305,7 @@ def fit_ideality(
         raise DomainError(f"fitted slope {slope:g} dec/V is not positive; "
                           "window does not show diode-like conduction")
 
-    k_b = Boltzmann
-    q = elementary_charge
-    beta = q * math.log10(math.e) / (slope * k_b * temperature)
+    beta = elementary_charge * math.log10(math.e) / (
+        slope * Boltzmann * temperature)
     return IdealityFit(v_lo=float(v_lo), v_hi=float(v_hi), slope=slope,
                        beta=beta, temperature=float(temperature))

@@ -106,15 +106,10 @@ class TestConfigFromMapping:
         with pytest.raises(ConfigurationError, match="unrecognized.*sweep.stpe"):
             config_from_mapping({"mode": "passive_tha", "sweep.stpe": "1"})
 
-    def test_e0_alias_conflict(self):
-        with pytest.raises(ConfigurationError, match="alias"):
-            config_from_mapping({"mode": "passive_tha",
-                                 "channel.e0": "0.5", "conventions.e0": "0.5"})
-
-    def test_e0_via_either_alias(self):
-        a = config_from_mapping({"mode": "passive_tha", "channel.e0": "0.4"})
-        b = config_from_mapping({"mode": "passive_tha", "conventions.e0": "0.4"})
-        assert a.channel.e0 == b.channel.e0 == 0.4
+    def test_e0_from_conventions(self):
+        ch = config_from_mapping({"mode": "passive_tha",
+                                  "conventions.e0": "0.4"}).channel
+        assert ch.e0 == 0.4
 
     def test_leakage_mu_direct(self):
         cfg = config_from_mapping({"mode": "passive_tha", "leakage.mu": "0.05"})
@@ -651,6 +646,23 @@ class TestCliErrorContract:
         assert err.startswith("error:config:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, config, key", [
+        ("sweep", "passive_tha.cfg", "fringe.smooth_window"),
+        ("sweep", "passive_tha.cfg", "conventions.q_proto"),
+        ("sweep", "dual_source.cfg", "conventions.p_z"),
+        ("wavelength", "fringe.cfg", "sweep.step"),
+    ])
+    def test_key_another_mode_reads_is_config_error(self, capsys, command,
+                                                    config, key):
+        # A valid value for the mode that reads the key; the config's own
+        # mode does not read it, so it must not be silently ignored.
+        argv = [command, "--config", str(CONFIGS / config),
+                "--override", f"{key}=1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error:config: unrecognized keys: {key}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv", [
         ["sweep"],
         ["frobnicate"],
@@ -713,7 +725,7 @@ _SWEEP_KEYS = (
     "intensities.s", "intensities.nu", "intensities.omega",
     "leakage.count_rate", "leakage.pulse_width",
     "channel.alpha_sig", "channel.alpha_par", "channel.eta_bob_sig",
-    "channel.eta_bob_par", "channel.y0", "channel.e_d", "channel.e0",
+    "channel.eta_bob_par", "channel.y0", "channel.e_d", "conventions.e0",
     "conventions.p_z", "conventions.q_proto", "conventions.f_ec",
 )
 

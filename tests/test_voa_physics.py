@@ -10,8 +10,6 @@ from voaleak import (
     DomainError,
     InsufficientDataError,
     IvCurve,
-    SiliconConstants,
-    VoaGeometry,
     attenuation_db,
     attenuation_from_counts,
     bandgap_wavelength,
@@ -19,6 +17,7 @@ from voaleak import (
     plasma_dispersion_general,
     soref_1550,
 )
+from voaleak.voa_physics import Planck, elementary_charge, speed_of_light
 from helpers import shockley_curve
 
 
@@ -66,25 +65,21 @@ class TestDrudeModel:
         with pytest.raises(DomainError):
             plasma_dispersion_general(CarrierState(1e17, 0.0), wavelength=0.0)
 
-    def test_invalid_constants(self):
-        with pytest.raises(DomainError):
-            SiliconConstants(n0=-1.0)
-
 
 class TestAttenuation:
     def test_equal_injection_geometry(self):
         # 1.45 cm^-1 over a 200 um active section
-        db = attenuation_db(1.45, VoaGeometry(length=0.02))
+        db = attenuation_db(1.45, 0.02)
         assert db == pytest.approx(0.12594539975194302, rel=1e-12)
 
     def test_additive_over_length(self):
-        a = attenuation_db(0.7, VoaGeometry(length=0.013))
-        b = attenuation_db(0.7, VoaGeometry(length=0.029))
-        total = attenuation_db(0.7, VoaGeometry(length=0.042))
+        a = attenuation_db(0.7, 0.013)
+        b = attenuation_db(0.7, 0.029)
+        total = attenuation_db(0.7, 0.042)
         assert a + b == pytest.approx(total, rel=1e-12)
 
     def test_zero_absorption(self):
-        assert attenuation_db(0.0, VoaGeometry(length=1.0)) == 0.0
+        assert attenuation_db(0.0, 1.0) == 0.0
 
     def test_counts_ratio(self):
         db = attenuation_from_counts(0.3236, 1.0)
@@ -102,7 +97,7 @@ class TestAttenuation:
 
     def test_bad_geometry(self):
         with pytest.raises(DomainError):
-            VoaGeometry(length=0.0)
+            attenuation_db(1.45, 0.0)
 
 
 class TestBandgapWavelength:
@@ -115,8 +110,7 @@ class TestBandgapWavelength:
 
     def test_round_trip(self):
         lam = bandgap_wavelength(1.12)
-        constants = SiliconConstants()
-        hc_evnm = (constants.h_planck * constants.c / constants.q) * 1e9
+        hc_evnm = (Planck * speed_of_light / elementary_charge) * 1e9
         assert hc_evnm / lam == pytest.approx(1.12, rel=1e-12)
 
     def test_strictly_decreasing(self):
