@@ -1,10 +1,12 @@
-"""The shared range check: open and closed ends, non-finite values."""
+"""The shared range and scan checks: interval ends, non-finite values,
+malformed voltage scans."""
 
 import math
 
+import numpy as np
 import pytest
 
-from voaleak import ConfigurationError, DomainError
+from voaleak import ConfigurationError, DomainError, FringeTrace, IvCurve
 from voaleak.errors import check_range
 
 INF = math.inf
@@ -66,3 +68,40 @@ def test_message_states_the_interval(kwargs, message):
 def test_infinite_interval_message():
     with pytest.raises(DomainError, match=r"^u must be finite, got nan$"):
         check_range("u", math.nan, -INF)
+
+
+# Both trace records run their columns through errors.check_scan; each
+# keeps its own nouns in the messages.
+RECORDS = {
+    FringeTrace: dict(trace="fringe trace", column="counts"),
+    IvCurve: dict(trace="I-V trace", column="currents"),
+}
+NAN = math.nan
+# (id, voltages, samples, message template)
+BAD_SCANS = [
+    ("2d_voltages", [[0.0, 0.1], [0.2, 0.3]], [1.0, 1.0, 1.0, 1.0],
+     "voltages and {column} must be 1-D arrays of equal length"),
+    ("2d_samples", [0.0, 0.1], [[1.0, 1.0]],
+     "voltages and {column} must be 1-D arrays of equal length"),
+    ("unequal_length", [0.0, 0.1, 0.2], [1.0, 1.0],
+     "voltages and {column} must be 1-D arrays of equal length"),
+    ("empty", [], [], "{trace} is empty"),
+    ("nan_voltage", [0.0, NAN, 0.2], [1.0, 1.0, 1.0],
+     "{trace} contains non-finite samples"),
+    ("inf_sample", [0.0, 0.1, 0.2], [1.0, INF, 1.0],
+     "{trace} contains non-finite samples"),
+    ("descending", [0.2, 0.1, 0.3], [1.0, 1.0, 1.0],
+     "voltages must be strictly increasing"),
+    ("repeated_voltage", [0.0, 0.1, 0.1], [1.0, 1.0, 1.0],
+     "voltages must be strictly increasing"),
+]
+
+
+@pytest.mark.parametrize("record", list(RECORDS), ids=lambda r: r.__name__)
+@pytest.mark.parametrize("voltages, samples, message",
+                         [case[1:] for case in BAD_SCANS],
+                         ids=[case[0] for case in BAD_SCANS])
+def test_bad_scan_message(record, voltages, samples, message):
+    with pytest.raises(DomainError) as info:
+        record(np.array(voltages), np.array(samples))
+    assert str(info.value) == message.format(**RECORDS[record])

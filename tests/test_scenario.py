@@ -111,6 +111,31 @@ class TestConfigFromMapping:
                                   "conventions.e0": "0.4"}).channel
         assert ch.e0 == 0.4
 
+    # Each shipped config plus one key, with a value valid where it is
+    # read, that its mode does not read; channel.e0 no mode reads.
+    @pytest.mark.parametrize("config, key, value", [
+        ("passive_tha.cfg", "channel.e0", "0.5"),
+        ("passive_tha.cfg", "conventions.q_proto", "0.5"),
+        ("passive_tha.cfg", "ivfit.temperature", "300"),
+        ("passive_tha.cfg", "emission.1.count_rate", "1e7"),
+        ("dual_source.cfg", "channel.e0", "0.5"),
+        ("dual_source.cfg", "conventions.p_z", "0.5"),
+        ("dual_source.cfg", "fringe.lambda_ref_nm", "1550"),
+        ("fringe.cfg", "conventions.e0", "0.5"),
+        ("fringe.cfg", "ivfit.windows", "0.1:0.5"),
+        ("ivfit.cfg", "fringe.smooth_window", "5"),
+        ("ivfit.cfg", "leakage.mu", "0.01"),
+        ("device.cfg", "intensities.s", "0.5"),
+        ("device.cfg", "conventions.f_ec", "1.2"),
+        ("device.cfg", "ivfit.trace", "../data/iv_trace.csv"),
+    ])
+    def test_key_the_mode_does_not_read(self, config, key, value):
+        data = parse_config_text((CONFIGS / config).read_text())
+        data[key] = value
+        with pytest.raises(ConfigurationError) as info:
+            config_from_mapping(data, base_dir=CONFIGS)
+        assert str(info.value) == f"unrecognized keys: {key}"
+
     def test_leakage_mu_direct(self):
         cfg = config_from_mapping({"mode": "passive_tha", "leakage.mu": "0.05"})
         assert cfg.mu_leak == 0.05
