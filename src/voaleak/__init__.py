@@ -64,16 +64,11 @@ from .leakage import EmissionSpec, mean_photon_number
 from .channel import (
     ChannelParams,
     Observables,
-    error_ij,
     observables_for_intensity,
-    transmittance,
-    yield_ij,
 )
 from .decoy import DecoyObservations, SinglePhotonBounds, single_photon_bounds
 from .security import (
     PROTOCOL_ANGLES,
-    DualSourceParams,
-    ThaParams,
     binary_entropy,
     calibrated_intensity,
     coin_imbalance,
@@ -116,13 +111,11 @@ __all__ = [
     # leakage
     "EmissionSpec", "mean_photon_number",
     # channel
-    "ChannelParams", "Observables", "transmittance", "yield_ij", "error_ij",
-    "observables_for_intensity",
+    "ChannelParams", "Observables", "observables_for_intensity",
     # decoy
     "DecoyObservations", "SinglePhotonBounds", "single_photon_bounds",
     # security
-    "PROTOCOL_ANGLES", "ThaParams", "DualSourceParams",
-    "binary_entropy", "coin_imbalance", "phase_error_with_tha",
+    "PROTOCOL_ANGLES", "binary_entropy", "coin_imbalance", "phase_error_with_tha",
     "gllp_key_rate", "dual_source_key_rate", "calibrated_intensity",
     # scenario
     "ScenarioConfig", "SweepResult", "WavelengthResult",

@@ -9,33 +9,24 @@ averaging over both photon numbers.
 
 All gains use expm1/log1p so that values near the dark-count floor keep
 full relative precision. `observables_for_intensity` and the
-transmittances are elementwise: the distance, the signal intensity and
-the parasitic intensity may each be a float or a numpy array, and they
-broadcast against each other. Floats come back as floats.
+`ChannelParams` transmittances are elementwise: the distance, the signal
+intensity and the parasitic intensity may each be a float or a numpy
+array, and they broadcast against each other. Floats come back as
+floats.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    UndefinedConditionalError,
-    UndefinedQberError,
-    check_range,
-    plain,
-)
+from .errors import UndefinedQberError, check_range, plain
 
 __all__ = [
     "ChannelParams",
     "Observables",
-    "transmittance",
-    "yield_ij",
-    "error_ij",
     "observables_for_intensity",
 ]
 
@@ -119,135 +110,20 @@ class Observables:
     qber: float
 
 
-def transmittance(alpha_db_per_km: float, distance_km: float) -> float:
-    """Fiber power transmittance 10^(-alpha L / 10).
-
-    Parameters
-    ----------
-    alpha_db_per_km : float
-        Attenuation coefficient [dB/km], >= 0.
-    distance_km : float
-        Fiber length [km], >= 0.
-
-    Returns
-    -------
-    float
-        Transmittance in (0, 1].
-    """
-    check_range("alpha", alpha_db_per_km, 0.0)
-    check_range("distance", distance_km, 0.0)
-    return plain(_transmittance(alpha_db_per_km, distance_km))
-
-
 def _transmittance(alpha_db_per_km, distance_km):
     # np.power, not `**`: Python's and numpy's scalar powers can differ
     # from numpy's array loop in the last bit, np.power never does.
     return np.power(10.0, -alpha_db_per_km * distance_km / 10.0)
 
 
-def _arrival(i: int, eta: float) -> float:
-    # P(at least one of i photons arrives) = 1 - (1 - eta)^i, computed
-    # stably; i == 0 is an empty product even when eta == 1.
-    if i == 0:
-        return 0.0
-    return -math.expm1(i * math.log1p(-eta)) if eta < 1.0 else 1.0
-
-
-def yield_ij(i: int, j: int, eta: float, eta_par: float, y0: float) -> float:
-    """Click probability given i signal and j parasitic photons sent.
-
-    Y_ij = 1 - (1 - eta_i)(1 - eta'_j)(1 - Y0) with
-    eta_i = 1 - (1 - eta)^i, for a threshold detector with independent
-    arrivals and dark counts.
-
-    Parameters
-    ----------
-    i, j : int
-        Photon numbers at the channel input, >= 0.
-    eta, eta_par : float
-        Per-photon end-to-end transmittances, in [0, 1].
-    y0 : float
-        Dark count probability, in [0, 1).
-
-    Returns
-    -------
-    float
-        Y_ij in [0, 1].
-    """
-    i, j = _check_yield_args(i, j, eta, eta_par, y0)
-    terms = 0.0
-    if i:
-        if eta == 1.0:
-            return 1.0
-        terms += i * math.log1p(-eta)
-    if j:
-        if eta_par == 1.0:
-            return 1.0
-        terms += j * math.log1p(-eta_par)
-    terms += math.log1p(-y0)
-    return -math.expm1(terms)
-
-
-def error_ij(
-    i: int,
-    j: int,
-    eta: float,
-    eta_par: float,
-    y0: float,
-    e_d: float,
-    e0: float,
-) -> float:
-    """Conditional error rate given i signal and j parasitic photons.
-
-    An erroneous detection occurs when at least one of the three
-    independent sources (signal arrival with misalignment e_d,
-    parasitic arrival with error e0, dark count with error e0) produces
-    an erroneous click; inclusion-exclusion gives
-
-    e_ij Y_ij = eta_i e_d + eta'_j e0 + Y0 e0
-                - eta_i eta'_j e_d e0 - eta_i Y0 e_d e0
-                - eta'_j Y0 e0^2 + eta_i eta'_j Y0 e_d e0^2
-
-    Parameters
-    ----------
-    i, j : int
-        Photon numbers at the channel input, >= 0.
-    eta, eta_par : float
-        Per-photon transmittances, in [0, 1].
-    y0 : float
-        Dark count probability, in [0, 1).
-    e_d : float
-        Signal misalignment error, in [0, 0.5].
-    e0 : float
-        Background error fraction, in [0, 1].
-
-    Returns
-    -------
-    float
-        e_ij in [0, 1].
-
-    Raises
-    ------
-    UndefinedConditionalError
-        If Y_ij = 0 (no detections to condition on).
-    """
-    i, j = _check_yield_args(i, j, eta, eta_par, y0)
-    check_range("e_d", e_d, 0.0, 0.5)
-    check_range("e0", e0, 0.0, 1.0)
-
-    y = yield_ij(i, j, eta, eta_par, y0)
-    if y == 0.0:
-        raise UndefinedConditionalError(
-            f"Y_{i}{j} = 0; conditional error rate undefined")
-    return _error_gain(_arrival(i, eta), _arrival(j, eta_par), y0, e_d, e0) / y
-
-
 def _error_gain(a, b, y0: float, e_d: float, e0: float):
-    # The inclusion-exclusion polynomial of `error_ij`, with a and b the
-    # arrival probabilities of the signal and the parasitic light. With
-    # A = e_d a, B = e0 b and C = y0 e0 it factors as
-    # (1 - C)(A (1 - B) + B) + C, whose terms never cancel and which
-    # costs an array 7 operations instead of 14.
+    # The error gain e_ij Y_ij: the probability that the signal (arrival
+    # probability a, error e_d), the parasitic light (b, e0) or a dark
+    # count (y0, e0) gives an erroneous click. Inclusion-exclusion gives
+    # e_d a + e0 b + e0 y0 - e_d e0 a b - e_d e0 a y0 - e0^2 b y0
+    # + e_d e0^2 a b y0. With A = e_d a, B = e0 b and C = y0 e0 it
+    # factors as (1 - C)(A (1 - B) + B) + C, whose terms never cancel
+    # and which costs an array 7 operations instead of 14.
     err_par, err_dark = e0 * b, y0 * e0
     return (1.0 - err_dark) * (e_d * a * (1.0 - err_par) + err_par) + err_dark
 
@@ -255,14 +131,28 @@ def _error_gain(a, b, y0: float, e_d: float, e0: float):
 def observables_for_intensity(gamma, mu_el, ch: ChannelParams) -> Observables:
     """Gain and QBER a receiver would record at one signal intensity.
 
+    Given i signal and j parasitic photons sent, a threshold detector
+    with independent arrivals and dark counts clicks with probability
+
+    Y_ij = 1 - (1 - eta_i)(1 - eta'_j)(1 - Y0),
+
+    with eta_i = 1 - (1 - eta)^i and eta'_j = 1 - (1 - eta')^j. The
+    click is an error if any of the three sources errs (signal with
+    e_d, parasitic light and dark count with e0); inclusion-exclusion
+    gives
+
+    e_ij Y_ij = eta_i e_d + eta'_j e0 + Y0 e0
+                - eta_i eta'_j e_d e0 - eta_i Y0 e_d e0
+                - eta'_j Y0 e0^2 + eta_i eta'_j Y0 e_d e0^2.
+
     Poisson averaging of Y_ij over both photon numbers gives the gain
 
     Q = 1 - (1 - Y0) exp(-gamma eta) exp(-mu_el eta'),
 
     and Poisson averaging of e_ij Y_ij replaces eta_i by
-    1 - exp(-gamma eta) and eta'_j by 1 - exp(-mu_el eta') in the
-    inclusion-exclusion expression of `error_ij`. With mu_el == 0 both
-    are exactly independent of the parasitic path.
+    1 - exp(-gamma eta) and eta'_j by 1 - exp(-mu_el eta') in that
+    expression. With mu_el == 0 both are exactly independent of the
+    parasitic path.
 
     Elementwise: gamma, mu_el and ch.distance broadcast against each
     other, so one call covers several intensities over a distance grid.
@@ -300,16 +190,3 @@ def observables_for_intensity(gamma, mu_el, ch: ChannelParams) -> Observables:
     e = _error_gain(-np.expm1(-sig), -np.expm1(-par), ch.y0, ch.e_d, ch.e0) / q
     return Observables(gain=plain(q), qber=plain(np.minimum(e, 1.0)))
 
-
-def _check_yield_args(i: int, j: int, eta: float, eta_par: float, y0: float):
-    try:
-        i = operator.index(i)
-        j = operator.index(j)
-    except TypeError:
-        raise DomainError(f"photon numbers must be integers, got {i!r}, {j!r}") from None
-    if i < 0 or j < 0:
-        raise DomainError(f"photon numbers must be >= 0, got {i}, {j}")
-    check_range("eta", eta, 0.0, 1.0)
-    check_range("eta_par", eta_par, 0.0, 1.0)
-    check_range("y0", y0, 0.0, 1.0, hi_open=True)
-    return i, j

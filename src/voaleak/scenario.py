@@ -39,12 +39,7 @@ from .errors import (
 )
 from .fringe import ExtremaPair, FringeTrace, center_wavelength, find_extrema_pair
 from .leakage import EmissionSpec, mean_photon_number
-from .security import (
-    DualSourceParams,
-    ThaParams,
-    dual_source_key_rate,
-    gllp_key_rate,
-)
+from .security import dual_source_key_rate, gllp_key_rate
 from .voa_physics import DEFAULT_FIT_WINDOWS, IdealityFit, IvCurve, fit_ideality
 
 __all__ = [
@@ -531,13 +526,11 @@ def _sweep(config: ScenarioConfig) -> SweepResult:
     bounds = single_photon_bounds(decoy)
     columns = (decoy.q_s, decoy.e_s, bounds.y1_lower, bounds.e1_upper)
     if dual:
-        base, leak = dual_source_key_rate(
-            decoy, bounds, DualSourceParams(q_proto=config.q_proto, f_ec=config.f_ec))
+        base, leak = dual_source_key_rate(decoy, bounds, config.q_proto, config.f_ec)
         # The rows report the contaminated observables and bounds.
         columns = [column[1] for column in columns]
     else:
-        base, leak = gllp_key_rate(decoy, bounds, ThaParams(
-            mu_eve=leaks, p_z=config.p_z, f_ec=config.f_ec))
+        base, leak = gllp_key_rate(decoy, bounds, leaks, config.p_z, config.f_ec)
     table = np.column_stack((grid, base, leak, *columns))
     table.flags.writeable = False
     return SweepResult(table)

@@ -27,7 +27,6 @@ back as floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +35,6 @@ from .errors import CalibrationError, check_range, plain
 
 __all__ = [
     "PROTOCOL_ANGLES",
-    "ThaParams",
-    "DualSourceParams",
     "binary_entropy",
     "coin_imbalance",
     "phase_error_with_tha",
@@ -53,44 +50,6 @@ PROTOCOL_ANGLES: tuple[float, float, float, float] = (
     0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
 
 _TINY = math.ulp(0.0)
-
-
-@dataclass(frozen=True)
-class ThaParams:
-    """Parameters of the pre-encoder (Trojan-horse) analysis.
-
-    Attributes:
-        mu_eve: Mean leaked photon number available to Eve, >= 0; an
-            array of them gives one key rate per element.
-        p_z: Key-basis selection probability, in (0, 1].
-        f_ec: Error-correction inefficiency, >= 1.
-    """
-
-    mu_eve: float
-    p_z: float = 1.0
-    f_ec: float = 1.2
-
-    def __post_init__(self):
-        check_range("mu_eve", self.mu_eve, 0.0)
-        check_range("p_z", self.p_z, 0.0, 1.0, lo_open=True)
-        check_range("f_ec", self.f_ec, 1.0)
-
-
-@dataclass(frozen=True)
-class DualSourceParams:
-    """Parameters of the post-encoder (dual-source) analysis.
-
-    Attributes:
-        q_proto: Sifting factor of the protocol, in (0, 1].
-        f_ec: Error-correction inefficiency, >= 1.
-    """
-
-    q_proto: float = 0.5
-    f_ec: float = 1.2
-
-    def __post_init__(self):
-        check_range("q_proto", self.q_proto, 0.0, 1.0, lo_open=True)
-        check_range("f_ec", self.f_ec, 1.0)
 
 
 def binary_entropy(x: float) -> float:
@@ -205,7 +164,11 @@ def _phase_error(e_x, delta_prime):
 
 
 def gllp_key_rate(
-    obs: DecoyObservations, bounds: SinglePhotonBounds, tha: ThaParams
+    obs: DecoyObservations,
+    bounds: SinglePhotonBounds,
+    mu_eve: float,
+    p_z: float = 1.0,
+    f_ec: float = 1.2,
 ) -> float:
     """Asymptotic GLLP key rate under pre-encoder leakage.
 
@@ -219,29 +182,39 @@ def gllp_key_rate(
         obs: Measured observables (only q_s, e_s and s are used here;
             the decoy bounds were estimated from the full set).
         bounds: Single-photon bounds from the same observations.
-        tha: Leakage intensity and protocol conventions.
+        mu_eve: Mean leaked photon number available to Eve, >= 0; an
+            array of them gives one key rate per element.
+        p_z: Key-basis selection probability, in (0, 1].
+        f_ec: Error-correction inefficiency, >= 1.
 
     Returns:
         Secret key rate per pulse, >= 0: a float, or an array of the
-        shape of obs and bounds.
+        shape of obs, bounds and mu_eve.
+
+    Raises:
+        DomainError: if mu_eve, p_z or f_ec is outside its domain.
     """
+    check_range("mu_eve", mu_eve, 0.0)
+    check_range("p_z", p_z, 0.0, 1.0, lo_open=True)
+    check_range("f_ec", f_ec, 1.0)
     y1 = bounds.y1_lower
-    # Every input was checked by its record, so the formula bodies run
-    # without the checks of their public entry points. Where Y1^L = 0
-    # the privacy term is 0 whatever e_X' is, so Delta' divides by 1
-    # there to stay finite.
-    delta_prime = _coins(tha.mu_eve) / (y1 + (y1 == 0.0))
+    # obs and bounds were checked by their records, so the formula
+    # bodies run without the checks of their public entry points. Where
+    # Y1^L = 0 the privacy term is 0 whatever e_X' is, so Delta' divides
+    # by 1 there to stay finite.
+    delta_prime = _coins(mu_eve) / (y1 + (y1 == 0.0))
     ex_prime = _phase_error(bounds.e1_upper, delta_prime)
     p1 = obs.s * math.exp(-obs.s)
-    priv = tha.p_z ** 2 * p1 * y1 * (1.0 - _h2(ex_prime))
-    ec = tha.p_z ** 2 * obs.q_s * tha.f_ec * _h2(obs.e_s)
+    priv = p_z ** 2 * p1 * y1 * (1.0 - _h2(ex_prime))
+    ec = p_z ** 2 * obs.q_s * f_ec * _h2(obs.e_s)
     return plain(np.maximum(priv - ec, 0.0))
 
 
 def dual_source_key_rate(
     obs: DecoyObservations,
     bounds: SinglePhotonBounds,
-    params: DualSourceParams = DualSourceParams(),
+    q_proto: float = 0.5,
+    f_ec: float = 1.2,
 ) -> float:
     """Asymptotic decoy-BB84 key rate on (possibly contaminated) data.
 
@@ -256,15 +229,21 @@ def dual_source_key_rate(
     Args:
         obs: Observables measured at the receiver.
         bounds: Single-photon bounds estimated from obs.
-        params: Sifting and error-correction conventions.
+        q_proto: Sifting factor of the protocol, in (0, 1].
+        f_ec: Error-correction inefficiency, >= 1.
 
     Returns:
         Secret key rate per pulse, >= 0: a float, or an array of the
         shape of obs and bounds.
+
+    Raises:
+        DomainError: if q_proto or f_ec is outside its domain.
     """
+    check_range("q_proto", q_proto, 0.0, 1.0, lo_open=True)
+    check_range("f_ec", f_ec, 1.0)
     priv = bounds.q1_lower * (1.0 - _h2(bounds.e1_upper))
-    ec = obs.q_s * params.f_ec * _h2(obs.e_s)
-    return plain(np.maximum(params.q_proto * (priv - ec), 0.0))
+    ec = obs.q_s * f_ec * _h2(obs.e_s)
+    return plain(np.maximum(q_proto * (priv - ec), 0.0))
 
 
 def calibrated_intensity(q_observed: float, eta: float, y0: float) -> float:

@@ -18,7 +18,6 @@ from voaleak import (
     ExtremaPair,
     IvCurve,
     ScenarioConfig,
-    ThaParams,
     bandgap_wavelength,
     binary_entropy,
     center_wavelength,
@@ -254,7 +253,7 @@ def test_zero_leak_reduces_to_standard_rate():
             1.0 - binary_entropy(bounds.e1_upper))
         ec = 1.0 ** 2 * obs.q_s * 1.2 * binary_entropy(obs.e_s)
         standard = max(0.0, priv - ec)
-        ok = ok and gllp_key_rate(obs, bounds, ThaParams(0.0)) == standard
+        ok = ok and gllp_key_rate(obs, bounds, 0.0) == standard
     check(ok, "zero leak: coin-bound rate equals standard decoy rate "
               "bit-for-bit")
 

@@ -17,12 +17,10 @@ from voaleak import (
     ConfigurationError,
     DecoyObservations,
     DomainError,
-    DualSourceParams,
     EmissionSpec,
     ExtremaPair,
     IvCurve,
     SinglePhotonBounds,
-    ThaParams,
     attenuation_db,
     attenuation_from_counts,
     bandgap_wavelength,
@@ -30,13 +28,12 @@ from voaleak import (
     calibrated_intensity,
     center_wavelength,
     coin_imbalance,
-    error_ij,
+    dual_source_key_rate,
     fit_ideality,
+    gllp_key_rate,
     observables_for_intensity,
     phase_error_with_tha,
     plasma_dispersion_general,
-    transmittance,
-    yield_ij,
 )
 from helpers import shockley_curve
 
@@ -82,9 +79,8 @@ CHANNEL = dict(distance=10.0, alpha_sig=0.2, alpha_par=0.8,
 DECOY = dict(s=0.48, nu=0.02, omega=0.001, q_s=0.3, q_nu=0.02,
              q_omega=0.001, e_s=0.01, e_nu=0.02, e_omega=0.2)
 BOUNDS = dict(y1_lower=0.5, e1_upper=0.1, q1_lower=0.1, y0_lower=1e-6)
+RUN = (DecoyObservations(**DECOY), SinglePhotonBounds(**BOUNDS))
 EMISSION = dict(drive_voltage=2.0, count_rate=5.82e7, pulse_width=1.6e-9)
-YIELD = dict(i=1, j=1, eta=0.1, eta_par=0.1, y0=1e-6)
-ERROR = dict(YIELD, e_d=0.0061, e0=0.5)
 IV = IvCurve(*shockley_curve(2.0))
 PAIR = ExtremaPair(1.0, 2.0)
 
@@ -97,17 +93,6 @@ CASES = [
                     ("eta_bob_par", open_closed(0.0, 1.0)),
                     ("y0", half_open(0.0, 1.0)),
                     ("e_d", closed(0.0, 0.5)),
-                    ("e0", closed(0.0, 1.0)))),
-    Case("transmittance.alpha", lambda v: transmittance(v, 10.0),
-         *half_open(0.0, INF)),
-    Case("transmittance.distance", lambda v: transmittance(0.2, v),
-         *half_open(0.0, INF)),
-    *(Case(f"yield_ij.{n}", with_field(yield_ij, YIELD, n), *iv)
-      for n, iv in (("eta", closed(0.0, 1.0)), ("eta_par", closed(0.0, 1.0)),
-                    ("y0", half_open(0.0, 1.0)))),
-    *(Case(f"error_ij.{n}", with_field(error_ij, ERROR, n), *iv)
-      for n, iv in (("eta", closed(0.0, 1.0)), ("eta_par", closed(0.0, 1.0)),
-                    ("y0", half_open(0.0, 1.0)), ("e_d", closed(0.0, 0.5)),
                     ("e0", closed(0.0, 1.0)))),
     Case("observables_for_intensity.gamma",
          lambda v: observables_for_intensity(v, 0.01, ChannelParams()),
@@ -132,15 +117,16 @@ CASES = [
            with_field(SinglePhotonBounds, BOUNDS, n), *closed(0.0, hi))
       for n, hi in (("y1_lower", 1.0), ("e1_upper", 0.5),
                     ("q1_lower", 1.0), ("y0_lower", 1.0))),
-    Case("ThaParams.mu_eve", lambda v: ThaParams(v), *half_open(0.0, INF)),
-    Case("ThaParams.p_z", lambda v: ThaParams(0.1, p_z=v),
+    Case("gllp_key_rate.mu_eve", lambda v: gllp_key_rate(*RUN, v),
+         *half_open(0.0, INF)),
+    Case("gllp_key_rate.p_z", lambda v: gllp_key_rate(*RUN, 0.1, p_z=v),
          *open_closed(0.0, 1.0)),
-    Case("ThaParams.f_ec", lambda v: ThaParams(0.1, f_ec=v),
+    Case("gllp_key_rate.f_ec", lambda v: gllp_key_rate(*RUN, 0.1, f_ec=v),
          *half_open(1.0, INF)),
-    Case("DualSourceParams.q_proto", lambda v: DualSourceParams(q_proto=v),
-         *open_closed(0.0, 1.0)),
-    Case("DualSourceParams.f_ec", lambda v: DualSourceParams(f_ec=v),
-         *half_open(1.0, INF)),
+    Case("dual_source_key_rate.q_proto",
+         lambda v: dual_source_key_rate(*RUN, q_proto=v), *open_closed(0.0, 1.0)),
+    Case("dual_source_key_rate.f_ec",
+         lambda v: dual_source_key_rate(*RUN, f_ec=v), *half_open(1.0, INF)),
     Case("binary_entropy.x", binary_entropy, *closed(0.0, 1.0)),
     Case("coin_imbalance.mu", coin_imbalance, *half_open(0.0, INF)),
     Case("phase_error_with_tha.e_x", lambda v: phase_error_with_tha(v, 0.01),

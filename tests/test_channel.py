@@ -8,39 +8,16 @@ import pytest
 from voaleak import (
     ChannelParams,
     DomainError,
-    UndefinedConditionalError,
     UndefinedQberError,
-    error_ij,
     observables_for_intensity,
-    transmittance,
-    yield_ij,
 )
+from voaleak.channel import _error_gain
 from helpers import (
     brute_force_error_gain,
     brute_force_gain,
     error_rate_enumeration,
     random_channel,
 )
-
-
-class TestTransmittance:
-    def test_zero_distance(self):
-        assert transmittance(0.2, 0.0) == 1.0
-
-    def test_ten_db(self):
-        assert transmittance(0.2, 50.0) == pytest.approx(0.1, rel=1e-12)
-
-    def test_parasitic_at_15km(self):
-        assert transmittance(0.8, 15.0) == pytest.approx(
-            0.06309573444801933, rel=1e-12)
-
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(DomainError):
-            transmittance(-0.1, 10.0)
-
-    def test_negative_distance_rejected(self):
-        with pytest.raises(DomainError):
-            transmittance(0.2, -1.0)
 
 
 class TestChannelParams:
@@ -63,74 +40,16 @@ class TestChannelParams:
         assert ch.eta_signal() == pytest.approx(0.1 * 0.78, rel=1e-12)
         assert ch.eta_parasitic() == pytest.approx(1e-4 * 0.25, rel=1e-12)
 
-
-class TestYieldIj:
-    def test_vacuum_vacuum(self):
-        assert yield_ij(0, 0, 0.3, 0.1, 0.01) == 0.01
-
-    def test_perfect_transmission_saturates(self):
-        assert yield_ij(1, 0, 1.0, 0.1, 0.0) == 1.0
-        assert yield_ij(3, 7, 1.0, 0.9, 0.5) == 1.0
-
-    def test_two_one_point(self):
-        y = yield_ij(2, 1, 0.3, 0.1, 0.01)
-        assert y == pytest.approx(0.56341, abs=1e-10)
-        assert y == pytest.approx(1.0 - 0.49 * 0.9 * 0.99, rel=1e-12)
-
-    def test_negative_photon_number_rejected(self):
-        with pytest.raises(DomainError):
-            yield_ij(-1, 0, 0.3, 0.1, 0.01)
-
-    def test_non_integer_photon_number_rejected(self):
-        with pytest.raises(DomainError):
-            yield_ij(1.5, 0, 0.3, 0.1, 0.01)
-
-    def test_numpy_integers_accepted(self):
-        assert yield_ij(np.int64(2), np.int64(1), 0.3, 0.1, 0.01) == \
-            yield_ij(2, 1, 0.3, 0.1, 0.01)
-
-    def test_monotone_in_photon_numbers(self):
-        prev = 0.0
-        for i in range(6):
-            y = yield_ij(i, 0, 0.25, 0.1, 1e-6)
-            assert y > prev or i == 0
-            prev = y
-
-
-class TestErrorIj:
-    def test_background_only(self):
-        assert error_ij(0, 0, 0.3, 0.1, 0.01, 0.02, 0.5) == pytest.approx(
-            0.5, rel=1e-12)
-
-    def test_signal_only(self):
-        assert error_ij(3, 0, 0.3, 0.1, 0.0, 0.02, 0.5) == pytest.approx(
-            0.02, rel=1e-12)
-
-    def test_one_one_frozen_point(self):
-        e = error_ij(1, 1, 0.5, 0.5, 0.0, 0.01, 0.5)
-        assert e == pytest.approx(0.3383333333333334, rel=1e-12)
-
-    def test_matches_enumeration_oracle(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            i, j = int(rng.integers(0, 5)), int(rng.integers(0, 5))
-            eta = float(rng.uniform(0.0, 1.0))
-            etap = float(rng.uniform(0.0, 1.0))
-            y0 = float(rng.uniform(0.0, 0.2))
-            e_d = float(rng.uniform(0.0, 0.5))
-            e0 = float(rng.uniform(0.0, 1.0))
-            try:
-                want = error_rate_enumeration(i, j, eta, etap, y0, e_d, e0)
-            except ZeroDivisionError:
-                with pytest.raises(UndefinedConditionalError):
-                    error_ij(i, j, eta, etap, y0, e_d, e0)
-                continue
-            got = error_ij(i, j, eta, etap, y0, e_d, e0)
-            assert got == pytest.approx(want, rel=1e-10, abs=1e-15)
-
-    def test_undefined_when_yield_zero(self):
-        with pytest.raises(UndefinedConditionalError):
-            error_ij(0, 0, 0.3, 0.1, 0.0, 0.02, 0.5)
+    def test_fiber_transmittances(self):
+        # With receiver efficiency 1 the end-to-end transmittance is the
+        # fiber's 10^(-alpha L / 10).
+        assert ChannelParams(eta_bob_sig=1.0).eta_signal() == 1.0
+        assert ChannelParams(distance=50.0, alpha_sig=0.2,
+                             eta_bob_sig=1.0).eta_signal() == pytest.approx(
+            0.1, rel=1e-12)
+        assert ChannelParams(distance=15.0, alpha_par=0.8,
+                             eta_bob_par=1.0).eta_parasitic() == pytest.approx(
+            0.06309573444801933, rel=1e-12)
 
 
 def error_gain(gamma, mu_el, ch):
@@ -200,6 +119,27 @@ class TestDualSourceErrorGain:
             got = error_gain(gamma, mu_el, ch)
             want = brute_force_error_gain(gamma, mu_el, ch)
             assert got == pytest.approx(want, rel=1e-10)
+
+    def test_matches_enumeration_oracle(self):
+        # The error gain polynomial at fixed photon numbers i and j,
+        # against the 27-outcome enumeration of the three click sources.
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            i, j = int(rng.integers(0, 5)), int(rng.integers(0, 5))
+            eta = float(rng.uniform(0.0, 1.0))
+            etap = float(rng.uniform(0.0, 1.0))
+            y0 = float(rng.uniform(0.0, 0.2))
+            e_d = float(rng.uniform(0.0, 0.5))
+            e0 = float(rng.uniform(0.0, 1.0))
+            a, b = 1.0 - (1.0 - eta) ** i, 1.0 - (1.0 - etap) ** j
+            y = 1.0 - (1.0 - a) * (1.0 - b) * (1.0 - y0)
+            try:
+                want = error_rate_enumeration(i, j, eta, etap, y0, e_d, e0)
+            except ZeroDivisionError:
+                assert y == 0.0
+                continue
+            got = _error_gain(a, b, y0, e_d, e0) / y
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-15)
 
 
 class TestObservables:

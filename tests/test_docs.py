@@ -1,7 +1,8 @@
-"""The demos and the README's library quick start run as published."""
+"""The demos and the README's examples and CLI commands run as published."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -33,8 +34,8 @@ def test_demo_runs(demo, tmp_path):
     assert child.returncode == 0, child.stderr
 
 
-README_BLOCKS = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(),
-                           flags=re.DOTALL)
+README = (ROOT / "README.md").read_text()
+README_BLOCKS = re.findall(r"```python\n(.*?)```", README, flags=re.DOTALL)
 
 
 def test_readme_quick_start_runs(tmp_path):
@@ -48,3 +49,30 @@ def test_readme_quick_start_runs(tmp_path):
 def test_readme_example_runs(block, tmp_path):
     child = run_python(["-c", block], tmp_path)
     assert child.returncode == 0, child.stderr
+
+
+def readme_commands():
+    """Arguments of every `voaleak` line in the README's sh blocks."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README, flags=re.DOTALL):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["voaleak"]:
+                commands.append(words[1:])
+    return commands
+
+
+README_COMMANDS = readme_commands()
+
+
+def test_readme_commands_found():
+    assert README_COMMANDS, "README has no voaleak command"
+
+
+@pytest.mark.parametrize("args", README_COMMANDS,
+                         ids=[" ".join(a) for a in README_COMMANDS])
+def test_readme_command_runs(args, tmp_path):
+    args = [str(ROOT / a) if a.startswith("configs/") else a for a in args]
+    child = run_python(["-m", "voaleak.cli", *args], tmp_path)
+    assert child.returncode == 0, child.stderr
+    assert child.stderr == ""

@@ -16,12 +16,10 @@ import voaleak.scenario as scenario
 from voaleak import (
     ConfigurationError,
     DecoyObservations,
-    DualSourceParams,
     FringeTrace,
     IvCurve,
     ScenarioConfig,
     SweepResult,
-    ThaParams,
     TraceParseError,
     TraceSchemaError,
     dual_source_key_rate,
@@ -273,13 +271,12 @@ def _scalar_chain_row(cfg: ScenarioConfig, d: float) -> tuple[float, ...]:
         return obs, single_photon_bounds(obs)
 
     if cfg.mode == "dual_source":
-        params = DualSourceParams(q_proto=cfg.q_proto, f_ec=cfg.f_ec)
-        base = dual_source_key_rate(*decoy(0.0), params)
+        base = dual_source_key_rate(*decoy(0.0), cfg.q_proto, cfg.f_ec)
         obs, bounds = decoy(cfg.mu_leak)
-        leak = dual_source_key_rate(obs, bounds, params)
+        leak = dual_source_key_rate(obs, bounds, cfg.q_proto, cfg.f_ec)
     else:
         obs, bounds = decoy(0.0)
-        base, leak = (gllp_key_rate(obs, bounds, ThaParams(mu, p_z=cfg.p_z, f_ec=cfg.f_ec))
+        base, leak = (gllp_key_rate(obs, bounds, mu, p_z=cfg.p_z, f_ec=cfg.f_ec)
                       for mu in (0.0, cfg.mu_leak))
     return d, base, leak, obs.q_s, obs.e_s, bounds.y1_lower, bounds.e1_upper
 

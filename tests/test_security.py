@@ -10,9 +10,7 @@ from voaleak import (
     CalibrationError,
     ChannelParams,
     DomainError,
-    DualSourceParams,
     SinglePhotonBounds,
-    ThaParams,
     binary_entropy,
     calibrated_intensity,
     coin_imbalance,
@@ -134,24 +132,26 @@ class TestParams:
         assert len(PROTOCOL_ANGLES) == 4
 
     def test_tha_validation(self):
+        obs, bounds = table_run()
         with pytest.raises(DomainError):
-            ThaParams(-0.1)
+            gllp_key_rate(obs, bounds, -0.1)
         with pytest.raises(DomainError):
-            ThaParams(0.1, p_z=0.0)
+            gllp_key_rate(obs, bounds, 0.1, p_z=0.0)
         with pytest.raises(DomainError):
-            ThaParams(0.1, f_ec=0.9)
+            gllp_key_rate(obs, bounds, 0.1, f_ec=0.9)
 
     def test_dual_validation(self):
+        obs, bounds = table_run()
         with pytest.raises(DomainError):
-            DualSourceParams(q_proto=0.0)
+            dual_source_key_rate(obs, bounds, q_proto=0.0)
         with pytest.raises(DomainError):
-            DualSourceParams(f_ec=0.5)
+            dual_source_key_rate(obs, bounds, f_ec=0.5)
 
 
 class TestGllpKeyRate:
     def test_clean_rate_matches_standard_formula(self):
         obs, bounds = table_run()
-        got = gllp_key_rate(obs, bounds, ThaParams(0.0))
+        got = gllp_key_rate(obs, bounds, 0.0)
         p1 = obs.s * math.exp(-obs.s)
         want = max(0.0, p1 * bounds.y1_lower
                    * (1.0 - binary_entropy(bounds.e1_upper))
@@ -160,14 +160,14 @@ class TestGllpKeyRate:
 
     def test_frozen_values_at_zero_distance(self):
         obs, bounds = table_run()
-        assert gllp_key_rate(obs, bounds, ThaParams(0.0)) == pytest.approx(
+        assert gllp_key_rate(obs, bounds, 0.0) == pytest.approx(
             0.19844441919682251, rel=1e-12)
-        assert gllp_key_rate(obs, bounds, ThaParams(0.0977)) == pytest.approx(
+        assert gllp_key_rate(obs, bounds, 0.0977) == pytest.approx(
             0.04088125638333813, rel=1e-12)
 
     def test_monotone_in_leak_intensity(self):
         obs, bounds = table_run(distance=5.0)
-        rates = [gllp_key_rate(obs, bounds, ThaParams(m))
+        rates = [gllp_key_rate(obs, bounds, m)
                  for m in (0.0, 0.0048, 0.0388, 0.0977)]
         assert all(b < a for a, b in zip(rates, rates[1:]))
 
@@ -175,20 +175,20 @@ class TestGllpKeyRate:
         obs, _ = table_run()
         dead = SinglePhotonBounds(y1_lower=0.0, e1_upper=0.5,
                                   q1_lower=0.0, y0_lower=0.0, clamp_events=1)
-        assert gllp_key_rate(obs, dead, ThaParams(0.0977)) == 0.0
+        assert gllp_key_rate(obs, dead, 0.0977) == 0.0
 
     def test_strong_leak_kills_rate_at_range(self):
         obs, bounds = table_run(distance=13.0)
-        assert gllp_key_rate(obs, bounds, ThaParams(0.0)) == pytest.approx(
+        assert gllp_key_rate(obs, bounds, 0.0) == pytest.approx(
             0.1079511235360605, rel=1e-12)
-        assert gllp_key_rate(obs, bounds, ThaParams(0.0977)) == 0.0
+        assert gllp_key_rate(obs, bounds, 0.0977) == 0.0
 
 
 class TestDualSourceKeyRate:
     def test_clean_rate_is_half_the_unsifted_rate(self):
         obs, bounds = table_run(distance=13.0)
         dual = dual_source_key_rate(obs, bounds)
-        full = gllp_key_rate(obs, bounds, ThaParams(0.0))
+        full = gllp_key_rate(obs, bounds, 0.0)
         assert dual == 0.5 * full
         assert dual == pytest.approx(0.05397556176803025, rel=1e-12)
 
