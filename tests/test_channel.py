@@ -8,6 +8,7 @@ import pytest
 from voaleak import (
     ChannelParams,
     DomainError,
+    UndefinedConditionalError,
     UndefinedQberError,
     observables_for_intensity,
 )
@@ -40,16 +41,28 @@ class TestChannelParams:
         assert ch.eta_signal() == pytest.approx(0.1 * 0.78, rel=1e-12)
         assert ch.eta_parasitic() == pytest.approx(1e-4 * 0.25, rel=1e-12)
 
-    def test_fiber_transmittances(self):
-        # With receiver efficiency 1 the end-to-end transmittance is the
-        # fiber's 10^(-alpha L / 10).
+    # With receiver efficiency 1 the end-to-end transmittance is the
+    # fiber's 10^(-alpha L / 10).
+    def test_fiber_transmittance_at_zero_distance(self):
         assert ChannelParams(eta_bob_sig=1.0).eta_signal() == 1.0
+
+    def test_fiber_transmittance_ten_db(self):
         assert ChannelParams(distance=50.0, alpha_sig=0.2,
                              eta_bob_sig=1.0).eta_signal() == pytest.approx(
             0.1, rel=1e-12)
+
+    def test_fiber_transmittance_parasitic_at_15km(self):
         assert ChannelParams(distance=15.0, alpha_par=0.8,
                              eta_bob_par=1.0).eta_parasitic() == pytest.approx(
             0.06309573444801933, rel=1e-12)
+
+    def test_distance_grid_matches_scalar_calls(self):
+        grid = np.array([0.0, 7.5, 50.0, 123.4])
+        ch = ChannelParams(distance=grid)
+        for k, d in enumerate(grid):
+            one = ChannelParams(distance=float(d))
+            assert ch.eta_signal()[k] == one.eta_signal()
+            assert ch.eta_parasitic()[k] == one.eta_parasitic()
 
 
 def error_gain(gamma, mu_el, ch):
@@ -140,6 +153,85 @@ class TestDualSourceErrorGain:
                 continue
             got = _error_gain(a, b, y0, e_d, e0) / y
             assert got == pytest.approx(want, rel=1e-10, abs=1e-15)
+
+
+class TestErrorGainPolynomial:
+    # _error_gain(a, b, y0, e_d, e0) / Y is the error rate e_ij at fixed
+    # photon numbers, with a = 1 - (1 - eta)^i, b = 1 - (1 - eta')^j and
+    # Y = 1 - (1 - a)(1 - b)(1 - y0).
+    @staticmethod
+    def error_rate(i, j, eta, etap, y0, e_d, e0):
+        a, b = 1.0 - (1.0 - eta) ** i, 1.0 - (1.0 - etap) ** j
+        y = 1.0 - (1.0 - a) * (1.0 - b) * (1.0 - y0)
+        return _error_gain(a, b, y0, e_d, e0) / y
+
+    def test_background_only(self):
+        assert self.error_rate(0, 0, 0.3, 0.1, 0.01, 0.02, 0.5) == \
+            pytest.approx(0.5, rel=1e-12)
+
+    def test_signal_only(self):
+        assert self.error_rate(3, 0, 0.3, 0.1, 0.0, 0.02, 0.5) == \
+            pytest.approx(0.02, rel=1e-12)
+
+    def test_one_one_frozen_point(self):
+        assert self.error_rate(1, 1, 0.5, 0.5, 0.0, 0.01, 0.5) == \
+            pytest.approx(0.3383333333333334, rel=1e-12)
+
+    def test_factored_form_equals_inclusion_exclusion(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            a, b = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 1.0))
+            y0 = float(rng.uniform(0.0, 0.2))
+            e_d = float(rng.uniform(0.0, 0.5))
+            e0 = float(rng.uniform(0.0, 1.0))
+            want = (e_d * a + e0 * b + e0 * y0 - e_d * e0 * a * b
+                    - e_d * e0 * a * y0 - e0 ** 2 * b * y0
+                    + e_d * e0 ** 2 * a * b * y0)
+            assert _error_gain(a, b, y0, e_d, e0) == pytest.approx(
+                want, rel=1e-12, abs=1e-15)
+
+
+class TestObservablesElementwise:
+    def test_float_inputs_give_floats(self):
+        obs = observables_for_intensity(0.48, 0.01, ChannelParams(distance=5.0))
+        assert type(obs.gain) is float
+        assert type(obs.qber) is float
+
+    def test_distance_grid_matches_scalar_calls(self):
+        grid = np.array([0.0, 5.0, 13.0, 60.0])
+        obs = observables_for_intensity(0.48, 0.0977, ChannelParams(distance=grid))
+        assert obs.gain.shape == obs.qber.shape == grid.shape
+        for k, d in enumerate(grid):
+            one = observables_for_intensity(
+                0.48, 0.0977, ChannelParams(distance=float(d)))
+            assert obs.gain[k] == one.gain
+            assert obs.qber[k] == one.qber
+
+    def test_intensities_broadcast_against_distances(self):
+        gammas = np.array([[0.48], [0.02], [0.001]])
+        grid = np.array([0.0, 10.0, 40.0])
+        obs = observables_for_intensity(gammas, 0.01, ChannelParams(distance=grid))
+        assert obs.gain.shape == (3, 3)
+        for r, g in enumerate(gammas[:, 0]):
+            for c, d in enumerate(grid):
+                one = observables_for_intensity(
+                    float(g), 0.01, ChannelParams(distance=float(d)))
+                assert (obs.gain[r, c], obs.qber[r, c]) == (one.gain, one.qber)
+
+    def test_zero_gain_anywhere_raises(self):
+        ch = ChannelParams(distance=10.0, y0=0.0)
+        with pytest.raises(UndefinedQberError):
+            observables_for_intensity(np.array([0.48, 0.0]), 0.0, ch)
+
+    def test_negative_intensity_in_array_rejected(self):
+        with pytest.raises(DomainError, match="mu_el"):
+            observables_for_intensity(0.48, np.array([0.01, -1e-9]),
+                                      ChannelParams(distance=10.0))
+
+    def test_undefined_qber_is_an_undefined_conditional_error(self):
+        ch = ChannelParams(distance=10.0, y0=0.0)
+        with pytest.raises(UndefinedConditionalError):
+            observables_for_intensity(0.0, 0.0, ch)
 
 
 class TestObservables:

@@ -147,6 +147,53 @@ class TestParams:
         with pytest.raises(DomainError):
             dual_source_key_rate(obs, bounds, f_ec=0.5)
 
+    # Each rate checks its arguments in signature order, so a call with
+    # several bad values names the first of them.
+    def test_gllp_checks_mu_eve_first(self):
+        obs, bounds = table_run()
+        with pytest.raises(DomainError, match="mu_eve"):
+            gllp_key_rate(obs, bounds, -0.1, p_z=0.0, f_ec=0.9)
+
+    def test_gllp_checks_p_z_before_f_ec(self):
+        obs, bounds = table_run()
+        with pytest.raises(DomainError, match="p_z"):
+            gllp_key_rate(obs, bounds, 0.1, p_z=0.0, f_ec=0.9)
+
+    def test_dual_checks_q_proto_before_f_ec(self):
+        obs, bounds = table_run()
+        with pytest.raises(DomainError, match="q_proto"):
+            dual_source_key_rate(obs, bounds, q_proto=0.0, f_ec=0.5)
+
+    def test_gllp_rejects_a_bad_element_of_a_leak_array(self):
+        obs, bounds = table_run()
+        with pytest.raises(DomainError, match="mu_eve"):
+            gllp_key_rate(obs, bounds, np.array([0.0, 0.01, -1e-3]))
+
+    def test_gllp_rejects_nan_in_a_leak_array(self):
+        obs, bounds = table_run()
+        with pytest.raises(DomainError, match="mu_eve"):
+            gllp_key_rate(obs, bounds, np.array([0.0, math.nan, 0.01]))
+
+    def test_gllp_positional_arguments_match_keywords(self):
+        obs, bounds = table_run(distance=5.0)
+        assert (gllp_key_rate(obs, bounds, 0.01, 0.7, 1.1)
+                == gllp_key_rate(obs, bounds, mu_eve=0.01, p_z=0.7, f_ec=1.1))
+
+    def test_dual_positional_arguments_match_keywords(self):
+        obs, bounds = table_run(distance=5.0, mu_el=0.01)
+        assert (dual_source_key_rate(obs, bounds, 0.7, 1.1)
+                == dual_source_key_rate(obs, bounds, q_proto=0.7, f_ec=1.1))
+
+    def test_gllp_defaults(self):
+        obs, bounds = table_run(distance=5.0)
+        assert (gllp_key_rate(obs, bounds, 0.01)
+                == gllp_key_rate(obs, bounds, 0.01, p_z=1.0, f_ec=1.2))
+
+    def test_dual_defaults(self):
+        obs, bounds = table_run(distance=5.0, mu_el=0.01)
+        assert (dual_source_key_rate(obs, bounds)
+                == dual_source_key_rate(obs, bounds, q_proto=0.5, f_ec=1.2))
+
 
 class TestGllpKeyRate:
     def test_clean_rate_matches_standard_formula(self):
@@ -183,6 +230,34 @@ class TestGllpKeyRate:
             0.1079511235360605, rel=1e-12)
         assert gllp_key_rate(obs, bounds, 0.0977) == 0.0
 
+    def test_rate_scales_with_p_z_squared(self):
+        # Scaling by 1/4 is exact, so the halved basis probability gives
+        # a quarter of the rate to the bit.
+        obs, bounds = table_run(distance=5.0)
+        assert (gllp_key_rate(obs, bounds, 0.01, p_z=0.5)
+                == 0.25 * gllp_key_rate(obs, bounds, 0.01, p_z=1.0))
+
+    def test_monotone_in_f_ec(self):
+        obs, bounds = table_run(distance=5.0)
+        rates = [gllp_key_rate(obs, bounds, 0.01, f_ec=f)
+                 for f in (1.0, 1.1, 1.2, 1.5)]
+        assert all(b < a for a, b in zip(rates, rates[1:]))
+
+    def test_leak_array_matches_scalar_calls(self):
+        obs, bounds = table_run(distance=5.0)
+        leaks = np.array([0.0, 0.0048, 0.0388, 0.0977])
+        got = gllp_key_rate(obs, bounds, leaks)
+        assert got.shape == leaks.shape
+        assert got.tolist() == [gllp_key_rate(obs, bounds, float(m))
+                                for m in leaks]
+
+    def test_distance_grid_matches_scalar_calls(self):
+        grid = np.array([0.0, 5.0, 13.0])
+        obs, bounds = table_run(distance=grid)
+        got = gllp_key_rate(obs, bounds, 0.01)
+        assert got.tolist() == [gllp_key_rate(*table_run(distance=float(d)), 0.01)
+                                for d in grid]
+
 
 class TestDualSourceKeyRate:
     def test_clean_rate_is_half_the_unsifted_rate(self):
@@ -198,6 +273,25 @@ class TestDualSourceKeyRate:
             obs, bounds = table_run(distance=13.0, mu_el=mu_el)
             rates.append(dual_source_key_rate(obs, bounds))
         assert all(b < a for a, b in zip(rates, rates[1:]))
+
+    def test_rate_linear_in_q_proto(self):
+        obs, bounds = table_run(distance=5.0, mu_el=0.01)
+        assert (dual_source_key_rate(obs, bounds, q_proto=0.5)
+                == 0.5 * dual_source_key_rate(obs, bounds, q_proto=1.0))
+
+    def test_monotone_in_f_ec(self):
+        obs, bounds = table_run(distance=5.0, mu_el=0.01)
+        rates = [dual_source_key_rate(obs, bounds, f_ec=f)
+                 for f in (1.0, 1.1, 1.2, 1.5)]
+        assert all(b < a for a, b in zip(rates, rates[1:]))
+
+    def test_distance_grid_matches_scalar_calls(self):
+        grid = np.array([0.0, 5.0, 13.0])
+        obs, bounds = table_run(distance=grid, mu_el=0.0977)
+        got = dual_source_key_rate(obs, bounds)
+        assert got.tolist() == [
+            dual_source_key_rate(*table_run(distance=float(d), mu_el=0.0977))
+            for d in grid]
 
     def test_leak_free_baseline_ignores_parasitic_band(self):
         lossy = ChannelParams(distance=13.0, alpha_par=5.0)
