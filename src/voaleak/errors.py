@@ -58,7 +58,11 @@ class DegenerateReferenceError(VoaleakError):
 
 
 class UndefinedConditionalError(VoaleakError):
-    """Conditional error rate requested where the yield is zero."""
+    """Base class of UndefinedQberError, which the package raises.
+
+    Nothing raises this class itself; catching it also catches the
+    zero-gain QBER error.
+    """
 
     category = "domain"
 

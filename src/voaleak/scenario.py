@@ -605,34 +605,34 @@ def _read_table(path: Path, header: str) -> np.ndarray:
     if not lines or lines[0].strip() != header:
         raise TraceSchemaError(f"{path}: expected header {header!r}")
     width = header.count(",") + 1
-    cells: list[str] = []
-    for num, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != width:
+    rows = list(filter(None, map(str.strip, lines[1:])))
+    if not rows:
+        # loadtxt warns on an empty input; a header-only table is valid.
+        return np.empty((0, width))
+    try:
+        # One C-level parse of the whole table.
+        values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        if values.shape[1] == width:
+            return values
+    except ValueError:
+        pass
+    # Rescan only on failure, to name the bad line: first a wrong field
+    # count on any line, then a cell the same parser rejects.
+    numbered = [(num, line) for num, line
+                in enumerate(map(str.strip, lines[1:]), start=2) if line]
+    for num, line in numbered:
+        if line.count(",") != width - 1:
             raise TraceParseError(
                 f"{path}:{num}: expected {width} comma-separated fields",
                 line=num)
-        cells += parts
-    try:
-        # One conversion for the whole table; numpy parses each string
-        # exactly as float() does.
-        values = np.array(cells, dtype=float)
-    except ValueError:
-        # Rescan only on failure, to name the bad line.
-        for num, line in enumerate(map(str.strip, lines[1:]), start=2):
-            if not line:
-                continue
-            try:
-                list(map(float, line.split(",")))
-            except ValueError:
-                raise TraceParseError(
-                    f"{path}:{num}: non-numeric field in {line!r}",
-                    line=num) from None
-        raise
-    return values.reshape(-1, width)
+    for num, line in numbered:
+        try:
+            np.loadtxt([line], delimiter=",", comments=None)
+        except ValueError:
+            raise TraceParseError(
+                f"{path}:{num}: non-numeric field in {line!r}",
+                line=num) from None
+    raise TraceParseError(f"{path}: rows could not be parsed")
 
 
 def load_trace(path: Path | str, kind: str) -> FringeTrace | IvCurve:

@@ -15,6 +15,7 @@ import numpy as np
 from voaleak import (
     ChannelParams,
     DecoyObservations,
+    TraceParseError,
     observables_for_intensity,
 )
 
@@ -398,3 +399,33 @@ def render_reference(header: str, rows) -> str:
     """
     cells = ",".join(["{:.17g}"] * (header.count(",") + 1))
     return "\n".join([header, *(cells.format(*row) for row in rows)]) + "\n"
+
+
+# ============================================================
+# Reference table reader
+# ============================================================
+
+def read_table_reference(path, header: str) -> np.ndarray:
+    """The rows below the header line of a table, as the package read
+    them before one `np.loadtxt` call parsed them: line by line, each
+    cell through `float()`.
+
+    `scenario._read_table` must return the same bytes, or raise
+    TraceParseError naming the same line. The readers differ only in the
+    cell grammar README documents: `float()` also took `_` between
+    digits and non-ASCII digits, and refused `\x1f` as padding.
+    """
+    width = header.count(",") + 1
+    lines = path.read_text(encoding="utf-8").splitlines()
+    numbered = [(num, line.split(",")) for num, line
+                in enumerate(map(str.strip, lines[1:]), start=2) if line]
+    for num, cells in numbered:
+        if len(cells) != width:
+            raise TraceParseError(f"{path}:{num}: field count", line=num)
+    rows = []
+    for num, cells in numbered:
+        try:
+            rows.append([float(cell) for cell in cells])
+        except ValueError:
+            raise TraceParseError(f"{path}:{num}: non-numeric", line=num) from None
+    return np.array(rows, dtype=float).reshape(-1, width)

@@ -48,6 +48,7 @@ from voaleak.scenario import (
 )
 from helpers import (
     VERDICTS,
+    read_table_reference,
     render_reference,
     scalar_reference_sweep,
     synthetic_fringe,
@@ -881,6 +882,110 @@ class TestTraceFileProperty:
                     load_trace(path, kind)
             except (TraceParseError, TraceSchemaError):
                 pass
+
+
+def _grammar_case(cell: str) -> bool:
+    """A cell the two readers read differently by design (README): an
+    underscore or a non-ASCII digit, which float() took, or a \\x1f,
+    which float() refused as padding."""
+    return "_" in cell or "\x1f" in cell or any(
+        ch.isdecimal() and not ch.isascii() for ch in cell)
+
+
+_PAD = st.sampled_from(["", " ", "  ", "\t", "\xa0", "\u2003"])
+_CELL = st.one_of(
+    _FLOAT_TEXT,
+    st.tuples(_PAD, _FLOAT_TEXT, _PAD).map("".join),
+    st.sampled_from(["", " ", "x", "1e", "--1", "0x10", "1.2.3", "nan(1)",
+                     "#1", '"1"', "1 2", "\x00", "\ufeff1"]),
+    st.text(max_size=4).filter(lambda cell: not _grammar_case(cell)),
+)
+
+
+@st.composite
+def _table_text(draw, header):
+    """Table text under header: rows of drawn cells, mostly of the right
+    width, split by any line break splitlines() knows and padded with
+    blank and whitespace-only lines."""
+    width = header.count(",") + 1
+    lines = [header]
+    for _ in range(draw(st.integers(0, 6))):
+        lines += draw(st.lists(st.sampled_from(["", " ", "\t", "\xa0 "]),
+                               max_size=1))
+        count = draw(st.sampled_from([width] * 4 + [width - 1, width + 1]))
+        lines.append(",".join(draw(st.lists(_CELL, min_size=count,
+                                            max_size=count))))
+    breaks = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x85"])
+    return "".join(line + draw(breaks) for line in lines)
+
+
+class TestTableReaderParity:
+    """One loadtxt parse reads every table as the per-line float() reader
+    did, outside the documented cell grammar cases."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), header=st.sampled_from([FRINGE_HEADER,
+                                                   RESULT_HEADER]))
+    def test_matches_reference_reader(self, data, header):
+        text = data.draw(_table_text(header))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.csv"
+            path.write_bytes(text.encode())
+            try:
+                expected = read_table_reference(path, header)
+            except TraceParseError as exc:
+                with pytest.raises(TraceParseError) as info:
+                    scenario._read_table(path, header)
+                assert info.value.line == exc.line
+                return
+            got = scenario._read_table(path, header)
+        assert got.dtype == np.float64 and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+class TestCellGrammar:
+    """Cells are ASCII floats: the forms float() also took are parse errors."""
+
+    @pytest.mark.parametrize("cell", ["1_000", "\uff11", "\u0663"])
+    def test_load_trace(self, tmp_path, capsys, cell):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(f"{FRINGE_HEADER}\n0,1\n\n1,{cell}\n")
+        with pytest.raises(TraceParseError) as info:
+            load_trace(trace, "fringe")
+        assert info.value.line == 4
+        cfg = tmp_path / "fringe.cfg"
+        cfg.write_text("mode = fringe\nfringe.reference_trace = trace.csv\n"
+                       "fringe.unknown_trace = trace.csv\n"
+                       "fringe.lambda_ref_nm = 1550\n")
+        assert main(["wavelength", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:parse:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("cell", ["1_000", "\uff11", "\u0663"])
+    def test_read_results(self, tmp_path, cell):
+        path = tmp_path / "rates.csv"
+        path.write_text(f"{RESULT_HEADER}\n1,0,0,0,0,0,0\n"
+                        f"2,0,{cell},0,0,0,0\n")
+        with pytest.raises(TraceParseError) as info:
+            read_results(path)
+        assert info.value.line == 3
+
+    def test_rescan_ends_in_parse_error(self, tmp_path, monkeypatch):
+        # Should the whole-table parse fail where no single line does,
+        # the reader still raises its own error, not numpy's.
+        loadtxt = np.loadtxt
+
+        def whole_table_fails(rows, **kwargs):
+            if len(rows) > 1:
+                raise ValueError("table")
+            return loadtxt(rows, **kwargs)
+
+        path = tmp_path / "trace.csv"
+        path.write_text(f"{IV_HEADER}\n0,1\n1,2\n")
+        monkeypatch.setattr(np, "loadtxt", whole_table_fails)
+        with pytest.raises(TraceParseError) as info:
+            load_trace(path, "iv")
+        assert info.value.line is None
 
 
 class TestLoadConfig:
