@@ -37,7 +37,6 @@ from .errors import (
     SaturationError,
     TraceParseError,
     TraceSchemaError,
-    UndefinedConditionalError,
     UndefinedQberError,
     VoaleakError,
 )
@@ -54,7 +53,6 @@ from .voa_physics import (
     soref_1550,
 )
 from .fringe import (
-    MIN_SAMPLES,
     ExtremaPair,
     FringeTrace,
     center_wavelength,
@@ -68,7 +66,6 @@ from .channel import (
 )
 from .decoy import DecoyObservations, SinglePhotonBounds, single_photon_bounds
 from .security import (
-    PROTOCOL_ANGLES,
     binary_entropy,
     calibrated_intensity,
     coin_imbalance,
@@ -98,16 +95,14 @@ __all__ = [
     # errors
     "VoaleakError", "DomainError", "InsufficientDataError",
     "SaturationError", "NoFringeError", "BoundaryAmbiguityError",
-    "DegenerateReferenceError", "UndefinedConditionalError",
-    "UndefinedQberError", "CalibrationError",
+    "DegenerateReferenceError", "UndefinedQberError", "CalibrationError",
     "ConfigurationError", "TraceParseError", "TraceSchemaError",
     # voa_physics
     "CarrierState", "IvCurve", "IdealityFit", "DEFAULT_FIT_WINDOWS",
     "plasma_dispersion_general", "soref_1550", "attenuation_db",
     "attenuation_from_counts", "bandgap_wavelength", "fit_ideality",
     # fringe
-    "FringeTrace", "ExtremaPair", "MIN_SAMPLES", "find_extrema_pair",
-    "center_wavelength",
+    "FringeTrace", "ExtremaPair", "find_extrema_pair", "center_wavelength",
     # leakage
     "EmissionSpec", "mean_photon_number",
     # channel
@@ -115,7 +110,7 @@ __all__ = [
     # decoy
     "DecoyObservations", "SinglePhotonBounds", "single_photon_bounds",
     # security
-    "PROTOCOL_ANGLES", "binary_entropy", "coin_imbalance", "phase_error_with_tha",
+    "binary_entropy", "coin_imbalance", "phase_error_with_tha",
     "gllp_key_rate", "dual_source_key_rate", "calibrated_intensity",
     # scenario
     "ScenarioConfig", "SweepResult", "WavelengthResult",

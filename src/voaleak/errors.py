@@ -1,13 +1,13 @@
 """Exception types shared across the package.
 
-Everything derives from ValueError so callers that only care about
-"bad input" can catch a single familiar type, while the CLI maps each
-subclass to a stable error category string. `check_range` is the one
-place where an input, a float or a numpy array, is checked against its
-interval, and `check_scan` the one where the two columns of a voltage
-scan are checked. `unchecked` builds a record from the package's own
-results without checking them again, and `plain` hands a 0-d numpy
-result back as a Python number.
+Every class derives from VoaleakError, a ValueError, so callers that
+only care about "bad input" can catch a single familiar type; each
+class carries the stable category string the CLI prints for it.
+`check_range` is the one place where an input, a float or a numpy
+array, is checked against its interval, and `check_scan` the one where
+the two columns of a voltage scan are checked. `unchecked` builds a
+record from the package's own results without checking them again,
+and `plain` hands a 0-d numpy result back as a Python number.
 """
 
 import math
@@ -57,18 +57,8 @@ class DegenerateReferenceError(VoaleakError):
     category = "data"
 
 
-class UndefinedConditionalError(VoaleakError):
-    """Base class of UndefinedQberError, which the package raises.
-
-    Nothing raises this class itself; catching it also catches the
-    zero-gain QBER error.
-    """
-
-    category = "domain"
-
-
-class UndefinedQberError(UndefinedConditionalError):
-    """QBER requested where the gain is zero."""
+class UndefinedQberError(VoaleakError):
+    """QBER requested where the gain is zero, so the ratio is undefined."""
 
     category = "domain"
 

@@ -98,21 +98,9 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
     return (k[:-1][top] + 1 + k[1:][top]) // 2
 
 
-def _parabolic_vertex(u: np.ndarray, s: np.ndarray, idx: int) -> float:
-    # Vertex of the parabola through three samples around idx; the grid
-    # may be non-uniform so solve the generic quadratic fit.
-    x = u[idx - 1:idx + 2]
-    y = s[idx - 1:idx + 2]
-    a, b, _ = np.polyfit(x, y, 2)
-    if a == 0.0:
-        return float(u[idx])
-    return float(-b / (2.0 * a))
-
-
 def find_extrema_pair(
     trace: FringeTrace,
     smooth_window: int = 5,
-    refine: bool = False,
 ) -> ExtremaPair:
     """Locate the dominant fringe maximum and an adjacent minimum.
 
@@ -121,13 +109,11 @@ def find_extrema_pair(
     interior local minimum is paired with it, preferring the
     higher-voltage side (the adjacent pi-shifted fringe) and falling
     back to the lower side. Returned voltages are snapped to the scan
-    grid unless refine is set.
+    grid.
 
     Args:
         trace: Scanned fringe, at least 5 samples.
         smooth_window: Odd moving-average width in samples, >= 1.
-        refine: If True, refine each extremum by a local parabolic fit
-            instead of snapping to the grid.
 
     Returns:
         ExtremaPair with the chosen (u_max, u_min).
@@ -171,9 +157,6 @@ def find_extrema_pair(
             "no interior minimum adjacent to the maximum; fringe minimum "
             "lies at or beyond the scan boundary")
 
-    if refine:
-        return ExtremaPair(u_max=_parabolic_vertex(u, s, i_max),
-                           u_min=_parabolic_vertex(u, s, i_min))
     return ExtremaPair(u_max=float(u[i_max]), u_min=float(u[i_min]))
 
 

@@ -83,8 +83,7 @@ LEAKAGE_HEADER = "drive_voltage_v,count_rate_hz,pulse_width_s,mu"
 MAX_SWEEP_POINTS = 1_000_000
 # Largest mean photon number a config may set for the signal, decoy or
 # leaked light. The decoy bounds weigh each gain by e^s, which overflows
-# a double above 709 photons; coin_imbalance evaluates any leak above 700
-# photons at 700, where it has long since rounded to 1/2.
+# a double above 709 photons.
 MAX_INTENSITY = 100.0
 
 
@@ -617,7 +616,7 @@ def _read_table(path: Path, header: str) -> np.ndarray:
     except ValueError:
         pass
     # Rescan only on failure, to name the bad line: first a wrong field
-    # count on any line, then a cell the same parser rejects.
+    # count on any line, then the first row the same parser rejects.
     numbered = [(num, line) for num, line
                 in enumerate(map(str.strip, lines[1:]), start=2) if line]
     for num, line in numbered:
@@ -625,14 +624,30 @@ def _read_table(path: Path, header: str) -> np.ndarray:
             raise TraceParseError(
                 f"{path}:{num}: expected {width} comma-separated fields",
                 line=num)
-    for num, line in numbered:
-        try:
-            np.loadtxt([line], delimiter=",", comments=None)
-        except ValueError:
-            raise TraceParseError(
-                f"{path}:{num}: non-numeric field in {line!r}",
-                line=num) from None
+    # Rows parse independently, so the shortest failing prefix ends at
+    # the first bad row. Bisect for it: rows[:lo] parse and rows[:hi]
+    # fail, so only rows[lo:mid] need parsing at each step. The row
+    # found must then fail on its own.
+    lo, hi = 0, len(rows)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _parses(rows[lo:mid]):
+            lo = mid
+        else:
+            hi = mid
+    num, line = numbered[hi - 1]
+    if not _parses([line]):
+        raise TraceParseError(
+            f"{path}:{num}: non-numeric field in {line!r}", line=num)
     raise TraceParseError(f"{path}: rows could not be parsed")
+
+
+def _parses(rows: list[str]) -> bool:
+    try:
+        np.loadtxt(rows, delimiter=",", comments=None)
+    except ValueError:
+        return False
+    return True
 
 
 def load_trace(path: Path | str, kind: str) -> FringeTrace | IvCurve:

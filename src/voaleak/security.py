@@ -34,7 +34,6 @@ from .decoy import DecoyObservations, SinglePhotonBounds
 from .errors import CalibrationError, check_range, plain
 
 __all__ = [
-    "PROTOCOL_ANGLES",
     "binary_entropy",
     "coin_imbalance",
     "phase_error_with_tha",
@@ -42,12 +41,6 @@ __all__ = [
     "dual_source_key_rate",
     "calibrated_intensity",
 ]
-
-# Polarization/phase encoding angles of the four BB84 states. The coin
-# imbalance below is derived for leaked coherent states carrying these
-# angles in two quadratures; they are fixed in its closed form.
-PROTOCOL_ANGLES: tuple[float, float, float, float] = (
-    0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
 
 _TINY = math.ulp(0.0)
 
@@ -81,9 +74,15 @@ def coin_imbalance(mu: float) -> float:
     """Quantum-coin imbalance of the four-state leaked source.
 
     For leaked coherent states of total mean photon number mu carrying
-    the four BB84 angles, this returns the conservative upper bound
+    the four BB84 angles 0, pi/4, pi/2 and 3pi/4 in two quadratures,
+    this returns the conservative upper bound
 
         Delta = 1/2 [1 - e^-mu (cosh(mu/sqrt2) + 1/2 sinh(mu/sqrt2))]
+              = -3/8 expm1(-a mu) - 1/8 expm1(-b mu),
+
+    with a = 1 - 1/sqrt2 and b = 1 + 1/sqrt2. It is evaluated in the
+    second form, a sum of two non-negative terms, so no digits cancel
+    at small mu.
 
     It is never below the fidelity-optimal imbalance (1 - F)/2 of the
     basis-averaged states, where
@@ -107,17 +106,18 @@ def coin_imbalance(mu: float) -> float:
     return plain(_coins(mu))
 
 
+_A = 1.0 - 1.0 / math.sqrt(2.0)
+_B = 1.0 + 1.0 / math.sqrt(2.0)
+
+
 def _coin(mu: float) -> float:
-    # Delta is 1/2 long before cosh overflows (mu ~ 1004), so cap mu.
-    mu = min(mu, 700.0)
-    x = mu / math.sqrt(2.0)
-    return 0.5 * (1.0 - math.exp(-mu) * (math.cosh(x) + 0.5 * math.sinh(x)))
+    return -0.375 * math.expm1(-_A * mu) - 0.125 * math.expm1(-_B * mu)
 
 
 def _coins(mu) -> np.ndarray:
     # _coin of each leak. A call sees a handful of leaks (two per
-    # sweep), for which math per element is cheaper than a numpy
-    # formula of eleven calls.
+    # sweep), for which math per element is cheaper than the same
+    # formula in numpy calls.
     return np.asarray(_coin_each(mu), dtype=float)
 
 

@@ -8,6 +8,7 @@ agreement is evidence of correctness rather than repetition.
 
 from __future__ import annotations
 
+import decimal
 import math
 
 import numpy as np
@@ -202,6 +203,29 @@ def exact_statistics_cutoff(delta: float) -> float:
         else:
             hi = mid
     return lo
+
+
+# Polarization/phase encoding angles of the four BB84 states, which the
+# closed form of `coin_imbalance` fixes.
+PROTOCOL_ANGLES = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
+
+
+def coin_imbalance_reference(mu: float) -> float:
+    """The coin imbalance of `coin_imbalance`, in 60-digit decimals.
+
+    Delta = 3/8 (1 - e^(-a mu)) + 1/8 (1 - e^(-b mu)) with
+    a, b = 1 -+ 1/sqrt2, each exponential taken by `decimal` on the
+    exact value of the float mu. At 60 digits the subtractions from 1
+    keep more than 40 correct digits for any mu >= 1e-12, so the
+    rounded result is correct to well below a double's precision.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        m = decimal.Decimal(mu)
+        r = decimal.Decimal(2).sqrt() / 2
+        one = decimal.Decimal(1)
+        return float((3 * (one - (-(one - r) * m).exp())
+                      + (one - (-(one + r) * m).exp())) / 8)
 
 
 def basis_fidelity(mu: float, angles: tuple[float, ...]) -> float:

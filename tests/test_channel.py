@@ -8,7 +8,6 @@ import pytest
 from voaleak import (
     ChannelParams,
     DomainError,
-    UndefinedConditionalError,
     UndefinedQberError,
     observables_for_intensity,
 )
@@ -228,11 +227,6 @@ class TestObservablesElementwise:
             observables_for_intensity(0.48, np.array([0.01, -1e-9]),
                                       ChannelParams(distance=10.0))
 
-    def test_undefined_qber_is_an_undefined_conditional_error(self):
-        ch = ChannelParams(distance=10.0, y0=0.0)
-        with pytest.raises(UndefinedConditionalError):
-            observables_for_intensity(0.0, 0.0, ch)
-
 
 class TestObservables:
     def test_table_point_at_zero_distance(self):
@@ -262,8 +256,9 @@ class TestObservables:
 
     def test_undefined_qber_when_everything_off(self):
         ch = ChannelParams(distance=10.0, y0=0.0)
-        with pytest.raises(UndefinedQberError):
+        with pytest.raises(UndefinedQberError) as excinfo:
             observables_for_intensity(0.0, 0.0, ch)
+        assert excinfo.value.category == "domain"
 
     def test_negative_intensity_rejected(self):
         ch = ChannelParams(distance=10.0)

@@ -76,16 +76,6 @@ class TestFindExtremaPair:
         assert pair.u_max == pytest.approx(math.sqrt(0.8372), abs=0.01)
         assert pair.u_min == pytest.approx(math.sqrt(0.8372 + 1.66), abs=0.01)
 
-    def test_parabolic_refinement_beats_grid_snap(self):
-        c2 = math.pi / 1.66
-        phi0 = 2.0 * math.pi - c2 * 0.8372
-        trace = FringeTrace(*synthetic_fringe(c2, phi0))
-        snapped = find_extrema_pair(trace)
-        refined = find_extrema_pair(trace, refine=True)
-        truth = math.sqrt(0.8372)
-        assert abs(refined.u_max - truth) < abs(snapped.u_max - truth)
-        assert abs(refined.u_max - truth) < 0.005
-
     def test_minimum_below_maximum_fallback(self):
         # first minimum at 0.513 V, maximum at 1.70 V, next minimum
         # beyond the scan end: the lower-voltage minimum must be used

@@ -987,6 +987,27 @@ class TestCellGrammar:
             load_trace(path, "iv")
         assert info.value.line is None
 
+    @pytest.mark.parametrize("bad, line", [((8000,), 8002), ((0, 8000), 2),
+                                           ((4000, 7999), 4002)])
+    def test_rescan_bisects_rows(self, tmp_path, monkeypatch, bad, line):
+        # Naming the first bad row of 8001 takes the whole-table parse,
+        # about log2(8001) parses of halved spans and one of the row.
+        loadtxt = np.loadtxt
+        calls = []
+
+        def counted(rows, **kwargs):
+            calls.append(len(rows))
+            return loadtxt(rows, **kwargs)
+
+        rows = [f"{k},{'one' if k in bad else 1}" for k in range(8001)]
+        path = tmp_path / "trace.csv"
+        path.write_text("\n".join([IV_HEADER, *rows]) + "\n")
+        monkeypatch.setattr(np, "loadtxt", counted)
+        with pytest.raises(TraceParseError) as info:
+            load_trace(path, "iv")
+        assert info.value.line == line
+        assert len(calls) <= 16
+
 
 class TestLoadConfig:
     def test_shipped_configs_all_load(self):

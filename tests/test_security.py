@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from voaleak import (
-    PROTOCOL_ANGLES,
     CalibrationError,
     ChannelParams,
     DomainError,
@@ -20,7 +19,13 @@ from voaleak import (
     phase_error_with_tha,
     single_photon_bounds,
 )
-from helpers import basis_fidelity, decoy_observations
+from voaleak.security import _coins
+from helpers import (
+    PROTOCOL_ANGLES,
+    basis_fidelity,
+    coin_imbalance_reference,
+    decoy_observations,
+)
 
 
 def table_run(distance=0.0, mu_el=0.0):
@@ -68,6 +73,19 @@ class TestCoinImbalance:
 
     def test_stays_below_half(self):
         assert coin_imbalance(50.0) < 0.5
+
+    def test_matches_decimal_reference(self):
+        # The closed form with cosh and sinh subtracted two numbers near
+        # 1 and lost up to 1e-4 relative at mu = 1e-12.
+        for mu in np.geomspace(1e-12, 100.0, 1401):
+            mu = float(mu)
+            assert coin_imbalance(mu) == pytest.approx(
+                coin_imbalance_reference(mu), rel=1e-15, abs=0.0), mu
+
+    def test_non_decreasing_within_zero_and_half(self):
+        deltas = _coins(np.geomspace(1e-12, 1e3, 20001))
+        assert np.all(np.diff(deltas) >= 0.0)
+        assert deltas.min() >= 0.0 and deltas.max() <= 0.5
 
     @pytest.mark.parametrize("mu", [130.0, 1010.0, 1e6])
     def test_large_leak_rounds_to_half(self, mu):
@@ -128,9 +146,6 @@ class TestPhaseErrorInflation:
 
 
 class TestParams:
-    def test_protocol_angles_default(self):
-        assert len(PROTOCOL_ANGLES) == 4
-
     def test_tha_validation(self):
         obs, bounds = table_run()
         with pytest.raises(DomainError):
