@@ -79,7 +79,7 @@ class SinglePhotonBounds:
     e1_upper : float
         Upper bound on the single-photon error rate, in [0, 0.5].
     q1_lower : float
-        Lower bound on the single-photon gain, y1_lower * s e^-s.
+        Lower bound on the single-photon gain, s e^-s y1_lower.
     y0_lower : float
         Lower bound on the background yield, in [0, 1].
     clamp_events : int
@@ -111,7 +111,7 @@ def single_photon_bounds(obs: DecoyObservations) -> SinglePhotonBounds:
           * (Q_nu e^nu - Q_omega e^omega
              - (nu^2 - omega^2) / s^2 * (Q_s e^s - Y0_L))
     e1 <= (E_nu Q_nu e^nu - E_omega Q_omega e^omega) / ((nu - omega) Y1_L)
-    Q1 >= Y1_L s e^-s
+    Q1 >= s e^-s Y1_L
 
     Y0_L and Y1_L are clamped to [0, 1] and e1_U to [0, 0.5]. When
     Y1_L comes out zero the error bound is undefined and is reported as
@@ -163,7 +163,7 @@ def single_photon_bounds(obs: DecoyObservations) -> SinglePhotonBounds:
         SinglePhotonBounds,
         y1_lower=plain(y1_l),
         e1_upper=plain(e1_u),
-        q1_lower=plain(y1_l * s * math.exp(-s)),
+        q1_lower=plain(s * math.exp(-s) * y1_l),
         y0_lower=plain(y0_l),
         clamp_events=plain(clamps),
     )

@@ -164,9 +164,9 @@ class ScenarioConfig:
             if not MAX_INTENSITY >= self.s > self.nu > self.omega >= 0.0:
                 bad.append("intensities (must satisfy "
                            f"{MAX_INTENSITY:g} >= s > nu > omega >= 0)")
-            if not 0.0 < self.p_z <= 1.0:
+            if self.mode == "passive_tha" and not 0.0 < self.p_z <= 1.0:
                 bad.append("conventions.p_z (must lie in (0, 1])")
-            if not 0.0 < self.q_proto <= 1.0:
+            if self.mode == "dual_source" and not 0.0 < self.q_proto <= 1.0:
                 bad.append("conventions.q_proto (must lie in (0, 1])")
             if not 1.0 <= self.f_ec < math.inf:
                 bad.append("conventions.f_ec (must be finite and >= 1)")

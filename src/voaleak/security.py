@@ -172,15 +172,15 @@ def gllp_key_rate(
 ) -> float:
     """Asymptotic GLLP key rate under pre-encoder leakage.
 
-    R = max(0, p_z^2 p1 Y1^L [1 - h2(e_X')] - p_z^2 Q_s f_ec h2(E_s))
+    R = max(0, p_z^2 [Q1^L (1 - h2(e_X')) - Q_s f_ec h2(E_s)])
 
-    with p1 = s e^-s, Delta' = coin_imbalance(mu_eve) / Y1^L, and
-    e_X' the Lo-Preskill inflation of the decoy bound e1_upper. With
-    mu_eve = 0 this is bit-for-bit the standard decoy-state rate.
+    with Delta' = coin_imbalance(mu_eve) / Y1^L and e_X' the
+    Lo-Preskill inflation of the decoy bound e1_upper. With mu_eve = 0
+    this is bit-for-bit `dual_source_key_rate` with q_proto = p_z^2.
 
     Args:
-        obs: Measured observables (only q_s, e_s and s are used here;
-            the decoy bounds were estimated from the full set).
+        obs: Measured observables (only q_s and e_s are read here; the
+            decoy bounds were estimated from the full set).
         bounds: Single-photon bounds from the same observations.
         mu_eve: Mean leaked photon number available to Eve, >= 0; an
             array of them gives one key rate per element.
@@ -204,10 +204,7 @@ def gllp_key_rate(
     # by 1 there to stay finite.
     delta_prime = _coins(mu_eve) / (y1 + (y1 == 0.0))
     ex_prime = _phase_error(bounds.e1_upper, delta_prime)
-    p1 = obs.s * math.exp(-obs.s)
-    priv = p_z ** 2 * p1 * y1 * (1.0 - _h2(ex_prime))
-    ec = p_z ** 2 * obs.q_s * f_ec * _h2(obs.e_s)
-    return plain(np.maximum(priv - ec, 0.0))
+    return _rate(p_z ** 2, obs, bounds, ex_prime, f_ec)
 
 
 def dual_source_key_rate(
@@ -241,9 +238,14 @@ def dual_source_key_rate(
     """
     check_range("q_proto", q_proto, 0.0, 1.0, lo_open=True)
     check_range("f_ec", f_ec, 1.0)
-    priv = bounds.q1_lower * (1.0 - _h2(bounds.e1_upper))
+    return _rate(q_proto, obs, bounds, bounds.e1_upper, f_ec)
+
+
+def _rate(k, obs, bounds, e_phase, f_ec):
+    # The decoy-BB84 rate of both geometries: only k and e_phase differ.
+    priv = bounds.q1_lower * (1.0 - _h2(e_phase))
     ec = obs.q_s * f_ec * _h2(obs.e_s)
-    return plain(np.maximum(q_proto * (priv - ec), 0.0))
+    return plain(np.maximum(k * (priv - ec), 0.0))
 
 
 def calibrated_intensity(q_observed: float, eta: float, y0: float) -> float:

@@ -215,13 +215,16 @@ def coin_imbalance_reference(mu: float) -> float:
 
     Delta = 3/8 (1 - e^(-a mu)) + 1/8 (1 - e^(-b mu)) with
     a, b = 1 -+ 1/sqrt2, each exponential taken by `decimal` on the
-    exact value of the float mu. At 60 digits the subtractions from 1
-    keep more than 40 correct digits for any mu >= 1e-12, so the
-    rounded result is correct to well below a double's precision.
+    exact value of the float mu. The precision is 60 digits plus the
+    number of leading zeros of mu (60 + max(0, -exponent of mu)): each
+    subtraction from 1 cancels about that many digits, so it keeps 60
+    significant digits for any mu, down to the least positive double,
+    and the rounded result is correct to well below a double's
+    precision.
     """
+    m = decimal.Decimal(mu)
     with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        m = decimal.Decimal(mu)
+        ctx.prec = 60 + max(0, -m.adjusted())
         r = decimal.Decimal(2).sqrt() / 2
         one = decimal.Decimal(1)
         return float((3 * (one - (-(one - r) * m).exp())
@@ -356,13 +359,11 @@ def _ref_h2(x):
     return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
 
 
-def _ref_gllp(s, q_s, e_s, y1, e1, mu, p_z, f_ec):
-    # (rate, privacy term)
+def _ref_gllp(s, q_s, e_s, y1, e1, coin, p_z, f_ec):
+    # (rate, privacy term); coin is the imbalance Delta of the leak.
     if y1 <= 0.0:
         return 0.0, 0.0
-    mu = min(mu, 700.0)
-    x = mu / math.sqrt(2.0)
-    d = 0.5 * (1.0 - math.exp(-mu) * (math.cosh(x) + 0.5 * math.sinh(x))) / y1
+    d = coin / y1
     ex = 0.5
     if d < 0.5:
         ex = min(e1 + 4.0 * d * (1.0 - d) * (1.0 - 2.0 * e1)
@@ -386,10 +387,16 @@ def scalar_reference_sweep(config):
     with the package, so the array sweep can be compared with it at the
     1e-12 relative tolerance of the goldens.
 
+    The coin imbalance comes from `coin_imbalance_reference`, once per
+    sweep. The closed cosh form cancels at small leaks (it is off by 6e-5
+    relative at 1e-12 and returns 0 below about 1e-17), and the key rate
+    still depends on Delta there through sqrt(Delta').
+
     Returns the results rows and, for each, the privacy terms of its
     baseline and contaminated rates (the terms a clipped rate loses).
     """
     c, ch = config, config.channel
+    coins = [coin_imbalance_reference(mu) for mu in (0.0, c.mu_leak)]
     n = math.floor((c.distance_max - c.distance_min) / c.step + 1e-9) + 1
     rows, privacy = [], []
     for k in range(n):
@@ -404,8 +411,8 @@ def scalar_reference_sweep(config):
             base, rate = (_ref_dual(q_[0], e_[0], b_[2], b_[1], c.q_proto, c.f_ec)
                           for q_, e_, b_ in cases)
         else:
-            base, rate = (_ref_gllp(c.s, q[0], e[0], b[0], b[1], mu, c.p_z, c.f_ec)
-                          for mu in (0.0, c.mu_leak))
+            base, rate = (_ref_gllp(c.s, q[0], e[0], b[0], b[1], coin, c.p_z, c.f_ec)
+                          for coin in coins)
         rows.append((d, base[0], rate[0], q[0], e[0], b[0], b[1]))
         privacy.append((base[1], rate[1]))
     return rows, privacy

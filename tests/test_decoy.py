@@ -172,7 +172,7 @@ class TestClampPolicy:
     def test_one_policy_for_every_bound(self, obs):
         # SinglePhotonBounds checks each bound's range on construction.
         b = single_photon_bounds(obs)
-        assert b.q1_lower == b.y1_lower * obs.s * math.exp(-obs.s)
+        assert b.q1_lower == obs.s * math.exp(-obs.s) * b.y1_lower
         assert 0 <= b.clamp_events <= 3
         if b.y1_lower == 0.0:
             assert b.e1_upper == 0.5 and b.clamp_events >= 1

@@ -214,6 +214,16 @@ class TestScenarioConfigValidation:
         with pytest.raises(ConfigurationError, match="emission"):
             ScenarioConfig(mode="device")
 
+    def test_each_sweep_mode_checks_only_its_convention(self):
+        # Neither rate reads the other mode's convention, and
+        # config_from_mapping rejects its key, so its value is not checked.
+        ScenarioConfig(mode="passive_tha", q_proto=0.0)
+        ScenarioConfig(mode="dual_source", p_z=0.0)
+        with pytest.raises(ConfigurationError, match=r"conventions\.p_z"):
+            ScenarioConfig(mode="passive_tha", p_z=0.0)
+        with pytest.raises(ConfigurationError, match=r"conventions\.q_proto"):
+            ScenarioConfig(mode="dual_source", q_proto=0.0)
+
 
 class TestSweepDistances:
     def test_single_point(self):
@@ -345,6 +355,13 @@ class TestScalarReference:
     @settings(max_examples=60, deadline=None)
     @given(cfg=_sweep_configs())
     def test_drawn_configs(self, cfg):
+        _reference_mismatch(cfg)
+
+    @pytest.mark.parametrize("mu", [1.380649e-23, 1e-16, 1e-8, 1e-5])
+    def test_tiny_passive_leaks(self, mu):
+        # Delta' enters the rate through its square root, so even a leak
+        # far below a double's epsilon moves the rate by more than 1e-12.
+        cfg = replace(load_config(CONFIGS / "passive_tha.cfg"), mu_leak=mu)
         _reference_mismatch(cfg)
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voaleak import (
     CalibrationError,
@@ -316,6 +317,40 @@ class TestDualSourceKeyRate:
             obs = decoy_observations(ch, 0.48, 0.02, 0.001, 0.0)
             rates.append(dual_source_key_rate(obs, single_photon_bounds(obs)))
         assert rates[0] == rates[1]
+
+
+@st.composite
+def drawn_channels(draw, distance=st.floats(0.0, 150.0)):
+    """A channel of drawn losses, noise and distance (a float or a grid)."""
+    return ChannelParams(
+        distance=draw(distance),
+        alpha_sig=draw(st.floats(0.1, 1.0)),
+        alpha_par=draw(st.floats(0.1, 2.0)),
+        eta_bob_sig=draw(st.floats(0.1, 1.0)),
+        eta_bob_par=draw(st.floats(0.05, 1.0)),
+        y0=10.0 ** draw(st.floats(-9.0, -4.0)),
+        e_d=draw(st.floats(0.0, 0.12)))
+
+
+_GRIDS = st.lists(st.floats(0.0, 150.0), min_size=1, max_size=8).map(np.array)
+
+
+class TestOneRateBody:
+    """Both geometries share one rate body: without a coin imbalance the
+    GLLP rate is the dual-source rate with q_proto = p_z^2, to the bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ch=st.one_of(drawn_channels(), drawn_channels(_GRIDS)),
+           mu_el=st.floats(0.0, 0.5), p_z=st.floats(0.05, 1.0),
+           f_ec=st.floats(1.0, 1.5))
+    def test_zero_leak_gllp_is_dual_with_q_proto_p_z_squared(
+            self, ch, mu_el, p_z, f_ec):
+        obs = decoy_observations(ch, 0.48, 0.02, 0.001, mu_el)
+        bounds = single_photon_bounds(obs)
+        gllp = gllp_key_rate(obs, bounds, 0.0, p_z, f_ec)
+        dual = dual_source_key_rate(obs, bounds, p_z ** 2, f_ec)
+        assert type(gllp) is type(dual)
+        assert np.asarray(gllp).tobytes() == np.asarray(dual).tobytes()
 
 
 class TestCalibratedIntensity:
