@@ -27,17 +27,11 @@ The subpackages cover the chain from device physics to key rate:
 """
 
 from .errors import (
-    BoundaryAmbiguityError,
-    CalibrationError,
     ConfigurationError,
-    DegenerateReferenceError,
     DomainError,
     InsufficientDataError,
-    NoFringeError,
-    SaturationError,
     TraceParseError,
     TraceSchemaError,
-    UndefinedQberError,
     VoaleakError,
 )
 from .voa_physics import (
@@ -94,8 +88,6 @@ __all__ = [
     "__version__",
     # errors
     "VoaleakError", "DomainError", "InsufficientDataError",
-    "SaturationError", "NoFringeError", "BoundaryAmbiguityError",
-    "DegenerateReferenceError", "UndefinedQberError", "CalibrationError",
     "ConfigurationError", "TraceParseError", "TraceSchemaError",
     # voa_physics
     "CarrierState", "IvCurve", "IdealityFit", "DEFAULT_FIT_WINDOWS",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedQberError, check_range, plain
+from .errors import DomainError, check_range, plain
 
 __all__ = [
     "ChannelParams",
@@ -176,8 +176,9 @@ def observables_for_intensity(gamma, mu_el, ch: ChannelParams) -> Observables:
 
     Raises
     ------
-    UndefinedQberError
-        If any gain is exactly zero (no clicks to form a QBER).
+    DomainError
+        If an intensity is negative or non-finite, or if any gain is
+        exactly zero (no clicks to form a QBER).
     """
     check_range("gamma", gamma, 0.0)
     check_range("mu_el", mu_el, 0.0)
@@ -186,7 +187,7 @@ def observables_for_intensity(gamma, mu_el, ch: ChannelParams) -> Observables:
     # Both terms of the exponent are <= 0, so only a dark-count-free
     # channel can give a zero gain.
     if ch.y0 == 0.0 and not q.min() > 0.0:
-        raise UndefinedQberError("gain is zero; QBER undefined")
+        raise DomainError("gain is zero; QBER undefined")
     e = _error_gain(-np.expm1(-sig), -np.expm1(-par), ch.y0, ch.e_d, ch.e0) / q
     return Observables(gain=plain(q), qber=plain(np.minimum(e, 1.0)))
 

@@ -21,9 +21,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, check_range, plain, unchecked
+from .errors import DomainError, check_range, plain, unchecked
 
 __all__ = ["DecoyObservations", "SinglePhotonBounds", "single_photon_bounds"]
+
+
+def _y1_prefactor(s, nu, om):
+    # The factor in front of the Y1 bound, inf where its denominator
+    # rounds to 0. nu ** 2, not nu * nu: the two round differently.
+    den = s * (nu - om) - nu ** 2 + om ** 2
+    return s / den if den else math.inf
+
+
+def check_intensities(s, nu, omega) -> None:
+    """Raise DomainError unless s, nu, omega suit the two-decoy bounds.
+
+    They must be finite with 709 >= s > nu > omega >= 0 (so that e^s is
+    a double) and nu + omega < s, and give a finite, positive Y1
+    prefactor, which decoys too close to tell apart in doubles do not.
+    """
+    # The comparisons come first: they reject NaN and +-inf and keep
+    # nu < 709, so nu ** 2 cannot overflow.
+    if not (709.0 >= s > nu > omega >= 0.0 and nu + omega < s):
+        raise DomainError(
+            "s, nu, omega must satisfy 709 >= s > nu > omega >= 0 and "
+            f"nu + omega < s, got s={s!r}, nu={nu!r}, omega={omega!r}")
+    if not 0.0 < _y1_prefactor(s, nu, omega) < math.inf:
+        raise DomainError(f"decoys nu={nu!r} and omega={omega!r} are too "
+                          f"close to bound Y1 at s={s!r}")
 
 
 @dataclass(frozen=True)
@@ -33,7 +58,7 @@ class DecoyObservations:
     Parameters
     ----------
     s, nu, omega : float
-        Signal and decoy intensities with s > nu > omega >= 0.
+        Signal and decoy intensities, as `check_intensities` requires.
     q_s, q_nu, q_omega : float or numpy.ndarray
         Gains at each intensity, in (0, 1]; arrays hold one run per
         element (a distance grid, say) and broadcast together.
@@ -53,12 +78,7 @@ class DecoyObservations:
     e_omega: float
 
     def __post_init__(self):
-        for name in ("s", "nu", "omega"):
-            check_range(name, getattr(self, name), 0.0, error=ConfigurationError)
-        if not self.s > self.nu > self.omega:
-            raise ConfigurationError(
-                "intensity ordering violated: require s > nu > omega, got "
-                f"s={self.s!r}, nu={self.nu!r}, omega={self.omega!r}")
+        check_intensities(self.s, self.nu, self.omega)
         for name in ("q_s", "q_nu", "q_omega"):
             check_range(name, getattr(self, name), 0.0, 1.0, lo_open=True)
         for name in ("e_s", "e_nu", "e_omega"):
@@ -122,28 +142,22 @@ def single_photon_bounds(obs: DecoyObservations) -> SinglePhotonBounds:
     broadcast shape) every bound is an array of that shape, each element
     bit-identical to the call with that element's floats.
 
+    The intensities passed `check_intensities`, so e^s and the Y1
+    prefactor are finite.
+
     Returns
     -------
     SinglePhotonBounds
         Bounds plus the number of clamping events that occurred.
-
-    Raises
-    ------
-    ConfigurationError
-        If nu + omega >= s (the Y1 prefactor loses its sign guarantee).
     """
     s, nu, om = obs.s, obs.nu, obs.omega
-    if not nu + om < s:
-        raise ConfigurationError(
-            "two-decoy bound requires nu + omega < s, got "
-            f"nu={nu!r}, omega={om!r}, s={s!r}")
     # The intensities are floats, so each weight e^x is one math.exp.
     exp_s, exp_nu, exp_om = math.exp(s), math.exp(nu), math.exp(om)
 
     y0_raw = (nu * obs.q_omega * exp_om - om * obs.q_nu * exp_nu) / (nu - om)
     y0_l = np.minimum(np.maximum(y0_raw, 0.0), 1.0)
 
-    front = s / (s * (nu - om) - nu ** 2 + om ** 2)
+    front = _y1_prefactor(s, nu, om)
     inner = (obs.q_nu * exp_nu - obs.q_omega * exp_om
              - ((nu ** 2 - om ** 2) / s ** 2) * (obs.q_s * exp_s - y0_l))
     y1_raw = front * inner

@@ -1,13 +1,23 @@
 """Exception types shared across the package.
 
 Every class derives from VoaleakError, a ValueError, so callers that
-only care about "bad input" can catch a single familiar type; each
-class carries the stable category string the CLI prints for it.
-`check_range` is the one place where an input, a float or a numpy
-array, is checked against its interval, and `check_scan` the one where
-the two columns of a voltage scan are checked. `unchecked` builds a
-record from the package's own results without checking them again,
-and `plain` hands a 0-d numpy result back as a Python number.
+only care about "bad input" can catch a single familiar type. Each
+category the CLI prints has exactly one class:
+
+    internal  VoaleakError           the base class
+    domain    DomainError            an argument outside its domain
+    data      InsufficientDataError  data that do not determine the result
+    config    ConfigurationError     a bad config or command line
+    parse     TraceParseError        a file row that does not parse
+    schema    TraceSchemaError       a file that breaks its schema
+
+Only `scenario` and `cli` raise ConfigurationError; each layer below
+them checks its own arguments and raises DomainError. `check_range` is
+the one place where an input, a float or a numpy array, is checked
+against its interval, and `check_scan` the one where the two columns
+of a voltage scan are checked. `unchecked` builds a record from the
+package's own results without checking them again, and `plain` hands
+a 0-d numpy result back as a Python number.
 """
 
 import math
@@ -28,45 +38,10 @@ class DomainError(VoaleakError):
 
 
 class InsufficientDataError(VoaleakError):
-    """Too few samples to perform the requested analysis."""
+    """The data do not determine the result: too few samples, no fringe,
+    an extremum at the scan boundary or a degenerate reference."""
 
     category = "data"
-
-
-class SaturationError(DomainError):
-    """Click probability per gate reached 1; the log map is undefined."""
-
-    category = "saturation"
-
-
-class NoFringeError(VoaleakError):
-    """Trace is monotone; no interference extrema exist."""
-
-    category = "data"
-
-
-class BoundaryAmbiguityError(VoaleakError):
-    """A needed extremum sits at the scan boundary and cannot be confirmed."""
-
-    category = "data"
-
-
-class DegenerateReferenceError(VoaleakError):
-    """Reference extrema give a zero squared-voltage difference."""
-
-    category = "data"
-
-
-class UndefinedQberError(VoaleakError):
-    """QBER requested where the gain is zero, so the ratio is undefined."""
-
-    category = "domain"
-
-
-class CalibrationError(VoaleakError):
-    """Observed gain is incompatible with the assumed background."""
-
-    category = "domain"
 
 
 class ConfigurationError(VoaleakError):
@@ -91,10 +66,9 @@ class TraceSchemaError(VoaleakError):
     category = "schema"
 
 
-def check_range(name: str, value, lo: float, hi: float = math.inf,
-                error: type[VoaleakError] = DomainError, *,
+def check_range(name: str, value, lo: float, hi: float = math.inf, *,
                 lo_open: bool = False, hi_open: bool = False) -> None:
-    """Raise error unless value is finite and lies between lo and hi.
+    """Raise DomainError unless value is finite and lies between lo and hi.
 
     Each end is closed unless its `*_open` flag is set. NaN and +-inf
     are always rejected, so an infinite end reads as "finite and
@@ -110,7 +84,7 @@ def check_range(name: str, value, lo: float, hi: float = math.inf,
         if values:
             nan = next(filter(math.isnan, values), None)
             for end in (min(values), max(values)) if nan is None else (nan,):
-                check_range(name, end, lo, hi, error, lo_open=lo_open, hi_open=hi_open)
+                check_range(name, end, lo, hi, lo_open=lo_open, hi_open=hi_open)
         return
     if (math.isfinite(value)
             and (lo < value if lo_open else lo <= value)
@@ -123,7 +97,7 @@ def check_range(name: str, value, lo: float, hi: float = math.inf,
         rule = f"be finite and {'>' if lo_open else '>='} {lo:g}"
     else:
         rule = "be finite"
-    raise error(f"{name} must {rule}, got {value!r}")
+    raise DomainError(f"{name} must {rule}, got {value!r}")
 
 
 def check_scan(trace: str, voltages, name: str, values

@@ -16,15 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    BoundaryAmbiguityError,
-    DegenerateReferenceError,
-    DomainError,
-    InsufficientDataError,
-    NoFringeError,
-    check_range,
-    check_scan,
-)
+from .errors import DomainError, InsufficientDataError, check_range, check_scan
 
 __all__ = ["FringeTrace", "ExtremaPair", "find_extrema_pair", "center_wavelength"]
 
@@ -119,11 +111,10 @@ def find_extrema_pair(
         ExtremaPair with the chosen (u_max, u_min).
 
     Raises:
-        InsufficientDataError: fewer than 5 samples.
+        InsufficientDataError: fewer than 5 samples, a monotone smoothed
+            trace, or a required maximum or adjacent minimum at the scan
+            boundary.
         DomainError: invalid smoothing window.
-        NoFringeError: the smoothed trace is monotone.
-        BoundaryAmbiguityError: the required maximum or adjacent minimum
-            lies at the scan boundary.
     """
     if len(trace) < MIN_SAMPLES:
         raise InsufficientDataError(
@@ -140,8 +131,9 @@ def find_extrema_pair(
     if maxima.size == 0:
         d = np.diff(s)
         if np.all(d >= 0.0) or np.all(d <= 0.0):
-            raise NoFringeError("trace is monotone; no interference fringe found")
-        raise BoundaryAmbiguityError(
+            raise InsufficientDataError(
+                "trace is monotone; no interference fringe found")
+        raise InsufficientDataError(
             "interference maximum lies at the scan boundary")
 
     i_max = int(maxima[np.argmax(s[maxima])])
@@ -153,7 +145,7 @@ def find_extrema_pair(
     elif below.size:
         i_min = int(below[-1])
     else:
-        raise BoundaryAmbiguityError(
+        raise InsufficientDataError(
             "no interior minimum adjacent to the maximum; fringe minimum "
             "lies at or beyond the scan boundary")
 
@@ -178,12 +170,12 @@ def center_wavelength(
 
     Raises:
         DomainError: non-positive reference wavelength.
-        DegenerateReferenceError: reference span is zero.
+        InsufficientDataError: reference span is zero.
     """
     check_range("lambda_ref", lambda_ref, 0.0, lo_open=True)
     den = abs(reference.u_max ** 2 - reference.u_min ** 2)
     if den == 0.0:
-        raise DegenerateReferenceError(
+        raise InsufficientDataError(
             "reference extrema have equal squared voltages")
     num = abs(unknown.u_max ** 2 - unknown.u_min ** 2)
     # ratio first: identical pairs then give exactly lambda_ref

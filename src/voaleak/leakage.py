@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import SaturationError, check_range
+from .errors import DomainError, check_range
 
 __all__ = ["EmissionSpec", "mean_photon_number"]
 
@@ -38,7 +38,7 @@ class EmissionSpec:
         check_range("count_rate", self.count_rate, 0.0)
         check_range("pulse_width", self.pulse_width, 0.0, lo_open=True)
         if self.count_rate * self.pulse_width >= 1.0:
-            raise SaturationError(
+            raise DomainError(
                 "count_rate * pulse_width = "
                 f"{self.count_rate * self.pulse_width:g} >= 1; click "
                 "probability saturates and the intensity is undefined")

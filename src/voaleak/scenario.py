@@ -29,7 +29,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .channel import ChannelParams, observables_for_intensity
-from .decoy import DecoyObservations, single_photon_bounds
+from .decoy import DecoyObservations, check_intensities, single_photon_bounds
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -82,8 +82,8 @@ LEAKAGE_HEADER = "drive_voltage_v,count_rate_hz,pulse_width_s,mu"
 # Largest sweep grid a config may ask for (one row per point).
 MAX_SWEEP_POINTS = 1_000_000
 # Largest mean photon number a config may set for the signal, decoy or
-# leaked light. The decoy bounds weigh each gain by e^s, which overflows
-# a double above 709 photons.
+# leaked light; well inside the 709 photons `decoy.check_intensities`
+# allows the signal, whose gain the decoy bounds weigh by e^s.
 MAX_INTENSITY = 100.0
 
 
@@ -159,11 +159,21 @@ class ScenarioConfig:
                         self.distance_max + self.step):
                     bad.append("sweep.step (too small for distinct grid points "
                                "at these distances)")
+                else:
+                    # The fiber loss alpha * d at the last point of `sweep_distances`.
+                    far = self.distance_min + math.floor(steps) * self.step
+                    for name in ("alpha_sig", "alpha_par"):
+                        if not math.isfinite(getattr(self.channel, name) * far):
+                            bad.append(f"channel.{name} (fiber loss overflows "
+                                       "a double at sweep.distance_max)")
             if not 0.0 <= self.mu_leak <= MAX_INTENSITY:
                 bad.append(f"leakage.mu (must lie in [0, {MAX_INTENSITY:g}])")
-            if not MAX_INTENSITY >= self.s > self.nu > self.omega >= 0.0:
-                bad.append("intensities (must satisfy "
-                           f"{MAX_INTENSITY:g} >= s > nu > omega >= 0)")
+            if self.s > MAX_INTENSITY:
+                bad.append(f"intensities.s (must be <= {MAX_INTENSITY:g})")
+            try:
+                check_intensities(self.s, self.nu, self.omega)
+            except DomainError as exc:
+                bad.append(f"intensities ({exc})")
             if self.mode == "passive_tha" and not 0.0 < self.p_z <= 1.0:
                 bad.append("conventions.p_z (must lie in (0, 1])")
             if self.mode == "dual_source" and not 0.0 < self.q_proto <= 1.0:

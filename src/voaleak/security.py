@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .decoy import DecoyObservations, SinglePhotonBounds
-from .errors import CalibrationError, check_range, plain
+from .errors import DomainError, check_range, plain
 
 __all__ = [
     "binary_entropy",
@@ -199,10 +199,12 @@ def gllp_key_rate(
     check_range("f_ec", f_ec, 1.0)
     y1 = bounds.y1_lower
     # obs and bounds were checked by their records, so the formula
-    # bodies run without the checks of their public entry points. Where
-    # Y1^L = 0 the privacy term is 0 whatever e_X' is, so Delta' divides
-    # by 1 there to stay finite.
-    delta_prime = _coins(mu_eve) / (y1 + (y1 == 0.0))
+    # bodies run without the checks of their public entry points. Delta'
+    # divides by no less than Delta + 5e-324, which keeps it finite: where
+    # Y1^L is below that, Delta' >= 1/2 saturates e_X' as the larger
+    # quotient would, and where Y1^L = 0 the privacy term is 0 anyway.
+    coins = _coins(mu_eve)
+    delta_prime = coins / np.maximum(y1, coins + _TINY)
     ex_prime = _phase_error(bounds.e1_upper, delta_prime)
     return _rate(p_z ** 2, obs, bounds, ex_prime, f_ec)
 
@@ -265,14 +267,14 @@ def calibrated_intensity(q_observed: float, eta: float, y0: float) -> float:
         Inferred intensity s_cal = -(1/eta) ln((1 - Q)/(1 - Y0)).
 
     Raises:
-        DomainError: if an argument is outside its domain.
-        CalibrationError: if q_observed <= y0 (below the background).
+        DomainError: if an argument is outside its domain, or if
+            q_observed <= y0 (below the background).
     """
     check_range("q_observed", q_observed, 0.0, 1.0, lo_open=True, hi_open=True)
     check_range("eta", eta, 0.0, 1.0, lo_open=True)
     check_range("y0", y0, 0.0, 1.0, hi_open=True)
     if q_observed <= y0:
-        raise CalibrationError(
+        raise DomainError(
             f"gain {q_observed:g} does not exceed the background yield {y0:g}")
     # log1p keeps precision when the gain is close to the background.
     return -(math.log1p(-q_observed) - math.log1p(-y0)) / eta

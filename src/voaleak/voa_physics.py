@@ -281,7 +281,8 @@ def fit_ideality(
 
     Raises:
         DomainError: for a bad window/temperature, non-positive current
-            inside the window, or a non-positive fitted slope.
+            inside the window, a non-positive fitted slope, or a
+            temperature so small that slope * k * T underflows to zero.
         InsufficientDataError: fewer than 3 samples in the window.
     """
     check_range("v_lo", v_lo, -math.inf)
@@ -305,7 +306,9 @@ def fit_ideality(
         raise DomainError(f"fitted slope {slope:g} dec/V is not positive; "
                           "window does not show diode-like conduction")
 
-    beta = elementary_charge * math.log10(math.e) / (
-        slope * Boltzmann * temperature)
+    thermal = slope * Boltzmann * temperature
+    if thermal == 0.0:
+        raise DomainError(f"temperature {temperature!r} K makes slope * k * T zero")
+    beta = elementary_charge * math.log10(math.e) / thermal
     return IdealityFit(v_lo=float(v_lo), v_hi=float(v_hi), slope=slope,
                        beta=beta, temperature=float(temperature))

@@ -8,7 +8,6 @@ import pytest
 from voaleak import (
     ChannelParams,
     DomainError,
-    UndefinedQberError,
     observables_for_intensity,
 )
 from voaleak.channel import _error_gain
@@ -219,7 +218,7 @@ class TestObservablesElementwise:
 
     def test_zero_gain_anywhere_raises(self):
         ch = ChannelParams(distance=10.0, y0=0.0)
-        with pytest.raises(UndefinedQberError):
+        with pytest.raises(DomainError, match="QBER undefined"):
             observables_for_intensity(np.array([0.48, 0.0]), 0.0, ch)
 
     def test_negative_intensity_in_array_rejected(self):
@@ -256,7 +255,7 @@ class TestObservables:
 
     def test_undefined_qber_when_everything_off(self):
         ch = ChannelParams(distance=10.0, y0=0.0)
-        with pytest.raises(UndefinedQberError) as excinfo:
+        with pytest.raises(DomainError, match="QBER undefined") as excinfo:
             observables_for_intensity(0.0, 0.0, ch)
         assert excinfo.value.category == "domain"
 

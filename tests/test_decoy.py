@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from voaleak import (
     ChannelParams,
-    ConfigurationError,
     DecoyObservations,
     DomainError,
     single_photon_bounds,
@@ -27,17 +26,32 @@ def table_observations(distance=0.0, mu_el=0.0):
 
 class TestValidation:
     def test_intensity_ordering_enforced(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError):
             DecoyObservations(s=0.02, nu=0.48, omega=0.001,
                               q_s=0.1, q_nu=0.2, q_omega=0.001,
                               e_s=0.01, e_nu=0.01, e_omega=0.3)
 
     def test_nu_plus_omega_must_stay_below_s(self):
-        obs = DecoyObservations(s=0.02, nu=0.015, omega=0.006,
-                                q_s=0.01, q_nu=0.008, q_omega=0.004,
-                                e_s=0.01, e_nu=0.02, e_omega=0.2)
-        with pytest.raises(ConfigurationError):
-            single_photon_bounds(obs)
+        with pytest.raises(DomainError, match="nu \\+ omega < s"):
+            DecoyObservations(s=0.02, nu=0.015, omega=0.006,
+                              q_s=0.01, q_nu=0.008, q_omega=0.004,
+                              e_s=0.01, e_nu=0.02, e_omega=0.2)
+
+    def test_signal_weight_must_stay_finite(self):
+        # The bounds weigh the signal gain by e^s, which overflows above
+        # s = 709.78.
+        with pytest.raises(DomainError, match="709 >= s"):
+            DecoyObservations(s=800.0, nu=0.02, omega=0.001,
+                              q_s=0.3, q_nu=0.02, q_omega=0.001,
+                              e_s=0.01, e_nu=0.02, e_omega=0.2)
+
+    def test_decoys_too_close_to_bound_y1(self):
+        # s (nu - omega) underflows to zero, so the Y1 prefactor does not
+        # exist.
+        with pytest.raises(DomainError, match="too close"):
+            DecoyObservations(s=0.48, nu=5e-324, omega=0.0,
+                              q_s=0.3, q_nu=0.02, q_omega=0.001,
+                              e_s=0.01, e_nu=0.02, e_omega=0.2)
 
     def test_gain_outside_unit_interval_rejected(self):
         with pytest.raises(DomainError):

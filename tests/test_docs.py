@@ -16,7 +16,9 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def run_python(args, cwd):
-    env = dict(os.environ, MPLBACKEND="Agg")
+    # Any warning fails the run, as pytest's filterwarnings makes it fail
+    # a test.
+    env = dict(os.environ, MPLBACKEND="Agg", PYTHONWARNINGS="error")
     src = str(Path(voaleak.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)

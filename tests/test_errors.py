@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from voaleak import ConfigurationError, DomainError, FringeTrace, IvCurve
+from voaleak import DomainError, FringeTrace, IvCurve
 from voaleak.errors import check_range
 
 INF = math.inf
@@ -45,11 +45,6 @@ def test_table(value, lo, hi, lo_open, hi_open, ok):
     else:
         with pytest.raises(DomainError):
             check_range("x", value, lo, hi, lo_open=lo_open, hi_open=hi_open)
-
-
-def test_raises_the_given_class():
-    with pytest.raises(ConfigurationError):
-        check_range("s", -1.0, 0.0, error=ConfigurationError)
 
 
 @pytest.mark.parametrize("kwargs, message", [

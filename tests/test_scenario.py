@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import voaleak.scenario as scenario
@@ -598,6 +598,16 @@ class TestCli:
         betas = [float(line.split(",")[3]) for line in lines[1:]]
         assert betas == pytest.approx([2.6, 1.8, 2.5], rel=1e-6)
 
+    def test_ivfit_temperature_underflow_is_domain_error(self, capsys):
+        # slope * k * T rounds to zero on the shipped trace.
+        code = main(["ivfit", "--config", str(CONFIGS / "ivfit.cfg"),
+                     "--override", "ivfit.temperature=5e-324"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:domain: temperature 5e-324")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_leakage(self, capsys):
         code = main(["leakage", "--config", str(CONFIGS / "device.cfg")])
         assert code == 0
@@ -668,6 +678,11 @@ class TestCliErrorContract:
                                      "sweep.distance_max=100000000000000032 sweep.step=1"),
         ("sweep", "dual_source.cfg", "intensities.s=inf"),
         ("sweep", "dual_source.cfg", "leakage.count_rate=nan"),
+        # Decoys too close for the Y1 prefactor to exist as a double.
+        ("sweep", "passive_tha.cfg", "intensities.nu=5e-324 intensities.omega=0"),
+        ("sweep", "passive_tha.cfg", "intensities.nu=1e-320 intensities.omega=0"),
+        # Fiber loss alpha * d beyond the largest double.
+        ("sweep", "dual_source.cfg", "channel.alpha_par=1e308 sweep.distance_max=2"),
         ("wavelength", "fringe.cfg", "fringe.reference_trace=a\x00b"),
         ("ivfit", "ivfit.cfg", "ivfit.windows=0.5:0.1"),
         ("ivfit", "ivfit.cfg", "ivfit.windows=nan:nan"),
@@ -744,6 +759,12 @@ class TestCliErrorContract:
         err = capsys.readouterr().err
         assert err.startswith("error:parse:") and err.count("\n") == 1
 
+    def test_decoys_too_close_for_the_bound_fail_at_load(self):
+        # nu + omega >= s: the two-decoy bound does not apply.
+        with pytest.raises(ConfigurationError, match="nu \\+ omega < s"):
+            load_config(CONFIGS / "passive_tha.cfg", overrides=[
+                "intensities.nu=0.3", "intensities.omega=0.2"])
+
     def test_grid_cap_is_inclusive(self):
         cfg = ScenarioConfig(mode="passive_tha",
                              distance_max=MAX_SWEEP_POINTS - 1.0)
@@ -777,6 +798,17 @@ class TestCliErrorContractProperty:
     @given(config=st.sampled_from(["passive_tha.cfg", "dual_source.cfg"]),
            overrides=st.dictionaries(st.sampled_from(_SWEEP_KEYS),
                                      _FLOAT_TEXT, min_size=1, max_size=4))
+    # A decoy gap that underflows the Y1 prefactor, a fiber loss alpha * d
+    # beyond the largest double, and a subnormal Y1 bound that the coin
+    # imbalance would overflow.
+    @example(config="passive_tha.cfg",
+             overrides={"intensities.nu": "5e-324", "intensities.omega": "0",
+                        "sweep.distance_max": "0"})
+    @example(config="dual_source.cfg",
+             overrides={"channel.alpha_par": "1e308", "sweep.distance_max": "2"})
+    @example(config="passive_tha.cfg",
+             overrides={"channel.y0": "5e-324", "channel.alpha_sig": "100",
+                        "sweep.distance_max": "40"})
     def test_sweep_overrides(self, config, overrides):
         argv = ["sweep", "--config", str(CONFIGS / config)]
         for key, value in overrides.items():
@@ -792,6 +824,11 @@ class TestCliErrorContractProperty:
         if code == 0:
             assert err == ""
             assert out.getvalue().startswith(RESULT_HEADER + "\n")
+            # The table reads back: every cell finite, rates >= 0.
+            with tempfile.TemporaryDirectory() as tmp:
+                table = Path(tmp) / "rates.csv"
+                table.write_text(out.getvalue())
+                read_results(table)
             return
         assert err.startswith("error:") and err.count("\n") == 1, err
         category = err.split(":", 2)[1]

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voaleak import (
-    CalibrationError,
     ChannelParams,
     DomainError,
     SinglePhotonBounds,
@@ -240,6 +239,15 @@ class TestGllpKeyRate:
                                   q1_lower=0.0, y0_lower=0.0, clamp_events=1)
         assert gllp_key_rate(obs, dead, 0.0977) == 0.0
 
+    def test_tiny_yield_bound_saturates_without_overflow(self):
+        # Delta / Y1^L would overflow a double; Delta' saturates e_X' at
+        # 1/2 instead, which zeroes the privacy term.
+        obs, _ = table_run()
+        tiny = SinglePhotonBounds(y1_lower=1e-320, e1_upper=0.01,
+                                  q1_lower=1e-321, y0_lower=0.0)
+        assert gllp_key_rate(obs, tiny, np.array([0.0, 0.0977])).tolist() == [
+            0.0, 0.0]
+
     def test_strong_leak_kills_rate_at_range(self):
         obs, bounds = table_run(distance=13.0)
         assert gllp_key_rate(obs, bounds, 0.0) == pytest.approx(
@@ -370,7 +378,7 @@ class TestCalibratedIntensity:
         assert s_cal > 0.48
 
     def test_gain_below_background_rejected(self):
-        with pytest.raises(CalibrationError):
+        with pytest.raises(DomainError, match="background yield"):
             calibrated_intensity(1e-9, 0.5, 2e-8)
 
     def test_domain_errors(self):

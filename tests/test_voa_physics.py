@@ -177,6 +177,12 @@ class TestIdealityFit:
         with pytest.raises(DomainError):
             fit_ideality(iv, 0.05, 0.9, temperature=0.0)
 
+    def test_temperature_that_underflows_the_slope(self):
+        # slope * k * T rounds to zero, so beta would divide by it.
+        iv = IvCurve(*shockley_curve(2.0))
+        with pytest.raises(DomainError, match="temperature 5e-324"):
+            fit_ideality(iv, 0.05, 0.9, temperature=5e-324)
+
 
 class TestIvCurve:
     def test_descending_voltages_rejected(self):
