@@ -7,8 +7,8 @@ Four subcommands map onto the scenario modes:
     ivfit       diode ideality fits over voltage windows
     leakage     leaked photon numbers for a table of drive settings
 
-Each takes --config <path>, optional --out <path> (stdout otherwise)
-and repeatable --override key=value flags applied on top of the file.
+Each takes --config <path>, optional --out <path> (stdout otherwise) and
+repeatable --override key=value flags, before or after the command.
 On failure a single machine-parseable line `error:<category>: message`
 goes to stderr; exit status is 2 for configuration errors and 1 for
 any other failure.
@@ -30,12 +30,12 @@ from .scenario import (
     sweep_to_text,
 )
 
-# Which scenario modes each subcommand accepts.
-_COMMAND_MODES = {
-    "sweep": ("passive_tha", "dual_source"),
-    "wavelength": ("fringe",),
-    "ivfit": ("iv_fit",),
-    "leakage": ("device",),
+# Each subcommand: the scenario modes it accepts and its help line.
+_COMMANDS = {
+    "sweep": (("passive_tha", "dual_source"), "run a key-rate vs distance sweep"),
+    "wavelength": (("fringe",), "estimate the emission center wavelength from fringes"),
+    "ivfit": (("iv_fit",), "fit diode ideality factors from an I-V trace"),
+    "leakage": (("device",), "convert drive configurations to leaked photon numbers"),
 }
 
 
@@ -44,8 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
     argparse prints a usage block and exits 2 on a bad command line;
     here the error becomes a ConfigurationError, which `main` reports
-    as one `error:config:` line with exit status 2. Subcommand parsers
-    are built from this class too.
+    as one `error:config:` line with exit status 2.
     """
 
     def error(self, message: str):
@@ -56,25 +55,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="voaleak",
         description=("Key-rate impact of parasitic emission from a "
-                     "carrier-injection VOA in a decoy-state BB84 "
+                     "carrier-injection VOA\nin a decoy-state BB84 "
                      "transmitter."),
+        epilog="commands:\n" + "".join(
+            f"  {name:<12}{text}\n" for name, (_, text) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "sweep": "run a key-rate vs distance sweep",
-        "wavelength": "estimate the emission center wavelength from fringes",
-        "ivfit": "fit diode ideality factors from an I-V trace",
-        "leakage": "convert drive configurations to leaked photon numbers",
-    }
-    for name, text in helps.items():
-        p = sub.add_parser(name, help=text)
-        p.add_argument("--config", required=True, metavar="PATH",
-                       help="scenario config file (flat key=value text)")
-        p.add_argument("--out", metavar="PATH",
-                       help="write the result table here instead of stdout")
-        p.add_argument("--override", action="append", default=[],
-                       metavar="KEY=VALUE",
-                       help="override a config entry (repeatable)")
+    parser.add_argument("command", choices=_COMMANDS, help="one of the commands below")
+    parser.add_argument("--config", required=True, metavar="PATH",
+                        help="scenario config file (flat key=value text)")
+    parser.add_argument("--out", metavar="PATH",
+                        help="write the result table here instead of stdout")
+    parser.add_argument("--override", action="append", default=[],
+                        metavar="KEY=VALUE",
+                        help="override a config entry (repeatable)")
     return parser
 
 
@@ -82,7 +76,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = load_config(args.config, overrides=args.override)
-        allowed = _COMMAND_MODES[args.command]
+        allowed, _ = _COMMANDS[args.command]
         if config.mode not in allowed:
             raise ConfigurationError(
                 f"subcommand {args.command!r} requires mode in "

@@ -114,7 +114,8 @@ def find_extrema_pair(
         InsufficientDataError: fewer than 5 samples, a monotone smoothed
             trace, or a required maximum or adjacent minimum at the scan
             boundary.
-        DomainError: invalid smoothing window.
+        DomainError: invalid smoothing window, or count rates whose
+            window sums overflow a double.
     """
     if len(trace) < MIN_SAMPLES:
         raise InsufficientDataError(
@@ -123,7 +124,11 @@ def find_extrema_pair(
         raise DomainError(f"smooth_window must be odd and >= 1, got {smooth_window}")
 
     u = trace.voltages
-    s = _moving_average(trace.counts, smooth_window)
+    try:
+        with np.errstate(over="raise"):
+            s = _moving_average(trace.counts, smooth_window)
+    except FloatingPointError:
+        raise DomainError("count rates overflow a double when smoothed") from None
 
     maxima = _local_maxima(s)
     minima = _local_maxima(-s)
@@ -169,14 +174,20 @@ def center_wavelength(
         Estimated center wavelength [nm].
 
     Raises:
-        DomainError: non-positive reference wavelength.
+        DomainError: non-positive reference wavelength, or squared
+            voltages or an estimate that overflow a double.
         InsufficientDataError: reference span is zero.
     """
     check_range("lambda_ref", lambda_ref, 0.0, lo_open=True)
-    den = abs(reference.u_max ** 2 - reference.u_min ** 2)
+    try:
+        den = abs(reference.u_max ** 2 - reference.u_min ** 2)
+        num = abs(unknown.u_max ** 2 - unknown.u_min ** 2)
+    except OverflowError:
+        raise DomainError("squared extremum voltages overflow a double") from None
     if den == 0.0:
         raise InsufficientDataError(
             "reference extrema have equal squared voltages")
-    num = abs(unknown.u_max ** 2 - unknown.u_min ** 2)
     # ratio first: identical pairs then give exactly lambda_ref
-    return lambda_ref * (num / den)
+    wavelength = lambda_ref * (num / den)
+    check_range("estimated wavelength", wavelength, 0.0)
+    return wavelength

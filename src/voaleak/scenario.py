@@ -242,24 +242,15 @@ def apply_overrides(data: dict[str, str], overrides: Sequence[str]) -> None:
         data[key] = value.strip()
 
 
-def _take_float(data: dict[str, str], key: str, default: float) -> float:
+def _take_number(data: dict[str, str], key: str, default: float, kind=float) -> float:
     if key not in data:
         return default
     raw = data.pop(key)
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError:
-        raise ConfigurationError(f"{key}: expected a number, got {raw!r}") from None
-
-
-def _take_int(data: dict[str, str], key: str, default: int) -> int:
-    if key not in data:
-        return default
-    raw = data.pop(key)
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigurationError(f"{key}: expected an integer, got {raw!r}") from None
+        expected = "a number" if kind is float else "an integer"
+        raise ConfigurationError(f"{key}: expected {expected}, got {raw!r}") from None
 
 
 def _take_path(data: dict[str, str], key: str, base_dir: Path) -> Path | None:
@@ -295,9 +286,9 @@ _CHANNEL_FIELDS = (
 def _take_channel(data: dict[str, str]) -> ChannelParams:
     # A dataclass keeps its field defaults as class attributes.
     defaults = ChannelParams
-    kwargs = {name: _take_float(data, f"channel.{name}", getattr(defaults, name))
+    kwargs = {name: _take_number(data, f"channel.{name}", getattr(defaults, name))
               for name in _CHANNEL_FIELDS}
-    e0 = _take_float(data, "conventions.e0", defaults.e0)
+    e0 = _take_number(data, "conventions.e0", defaults.e0)
     try:
         return ChannelParams(distance=0.0, e0=e0, **kwargs)
     except DomainError as exc:
@@ -307,9 +298,9 @@ def _take_channel(data: dict[str, str]) -> ChannelParams:
 def _take_emission_spec(data: dict[str, str], prefix: str) -> EmissionSpec:
     try:
         return EmissionSpec(
-            drive_voltage=_take_float(data, f"{prefix}drive_voltage", 0.0),
-            count_rate=_take_float(data, f"{prefix}count_rate", 0.0),
-            pulse_width=_take_float(data, f"{prefix}pulse_width", 0.0),
+            drive_voltage=_take_number(data, f"{prefix}drive_voltage", 0.0),
+            count_rate=_take_number(data, f"{prefix}count_rate", 0.0),
+            pulse_width=_take_number(data, f"{prefix}pulse_width", 0.0),
         )
     except DomainError as exc:
         raise ConfigurationError(f"{prefix[:-1]}: {exc}") from exc
@@ -322,7 +313,7 @@ def _take_leakage(data: dict[str, str]) -> float:
         raise ConfigurationError(
             "give either leakage.mu or leakage.count_rate/pulse_width, not both")
     if has_mu:
-        return _take_float(data, "leakage.mu", 0.0)
+        return _take_number(data, "leakage.mu", 0.0)
     if not has_counts:
         return 0.0
     if "leakage.count_rate" not in data or "leakage.pulse_width" not in data:
@@ -380,30 +371,31 @@ def config_from_mapping(
     if mode in ("passive_tha", "dual_source"):
         fields = dict(
             channel=_take_channel(data),
-            s=_take_float(data, "intensities.s", defaults.s),
-            nu=_take_float(data, "intensities.nu", defaults.nu),
-            omega=_take_float(data, "intensities.omega", defaults.omega),
-            f_ec=_take_float(data, "conventions.f_ec", defaults.f_ec),
+            s=_take_number(data, "intensities.s", defaults.s),
+            nu=_take_number(data, "intensities.nu", defaults.nu),
+            omega=_take_number(data, "intensities.omega", defaults.omega),
+            f_ec=_take_number(data, "conventions.f_ec", defaults.f_ec),
             mu_leak=_take_leakage(data),
-            distance_min=_take_float(data, "sweep.distance_min", defaults.distance_min),
-            distance_max=_take_float(data, "sweep.distance_max", defaults.distance_max),
-            step=_take_float(data, "sweep.step", defaults.step),
+            distance_min=_take_number(data, "sweep.distance_min", defaults.distance_min),
+            distance_max=_take_number(data, "sweep.distance_max", defaults.distance_max),
+            step=_take_number(data, "sweep.step", defaults.step),
         )
         if mode == "passive_tha":
-            fields["p_z"] = _take_float(data, "conventions.p_z", defaults.p_z)
+            fields["p_z"] = _take_number(data, "conventions.p_z", defaults.p_z)
         else:
-            fields["q_proto"] = _take_float(data, "conventions.q_proto", defaults.q_proto)
+            fields["q_proto"] = _take_number(data, "conventions.q_proto", defaults.q_proto)
     elif mode == "fringe":
         fields = dict(
             reference_trace=_take_path(data, "fringe.reference_trace", base_dir),
             unknown_trace=_take_path(data, "fringe.unknown_trace", base_dir),
-            lambda_ref_nm=_take_float(data, "fringe.lambda_ref_nm", defaults.lambda_ref_nm),
-            smooth_window=_take_int(data, "fringe.smooth_window", defaults.smooth_window),
+            lambda_ref_nm=_take_number(data, "fringe.lambda_ref_nm", defaults.lambda_ref_nm),
+            smooth_window=_take_number(
+                data, "fringe.smooth_window", defaults.smooth_window, int),
         )
     elif mode == "iv_fit":
         fields = dict(
             iv_trace=_take_path(data, "ivfit.trace", base_dir),
-            temperature=_take_float(data, "ivfit.temperature", defaults.temperature),
+            temperature=_take_number(data, "ivfit.temperature", defaults.temperature),
             windows=(_parse_windows(data.pop("ivfit.windows"))
                      if "ivfit.windows" in data else defaults.windows),
         )

@@ -15,6 +15,7 @@ happen internally.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,8 +282,9 @@ def fit_ideality(
 
     Raises:
         DomainError: for a bad window/temperature, non-positive current
-            inside the window, a non-positive fitted slope, or a
-            temperature so small that slope * k * T underflows to zero.
+            inside the window, window voltages whose least-squares sums
+            overflow or underflow, a non-positive fitted slope,
+            or a temperature that makes slope * k * T zero or infinite.
         InsufficientDataError: fewer than 3 samples in the window.
     """
     check_range("v_lo", v_lo, -math.inf)
@@ -300,15 +302,26 @@ def fit_ideality(
         raise InsufficientDataError(
             f"need at least 3 samples in [{v_lo}, {v_hi}], found {v.size}")
 
-    slope, _ = np.polyfit(v, np.log10(i), 1)
-    slope = float(slope)
+    # Closed-form least squares about the means. As |dy| < 632, the
+    # slope is at most 632 sqrt(n / ss) in size: an ss that is a finite,
+    # normal double rules out any overflow, and the lost digits of an ss
+    # that underflows.
+    y = np.log10(i)
+    with np.errstate(all="ignore"):
+        dv = v - v.mean()
+        ss = float(dv @ dv)
+    if not sys.float_info.min <= ss < math.inf:
+        raise DomainError(f"voltages in [{v_lo}, {v_hi}] overflow or underflow "
+                          "the least-squares fit")
+    slope = float(dv @ (y - y.mean())) / ss
     if slope <= 0.0:
         raise DomainError(f"fitted slope {slope:g} dec/V is not positive; "
                           "window does not show diode-like conduction")
 
     thermal = slope * Boltzmann * temperature
-    if thermal == 0.0:
-        raise DomainError(f"temperature {temperature!r} K makes slope * k * T zero")
+    if not 0.0 < thermal < math.inf:
+        raise DomainError(
+            f"temperature {temperature!r} K makes slope * k * T = {thermal!r}")
     beta = elementary_charge * math.log10(math.e) / thermal
     return IdealityFit(v_lo=float(v_lo), v_hi=float(v_hi), slope=slope,
                        beta=beta, temperature=float(temperature))

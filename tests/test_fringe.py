@@ -105,6 +105,12 @@ class TestFindExtremaPair:
         with pytest.raises(DomainError):
             find_extrema_pair(trace, smooth_window=4)
 
+    def test_count_rates_whose_window_sums_overflow(self):
+        u, counts = synthetic_fringe(REF_C2, REF_PHI0)
+        trace = FringeTrace(u, counts * (1e308 / counts.max()))
+        with pytest.raises(DomainError, match="count rates overflow"):
+            find_extrema_pair(trace)
+
     def test_window_one_disables_smoothing(self):
         pair = find_extrema_pair(FringeTrace(*synthetic_fringe(REF_C2, REF_PHI0)),
                                  smooth_window=1)
@@ -140,6 +146,20 @@ class TestCenterWavelength:
                            match="equal squared voltages"):
             center_wavelength(1550.82, ExtremaPair(0.5, -0.5),
                               ExtremaPair(0.66, 1.26))
+
+    @pytest.mark.parametrize("lambda_ref, reference, unknown, message", [
+        (1550.82, ExtremaPair(2e154, 1.0), ExtremaPair(0.66, 1.26),
+         "squared extremum voltages overflow"),
+        (1550.82, ExtremaPair(0.95, 1.60), ExtremaPair(0.66, 2e154),
+         "squared extremum voltages overflow"),
+        # Finite spans whose ratio times lambda_ref overflows.
+        (1.5e308, ExtremaPair(0.66, 1.26), ExtremaPair(0.95, 1.60),
+         "estimated wavelength must be finite"),
+    ])
+    def test_overflow_is_domain_error(self, lambda_ref, reference, unknown,
+                                      message):
+        with pytest.raises(DomainError, match=message):
+            center_wavelength(lambda_ref, reference, unknown)
 
     def test_nonpositive_reference_wavelength(self):
         with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
-"""Runtime dependencies, export lists and the reproducibility of the shipped data."""
+"""Runtime dependencies, export lists, the reproducibility of the shipped data
+and the test configuration."""
 
 import importlib
 import importlib.util
@@ -60,3 +61,22 @@ def test_tracer_wrapped_names_resolve():
     missing = [(module, attr) for module, attr, _ in tracer.WRAPPED
                if not hasattr(sys.modules[module], attr)]
     assert missing == []
+
+
+def test_failing_property_gets_a_failure_report(tmp_path):
+    # hypothesis explains a failing property with libcst, whose import
+    # warns; the warnings-as-errors setting must not turn that warning
+    # into an INTERNALERROR that ends the whole run.
+    (tmp_path / "test_property.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n")
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "test_property.py"],
+        cwd=tmp_path, capture_output=True, text=True)
+    output = child.stdout + child.stderr
+    assert child.returncode == 1, output
+    assert "INTERNALERROR" not in output
+    assert "1 failed" in output

@@ -608,6 +608,64 @@ class TestCli:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 
+    @pytest.mark.parametrize("voltage_scale, peak_count_rate, message", [
+        (1e155, None, "squared extremum voltages overflow"),
+        (1.0, 1e308, "count rates overflow"),
+    ])
+    def test_wavelength_overflow_is_domain_error(
+            self, tmp_path, capsys, voltage_scale, peak_count_rate, message):
+        # The shipped traces with their voltages or count rates scaled.
+        for name in ("fringe_reference.csv", "fringe_voa.csv"):
+            trace = load_trace(DATA / name, "fringe")
+            counts = trace.counts
+            if peak_count_rate is not None:
+                counts = counts * (peak_count_rate / counts.max())
+            save_trace(FringeTrace(trace.voltages * voltage_scale, counts),
+                       tmp_path / name)
+        cfg = tmp_path / "fringe.cfg"
+        cfg.write_text((CONFIGS / "fringe.cfg").read_text().replace("../data/", ""))
+        code = main(["wavelength", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"error:domain: {message}")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_wavelength_estimate_overflow_is_domain_error(self, capsys):
+        # The traces swapped: the estimate is 2.08 lambda_ref, beyond a double.
+        code = main(["wavelength", "--config", str(CONFIGS / "fringe.cfg"),
+                     "--override", "fringe.reference_trace=../data/fringe_voa.csv",
+                     "--override", "fringe.unknown_trace=../data/fringe_reference.csv",
+                     "--override", "fringe.lambda_ref_nm=1.5e308"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ("error:domain: estimated wavelength must be "
+                                "finite and >= 0, got inf\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("voltage_scale", [1e155, 1e-300])
+    def test_ivfit_voltage_scale_is_domain_error(self, tmp_path, capsys,
+                                                 voltage_scale):
+        # Least-squares sums that overflow, or underflow to zero.
+        trace = load_trace(DATA / "iv_trace.csv", "iv")
+        save_trace(IvCurve(trace.voltages * voltage_scale, trace.currents),
+                   tmp_path / "iv.csv")
+        cfg = tmp_path / "ivfit.cfg"
+        cfg.write_text("mode = iv_fit\nivfit.trace = iv.csv\n"
+                       f"ivfit.windows = 0:{voltage_scale!r}\n")
+        code = main(["ivfit", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:domain: voltages in [0.0, ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_options_may_precede_the_command(self, capsys):
+        assert main(["leakage", "--config", str(CONFIGS / "device.cfg")]) == 0
+        after = capsys.readouterr()
+        assert main(["--config", str(CONFIGS / "device.cfg"), "leakage"]) == 0
+        assert capsys.readouterr() == after
+
     def test_leakage(self, capsys):
         code = main(["leakage", "--config", str(CONFIGS / "device.cfg")])
         assert code == 0

@@ -183,6 +183,20 @@ class TestIdealityFit:
         with pytest.raises(DomainError, match="temperature 5e-324"):
             fit_ideality(iv, 0.05, 0.9, temperature=5e-324)
 
+    @pytest.mark.parametrize("scale", [1e155, 1e-158, 1e-300])
+    def test_voltages_beyond_the_least_squares_sums(self, scale):
+        # The sum of squared voltage deviations overflows at 1e155, is
+        # subnormal at 1e-158 and underflows to zero at 1e-300.
+        v, i = shockley_curve(2.0)
+        with pytest.raises(DomainError, match="overflow or underflow"):
+            fit_ideality(IvCurve(v * scale, i), 0.0, scale)
+
+    def test_temperature_that_overflows_the_slope(self):
+        # A slope near 1e26 dec/V times k T at 1e308 K exceeds a double.
+        v, i = shockley_curve(2.0)
+        with pytest.raises(DomainError, match="temperature 1e\\+308"):
+            fit_ideality(IvCurve(v * 1e-25, i), 0.0, 1e-25, temperature=1e308)
+
 
 class TestIvCurve:
     def test_descending_voltages_rejected(self):
