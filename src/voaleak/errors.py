@@ -16,8 +16,9 @@ them checks its own arguments and raises DomainError. `check_range` is
 the one place where an input, a float or a numpy array, is checked
 against its interval, and `check_scan` the one where the two columns
 of a voltage scan are checked. `unchecked` builds a record from the
-package's own results without checking them again, and `plain` hands
-a 0-d numpy result back as a Python number.
+package's own results without checking them again, `replace` copies a
+record with some fields changed the same way, and `plain` hands a 0-d
+numpy result back as a Python number.
 """
 
 import math
@@ -132,6 +133,16 @@ def unchecked(cls, **values):
     record = object.__new__(cls)
     record.__dict__.update(values)
     return record
+
+
+def replace(record, **changes):
+    """A copy of the frozen dataclass record with changes, not checked.
+
+    `dataclasses.replace` without the checks, as `unchecked` builds a
+    record: for a checked record whose changed fields the package has
+    checked already.
+    """
+    return unchecked(type(record), **{**record.__dict__, **changes})
 
 
 def plain(value):

@@ -171,12 +171,13 @@ def center_wavelength(
         unknown: Extrema pair scanned with the unknown source.
 
     Returns:
-        Estimated center wavelength [nm].
+        Estimated center wavelength [nm], finite and > 0.
 
     Raises:
         DomainError: non-positive reference wavelength, or squared
-            voltages or an estimate that overflow a double.
-        InsufficientDataError: reference span is zero.
+            voltages or an estimate that overflow a double, or an
+            estimate that underflows to zero.
+        InsufficientDataError: reference or unknown span is zero.
     """
     check_range("lambda_ref", lambda_ref, 0.0, lo_open=True)
     try:
@@ -184,10 +185,11 @@ def center_wavelength(
         num = abs(unknown.u_max ** 2 - unknown.u_min ** 2)
     except OverflowError:
         raise DomainError("squared extremum voltages overflow a double") from None
-    if den == 0.0:
-        raise InsufficientDataError(
-            "reference extrema have equal squared voltages")
+    for which, span in (("reference", den), ("unknown", num)):
+        if span == 0.0:
+            raise InsufficientDataError(
+                f"{which} extrema have equal squared voltages")
     # ratio first: identical pairs then give exactly lambda_ref
     wavelength = lambda_ref * (num / den)
-    check_range("estimated wavelength", wavelength, 0.0)
+    check_range("estimated wavelength", wavelength, 0.0, lo_open=True)
     return wavelength

@@ -22,7 +22,7 @@ configs produce byte-identical output files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
@@ -35,6 +35,7 @@ from .errors import (
     DomainError,
     TraceParseError,
     TraceSchemaError,
+    replace,
     unchecked,
 )
 from .fringe import ExtremaPair, FringeTrace, center_wavelength, find_extrema_pair
@@ -218,12 +219,15 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     """
     data: dict[str, str] = {}
     for num, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
+        # A key=value line needs only its key and value stripped. A line
+        # with no key before its first '=', or whose key starts with '#',
+        # is blank, a comment or malformed; only those are stripped whole.
+        key, sep, value = raw.partition("=")
         key = key.strip()
-        if not sep or not key:
+        if not sep or not key or key.startswith("#"):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
             raise ConfigurationError(
                 f"{source}:{num}: expected key=value, got {line!r}")
         if key in data:
@@ -243,9 +247,9 @@ def apply_overrides(data: dict[str, str], overrides: Sequence[str]) -> None:
 
 
 def _take_number(data: dict[str, str], key: str, default: float, kind=float) -> float:
-    if key not in data:
+    raw = data.pop(key, None)
+    if raw is None:
         return default
-    raw = data.pop(key)
     try:
         return kind(raw)
     except ValueError:
@@ -253,14 +257,14 @@ def _take_number(data: dict[str, str], key: str, default: float, kind=float) -> 
         raise ConfigurationError(f"{key}: expected {expected}, got {raw!r}") from None
 
 
-def _take_path(data: dict[str, str], key: str, base_dir: Path) -> Path | None:
+def _take_path(data: dict[str, str], key: str, base_dir: Path | str) -> Path | None:
     if key not in data:
         return None
     raw = data.pop(key)
     if not raw or "\0" in raw:
         raise ConfigurationError(f"{key}: expected a file path, got {raw!r}")
     p = Path(raw)
-    return p if p.is_absolute() else base_dir / p
+    return p if p.is_absolute() else Path(base_dir) / p
 
 
 def _parse_windows(raw: str) -> tuple[tuple[float, float], ...]:
@@ -361,7 +365,6 @@ def config_from_mapping(
     ScenarioConfig checks the mode.
     """
     data = dict(data)
-    base_dir = Path(base_dir)
     if "mode" not in data:
         raise ConfigurationError("missing required key 'mode'")
     mode = data.pop("mode")
@@ -512,6 +515,8 @@ def _sweep(config: ScenarioConfig) -> SweepResult:
     dual = config.mode == "dual_source"
     s, nu, omega = config.s, config.nu, config.omega
     grid = sweep_distances(config)
+    # ScenarioConfig checked the channel, and its sweep checks keep every
+    # grid point finite and >= 0, so the channel is not checked again.
     ch = replace(config.channel, distance=grid)
     intensities = np.array((s, nu, omega))[:, None]
     leaks = np.array((0.0, config.mu_leak))[:, None]
@@ -532,7 +537,8 @@ def _sweep(config: ScenarioConfig) -> SweepResult:
         columns = [column[1] for column in columns]
     else:
         base, leak = gllp_key_rate(decoy, bounds, leaks, config.p_z, config.f_ec)
-    table = np.column_stack((grid, base, leak, *columns))
+    # Transposed and copied, the seven columns give C-contiguous rows.
+    table = np.array((grid, base, leak, *columns)).T.copy()
     table.flags.writeable = False
     return SweepResult(table)
 

@@ -115,13 +115,11 @@ def _coin(mu: float) -> float:
 
 
 def _coins(mu) -> np.ndarray:
-    # _coin of each leak. A call sees a handful of leaks (two per
-    # sweep), for which math per element is cheaper than the same
-    # formula in numpy calls.
-    return np.asarray(_coin_each(mu), dtype=float)
-
-
-_coin_each = np.frompyfunc(_coin, 1, 1)
+    # _coin of each leak, in an array of mu's shape. A call sees a
+    # handful of leaks (two per sweep), for which math per element is
+    # cheaper than the same formula in numpy calls.
+    mu = np.asarray(mu)
+    return np.fromiter(map(_coin, mu.ravel().tolist()), float, mu.size).reshape(mu.shape)
 
 
 def phase_error_with_tha(e_x: float, delta_prime: float) -> float:

@@ -15,6 +15,7 @@ import numpy as np
 
 from voaleak import (
     ChannelParams,
+    ConfigurationError,
     DecoyObservations,
     TraceParseError,
     observables_for_intensity,
@@ -460,3 +461,31 @@ def read_table_reference(path, header: str) -> np.ndarray:
         except ValueError:
             raise TraceParseError(f"{path}:{num}: non-numeric", line=num) from None
     return np.array(rows, dtype=float).reshape(-1, width)
+
+
+# ============================================================
+# Reference config parser
+# ============================================================
+
+def parse_config_text_reference(text: str, source: str = "<config>") -> dict[str, str]:
+    """Flat key=value lines as the package parsed them before it
+    partitioned each raw line and stripped a whole line only on the
+    blank, comment and error paths.
+
+    `scenario.parse_config_text` must return the same mapping in the same
+    order, or raise ConfigurationError with the same message.
+    """
+    data: dict[str, str] = {}
+    for num, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not sep or not key:
+            raise ConfigurationError(
+                f"{source}:{num}: expected key=value, got {line!r}")
+        if key in data:
+            raise ConfigurationError(f"{source}:{num}: duplicate key {key!r}")
+        data[key] = value.strip()
+    return data

@@ -10,6 +10,7 @@ from voaleak import DomainError, FringeTrace, IvCurve
 from voaleak.errors import check_range
 
 INF = math.inf
+NAN = math.nan
 TINY = 5e-324
 
 # (value, lo, hi, lo_open, hi_open, accepted)
@@ -65,13 +66,59 @@ def test_infinite_interval_message():
         check_range("u", math.nan, -INF)
 
 
+# Arrays pass when every element does; a failing array's message quotes
+# one element that fails. (id, values, shape, lo, hi, lo_open, hi_open,
+# the elements that fail)
+ARRAYS = [
+    ("empty", [], (0,), 0.0, 1.0, False, False, []),
+    ("one_in", [0.5], (1,), 0.0, 1.0, False, False, []),
+    ("one_out", [1.5], (1,), 0.0, 1.0, False, False, [1.5]),
+    ("three_in", [0.0, 0.5, 1.0], (3,), 0.0, 1.0, False, False, []),
+    ("three_low", [0.5, -TINY, 0.25], (3,), 0.0, 1.0, False, False, [-TINY]),
+    ("three_both", [1.5, 0.5, -0.5], (3,), 0.0, 1.0, False, False, [1.5, -0.5]),
+    ("column_in", [0.25, 0.75], (2, 1), 0.0, 1.0, False, False, []),
+    ("column_out", [0.25, 2.0], (2, 1), 0.0, 1.0, False, False, [2.0]),
+    ("nan_first", [NAN, 0.5, 0.25], (3,), 0.0, 1.0, False, False, [NAN]),
+    ("nan_middle", [0.5, NAN, 0.25], (3,), 0.0, 1.0, False, False, [NAN]),
+    ("nan_last", [0.5, 0.25, NAN], (3,), 0.0, 1.0, False, False, [NAN]),
+    ("nan_column", [0.5, NAN], (2, 1), -INF, INF, False, False, [NAN]),
+    ("plus_inf", [0.5, INF, 0.25], (3,), 0.0, INF, False, False, [INF]),
+    ("minus_inf", [0.5, -INF, 0.25], (3,), -INF, 1.0, False, False, [-INF]),
+    ("both_infs", [-INF, 0.5, INF], (3,), -INF, INF, True, True, [-INF, INF]),
+    ("lo_closed", [0.0, 0.5], (2,), 0.0, 1.0, False, False, []),
+    ("lo_open", [0.5, 0.0], (2,), 0.0, 1.0, True, False, [0.0]),
+    ("hi_closed", [1.0, 0.5], (2,), 0.0, 1.0, False, False, []),
+    ("hi_open", [0.5, 1.0], (2,), 0.0, 1.0, False, True, [1.0]),
+    ("both_open_in", [TINY, 0.5, math.nextafter(1.0, 0.0)], (3,), 0.0, 1.0,
+     True, True, []),
+]
+
+
+@pytest.mark.parametrize("values, shape, lo, hi, lo_open, hi_open, bad",
+                         [case[1:] for case in ARRAYS],
+                         ids=[case[0] for case in ARRAYS])
+def test_array(values, shape, lo, hi, lo_open, hi_open, bad):
+    value = np.array(values, dtype=float).reshape(shape)
+    if not bad:
+        check_range("x", value, lo, hi, lo_open=lo_open, hi_open=hi_open)
+        return
+    with pytest.raises(DomainError) as info:
+        check_range("x", value, lo, hi, lo_open=lo_open, hi_open=hi_open)
+    # The message is the one a failing element gives as a float.
+    messages = set()
+    for element in bad:
+        with pytest.raises(DomainError) as alone:
+            check_range("x", element, lo, hi, lo_open=lo_open, hi_open=hi_open)
+        messages.add(str(alone.value))
+    assert str(info.value) in messages
+
+
 # Both trace records run their columns through errors.check_scan; each
 # keeps its own nouns in the messages.
 RECORDS = {
     FringeTrace: dict(trace="fringe trace", column="counts"),
     IvCurve: dict(trace="I-V trace", column="currents"),
 }
-NAN = math.nan
 # (id, voltages, samples, message template)
 BAD_SCANS = [
     ("2d_voltages", [[0.0, 0.1], [0.2, 0.3]], [1.0, 1.0, 1.0, 1.0],

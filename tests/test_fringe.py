@@ -147,6 +147,27 @@ class TestCenterWavelength:
             center_wavelength(1550.82, ExtremaPair(0.5, -0.5),
                               ExtremaPair(0.66, 1.26))
 
+    @pytest.mark.parametrize("unknown", [
+        ExtremaPair(0.5, -0.5), ExtremaPair(-1.26, 1.26)])
+    def test_degenerate_unknown(self, unknown):
+        # A zero unknown span would give a 0 nm estimate.
+        with pytest.raises(InsufficientDataError,
+                           match="^unknown extrema have equal squared voltages$"):
+            center_wavelength(1550.82, ExtremaPair(0.95, 1.60), unknown)
+
+    def test_estimate_underflow_is_domain_error(self):
+        # The span ratio 1e-320 / 1e300 rounds to zero.
+        with pytest.raises(DomainError, match=(
+                r"^estimated wavelength must be finite and > 0, got 0\.0$")):
+            center_wavelength(1550.82, ExtremaPair(1e150, 1.6),
+                              ExtremaPair(1e-160, 0.0))
+
+    def test_least_positive_estimate_passes(self):
+        # The smallest estimate a double holds is still a wavelength.
+        lam = center_wavelength(5e-324, ExtremaPair(0.95, 1.60),
+                                ExtremaPair(0.95, 1.60))
+        assert lam == 5e-324
+
     @pytest.mark.parametrize("lambda_ref, reference, unknown, message", [
         (1550.82, ExtremaPair(2e154, 1.0), ExtremaPair(0.66, 1.26),
          "squared extremum voltages overflow"),

@@ -48,6 +48,7 @@ from voaleak.scenario import (
 )
 from helpers import (
     VERDICTS,
+    parse_config_text_reference,
     read_table_reference,
     render_reference,
     scalar_reference_sweep,
@@ -60,6 +61,23 @@ DATA = CONFIGS.parent / "data"
 BASELINE, CONTAMINATED, Q_S, E_S = (
     RESULT_HEADER.split(",").index(name)
     for name in ("rate_baseline", "rate_contaminated", "q_s", "e_s"))
+
+
+def _config_text():
+    """Config text from blank, whitespace-only and comment lines (with and
+    without '='), key=value lines with '=' or '#' in the value, lines
+    without '=' or with an empty key, and keys drawn from a few names, so
+    that some repeat."""
+    pad = st.sampled_from(["", " ", "\t", " \t", "\xa0"])
+    key = st.sampled_from(["", "a", "b", "mode", "channel.y0", "a b", "#a"])
+    value = st.sampled_from(["", "1", "x=y", "=", "#c", "a = b", "1 # 2"])
+    pair = st.builds(lambda *parts: "".join(parts), pad, key, pad,
+                     st.sampled_from(["=", ""]), pad, value, pad)
+    comment = st.builds(lambda p, body: f"{p}#{body}", pad,
+                        st.sampled_from(["", " note", "a=1", "=", "#", " a = b"]))
+    lines = st.lists(st.one_of(pair, comment, pad), max_size=12)
+    return st.builds(lambda ls, end: end.join(ls), lines,
+                     st.sampled_from(["\n", "\r\n", "\n\n"]))
 
 
 class TestParseConfigText:
@@ -78,6 +96,19 @@ class TestParseConfigText:
     def test_empty_key_rejected(self):
         with pytest.raises(ConfigurationError, match="key=value"):
             parse_config_text("=5\n")
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=st.one_of(_config_text(), st.text("ab.=# \t\r\n\x0b\xa0", max_size=40)))
+    def test_matches_reference_parser(self, text):
+        try:
+            expected = parse_config_text_reference(text, source="cfg")
+        except ConfigurationError as exc:
+            with pytest.raises(ConfigurationError) as info:
+                parse_config_text(text, source="cfg")
+            assert str(info.value) == str(exc)
+            return
+        got = parse_config_text(text, source="cfg")
+        assert list(got.items()) == list(expected.items())
 
 
 class TestOverrides:
@@ -431,6 +462,19 @@ class TestResultsIO:
             with pytest.raises(ValueError):
                 rows[0, 1] = 0.0
 
+    @pytest.mark.parametrize("mode", ["passive_tha", "dual_source"])
+    @pytest.mark.parametrize("distance_max, points", [(0.0, 1), (4.0, 5)])
+    @pytest.mark.parametrize("mu_leak", [0.0, 0.0388])
+    def test_rows_layout(self, mode, distance_max, points, mu_leak):
+        cfg = ScenarioConfig(mode=mode, mu_leak=mu_leak, distance_min=2.0,
+                             distance_max=2.0 + distance_max)
+        rows = run_scenario(cfg).rows
+        assert rows.dtype == np.float64 and rows.shape == (points, 7)
+        assert rows.flags.c_contiguous and not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[-1, 2] = 0.0
+        assert rows[:, 0].tolist() == [2.0 + k for k in range(points)]
+
     def test_device_rows_are_read_only(self):
         rows = run_scenario(load_config(CONFIGS / "device.cfg")).rows
         assert rows.dtype == np.float64 and rows.shape == (3, 4)
@@ -640,7 +684,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == ("error:domain: estimated wavelength must be "
-                                "finite and >= 0, got inf\n")
+                                "finite and > 0, got inf\n")
         assert captured.out == ""
 
     @pytest.mark.parametrize("voltage_scale", [1e155, 1e-300])
@@ -702,6 +746,25 @@ class TestCli:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err == "error:domain: gain is zero; QBER undefined\n"
+        assert captured.out == ""
+
+    def test_wavelength_zero_unknown_span_is_data_error(self, tmp_path, capsys):
+        # An unknown fringe with its maximum at -0.5 V and its minimum at
+        # +0.5 V: equal squared voltages, which would estimate 0 nm.
+        u = np.arange(-20, 21) / 20.0
+        save_trace(FringeTrace(u, 100.0 + 50.0 * np.cos(np.pi * (u + 0.5))),
+                   tmp_path / "symmetric.csv")
+        cfg = tmp_path / "fringe.cfg"
+        cfg.write_text(
+            "mode = fringe\n"
+            f"fringe.reference_trace = {DATA / 'fringe_reference.csv'}\n"
+            "fringe.unknown_trace = symmetric.csv\n"
+            "fringe.lambda_ref_nm = 1550.82\n")
+        code = main(["wavelength", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            "error:data: unknown extrema have equal squared voltages\n")
         assert captured.out == ""
 
     def test_runtime_data_error(self, tmp_path, capsys):
