@@ -18,11 +18,10 @@ floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_range, plain
+from .errors import DomainError, Record, check_range, plain
 
 __all__ = [
     "ChannelParams",
@@ -31,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ChannelParams:
+class ChannelParams(Record):
     """Channel and receiver parameters for both sources.
 
     Parameters
@@ -86,8 +84,7 @@ class ChannelParams:
         return plain(_transmittance(self.alpha_par, self.distance) * self.eta_bob_par)
 
 
-@dataclass(frozen=True)
-class Observables:
+class Observables(Record):
     """Per-pulse measured quantities for one signal intensity.
 
     Parameters

@@ -17,11 +17,10 @@ estimator ran out of information.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_range, plain, unchecked
+from .errors import DomainError, Record, check_range, plain, unchecked
 
 __all__ = ["DecoyObservations", "SinglePhotonBounds", "single_photon_bounds"]
 
@@ -51,8 +50,7 @@ def check_intensities(s, nu, omega) -> None:
                           f"close to bound Y1 at s={s!r}")
 
 
-@dataclass(frozen=True)
-class DecoyObservations:
+class DecoyObservations(Record):
     """Measured per-intensity observables of one protocol run.
 
     Parameters
@@ -85,8 +83,7 @@ class DecoyObservations:
             check_range(name, getattr(self, name), 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class SinglePhotonBounds:
+class SinglePhotonBounds(Record):
     """Decoy-estimated bounds entering the key-rate formulas.
 
     Every field is a float, or an array of the shape of the

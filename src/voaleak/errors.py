@@ -15,10 +15,11 @@ Only `scenario` and `cli` raise ConfigurationError; each layer below
 them checks its own arguments and raises DomainError. `check_range` is
 the one place where an input, a float or a numpy array, is checked
 against its interval, and `check_scan` the one where the two columns
-of a voltage scan are checked. `unchecked` builds a record from the
-package's own results without checking them again, `replace` copies a
-record with some fields changed the same way, and `plain` hands a 0-d
-numpy result back as a Python number.
+of a voltage scan are checked. `Record` is the base of the package's
+frozen records, `unchecked` builds a record from the package's own
+results without checking them again, `replace` copies a record with
+some fields changed the same way, and `plain` hands a 0-d numpy result
+back as a Python number.
 """
 
 import math
@@ -122,8 +123,90 @@ def check_scan(trace: str, voltages, name: str, values
     return v, y
 
 
+class Record:
+    """Base of a frozen record whose fields are its annotated names.
+
+    A subclass lists its fields as annotations, in order, each with an
+    optional default in the class body; the defaults stay readable as
+    class attributes. Its instances take the fields by position or by
+    keyword, fill in the defaults and then run `__post_init__`, where a
+    subclass checks its values. A field cannot be assigned or deleted
+    afterwards. Two records are equal when they are of the same class
+    and their fields are equal in order, and the hash is that of the
+    tuple of fields. A record whose fields are arrays sets `__eq__` and
+    `__hash__` back to `object`'s, comparing by identity.
+
+    The fields are read once per subclass, in `__init_subclass__`, so no
+    method is generated for it.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        cls._field_set = frozenset(cls._fields)
+        body = vars(cls)
+        cls._defaults = {name: body[name] for name in cls._fields if name in body}
+
+    def __init__(self, *args, **kwargs):
+        # One frozenset test for the keywords and, only where a field is
+        # left out, one dict display for the defaults keep this shared
+        # __init__ about as fast as a generated one.
+        fields = self._fields
+        if kwargs and not kwargs.keys() <= self._field_set:
+            unknown = ", ".join(map(repr, sorted(kwargs.keys() - self._field_set)))
+            raise TypeError(f"{type(self).__name__}() got unexpected "
+                            f"arguments: {unknown}")
+        if args:
+            if len(args) > len(fields):
+                raise TypeError(f"{type(self).__name__}() takes at most "
+                                f"{len(fields)} positional arguments, "
+                                f"got {len(args)}")
+            named = dict(zip(fields, args))
+            if kwargs:
+                if not named.keys().isdisjoint(kwargs):
+                    twice = ", ".join(map(repr, named.keys() & kwargs.keys()))
+                    raise TypeError(f"{type(self).__name__}() got multiple "
+                                    f"values for {twice}")
+                named.update(kwargs)
+            kwargs = named
+        if len(kwargs) < len(fields):
+            kwargs = {**self._defaults, **kwargs}
+            if len(kwargs) < len(fields):
+                missing = ", ".join(repr(name) for name in fields
+                                    if name not in kwargs)
+                raise TypeError(f"{type(self).__name__}() missing "
+                                f"arguments: {missing}")
+        self.__dict__.update(kwargs)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[name] for name in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+
 def unchecked(cls, **values):
-    """An instance of the frozen dataclass cls, built without its checks.
+    """An instance of the record class cls, built without its checks.
 
     For records the package fills with its own results, which lie in
     range by construction (clamped bounds, gains of checked inputs).
@@ -136,11 +219,12 @@ def unchecked(cls, **values):
 
 
 def replace(record, **changes):
-    """A copy of the frozen dataclass record with changes, not checked.
+    """A copy of the record with changes, not checked.
 
-    `dataclasses.replace` without the checks, as `unchecked` builds a
-    record: for a checked record whose changed fields the package has
-    checked already.
+    A copy made through the constructor, `type(record)(**fields)`, runs
+    the record's checks; this one skips them, as `unchecked` does: for
+    a checked record whose changed fields the package has checked
+    already.
     """
     return unchecked(type(record), **{**record.__dict__, **changes})
 

@@ -11,20 +11,24 @@ a reference laser scan on the same interferometer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError, InsufficientDataError, check_range, check_scan
+from .errors import (
+    DomainError,
+    InsufficientDataError,
+    Record,
+    check_range,
+    check_scan,
+)
 
 __all__ = ["FringeTrace", "ExtremaPair", "find_extrema_pair", "center_wavelength"]
 
 MIN_SAMPLES = 5
 
 
-@dataclass(frozen=True)
-class FringeTrace:
+class FringeTrace(Record):
     """A heater-voltage scan of detector count rate.
 
     Attributes:
@@ -46,8 +50,7 @@ class FringeTrace:
         return int(self.voltages.size)
 
 
-@dataclass(frozen=True)
-class ExtremaPair:
+class ExtremaPair(Record):
     """Voltages of one interference maximum and an adjacent minimum.
 
     Attributes:

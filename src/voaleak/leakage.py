@@ -12,15 +12,13 @@ where C(U) dt is the observed per-gate click probability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import DomainError, check_range
+from .errors import DomainError, Record, check_range
 
 __all__ = ["EmissionSpec", "mean_photon_number"]
 
 
-@dataclass(frozen=True)
-class EmissionSpec:
+class EmissionSpec(Record):
     """One driving configuration of the emitting device.
 
     Attributes:

@@ -22,7 +22,6 @@ configs produce byte-identical output files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
@@ -33,6 +32,7 @@ from .decoy import DecoyObservations, check_intensities, single_photon_bounds
 from .errors import (
     ConfigurationError,
     DomainError,
+    Record,
     TraceParseError,
     TraceSchemaError,
     replace,
@@ -92,8 +92,7 @@ MAX_INTENSITY = 100.0
 # Configuration
 # ============================================================
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Record):
     """Validated description of one scenario run.
 
     Attributes:
@@ -237,11 +236,15 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 
 
 def apply_overrides(data: dict[str, str], overrides: Sequence[str]) -> None:
-    """Apply repeatable key=value overrides in place (replace or add)."""
+    """Apply repeatable key=value overrides in place (replace or add).
+
+    An override stands for one config line, so it may hold no line
+    break of any kind `str.splitlines` knows.
+    """
     for item in overrides:
         key, sep, value = item.partition("=")
         key = key.strip()
-        if not sep or not key:
+        if not sep or not key or item.splitlines() != [item]:
             raise ConfigurationError(f"override must be key=value, got {item!r}")
         data[key] = value.strip()
 
@@ -288,7 +291,7 @@ _CHANNEL_FIELDS = (
 
 
 def _take_channel(data: dict[str, str]) -> ChannelParams:
-    # A dataclass keeps its field defaults as class attributes.
+    # A record keeps its field defaults as class attributes.
     defaults = ChannelParams
     kwargs = {name: _take_number(data, f"channel.{name}", getattr(defaults, name))
               for name in _CHANNEL_FIELDS}
@@ -361,7 +364,7 @@ def config_from_mapping(
     the mode reads are taken; any other key is an error, so typos and
     settings meant for another mode cannot silently fall back to
     defaults or be ignored. Missing keys take ScenarioConfig's field
-    defaults, which a dataclass keeps as class attributes;
+    defaults, which a record keeps as class attributes;
     ScenarioConfig checks the mode.
     """
     data = dict(data)
@@ -430,11 +433,10 @@ def load_config(
 # Results
 # ============================================================
 
-# The result tables below are arrays, so they take eq=False: the __eq__
-# a dataclass generates would compare them with `==`, whose truth value
-# is ambiguous.
-@dataclass(frozen=True, eq=False)
-class SweepResult:
+# The result tables below are arrays, so they compare and hash by
+# identity: a field-wise __eq__ would compare them with `==`, whose
+# truth value is ambiguous.
+class SweepResult(Record):
     """Key-rate sweep over distance for one scenario.
 
     rows is a read-only (n, 7) float64 array, one row per distance, with
@@ -447,12 +449,14 @@ class SweepResult:
 
     rows: np.ndarray
 
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
     def __len__(self) -> int:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
-class WavelengthResult:
+class WavelengthResult(Record):
     """Center wavelength estimate plus the extrema it came from."""
 
     wavelength_nm: float
@@ -460,15 +464,13 @@ class WavelengthResult:
     unknown: ExtremaPair
 
 
-@dataclass(frozen=True)
-class IvFitResult:
+class IvFitResult(Record):
     """Ideality fits for each configured voltage window."""
 
     fits: tuple[IdealityFit, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class LeakageResult:
+class LeakageResult(Record):
     """Leaked mean photon number per driving configuration.
 
     rows is a read-only (n, 4) float64 array, one row per emission block,
@@ -476,6 +478,9 @@ class LeakageResult:
     """
 
     rows: np.ndarray
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 ScenarioResult = Union[SweepResult, WavelengthResult, IvFitResult, LeakageResult]

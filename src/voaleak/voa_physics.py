@@ -16,11 +16,16 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError, check_range, check_scan
+from .errors import (
+    DomainError,
+    InsufficientDataError,
+    Record,
+    check_range,
+    check_scan,
+)
 
 # CODATA 2022 physical constants, SI. q, h, c and k_B are exact since
 # the 2019 SI redefinition; eps0 and m_e are the 2022 recommended values.
@@ -73,8 +78,7 @@ DEFAULT_FIT_WINDOWS: tuple[tuple[float, float], ...] = (
 # Data types
 # ============================================================
 
-@dataclass(frozen=True)
-class CarrierState:
+class CarrierState(Record):
     """Injected excess carrier densities.
 
     Attributes:
@@ -90,8 +94,7 @@ class CarrierState:
         check_range("delta_n_h", self.delta_n_h, 0.0)
 
 
-@dataclass(frozen=True)
-class IvCurve:
+class IvCurve(Record):
     """Measured I-V trace of the junction.
 
     Voltages must be strictly increasing. Currents may touch zero
@@ -114,8 +117,7 @@ class IvCurve:
         return int(self.voltages.size)
 
 
-@dataclass(frozen=True)
-class IdealityFit:
+class IdealityFit(Record):
     """Result of an exponential-law fit over one voltage window.
 
     Attributes:

@@ -1,13 +1,32 @@
 """The shared range and scan checks: interval ends, non-finite values,
-malformed voltage scans."""
+malformed voltage scans; and the frozen-record contract."""
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from voaleak import DomainError, FringeTrace, IvCurve
-from voaleak.errors import check_range
+from voaleak import (
+    CarrierState,
+    ChannelParams,
+    DecoyObservations,
+    DomainError,
+    EmissionSpec,
+    ExtremaPair,
+    FringeTrace,
+    IvCurve,
+    LeakageResult,
+    ScenarioConfig,
+    SinglePhotonBounds,
+    SweepResult,
+    VoaleakError,
+)
+from voaleak.errors import check_range, replace, unchecked
+from voaleak.scenario import config_from_mapping, parse_config_text, run_scenario
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 INF = math.inf
 NAN = math.nan
@@ -147,3 +166,183 @@ def test_bad_scan_message(record, voltages, samples, message):
     with pytest.raises(DomainError) as info:
         record(np.array(voltages), np.array(samples))
     assert str(info.value) == message.format(**RECORDS[record])
+
+
+# ============================================================
+# Records
+# ============================================================
+
+def test_record_binds_by_position_keyword_and_default():
+    pair = ExtremaPair(1.0, u_min=2.0)
+    assert (pair.u_max, pair.u_min) == (1.0, 2.0)
+    bounds = SinglePhotonBounds(0.5, 0.1, 0.2, 1e-6)
+    assert bounds.clamp_events == 0
+    assert SinglePhotonBounds(0.5, 0.1, 0.2, 1e-6, 3).clamp_events == 3
+    config = ScenarioConfig("passive_tha", step=2.0)
+    assert config.channel == ChannelParams()
+    assert config.channel is ScenarioConfig.channel
+    assert (config.mode, config.step, config.s) == ("passive_tha", 2.0, 0.48)
+    # The defaults stay readable as class attributes.
+    assert ChannelParams.alpha_sig == ChannelParams().alpha_sig == 0.2
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((1.0,), {}),
+    ((), {"u_max": 1.0}),
+    ((1.0, 2.0), {"u_mid": 1.5}),
+    ((1.0, 2.0), {"u_max": 1.0}),
+    ((1.0, 2.0, 3.0), {}),
+], ids=["missing", "missing-keyword", "unknown", "repeated", "too-many"])
+def test_record_rejects_bad_arguments(args, kwargs):
+    with pytest.raises(TypeError):
+        ExtremaPair(*args, **kwargs)
+
+
+def test_scenario_config_needs_its_mode():
+    with pytest.raises(TypeError, match="'mode'"):
+        ScenarioConfig(step=1.0)
+
+
+@pytest.mark.parametrize("record", [
+    ExtremaPair(1.0, 2.0),
+    ChannelParams(),
+    unchecked(ExtremaPair, u_max=1.0, u_min=1.0),
+], ids=["checked", "defaults", "unchecked"])
+def test_record_fields_cannot_change(record):
+    with pytest.raises(AttributeError):
+        record.u_max = 3.0
+    with pytest.raises(AttributeError):
+        record.extra = 3.0
+    with pytest.raises(AttributeError):
+        del record.u_max
+    assert not hasattr(record, "extra")
+
+
+def test_record_eq_and_hash_follow_the_field_order():
+    a = ExtremaPair(1.0, 2.0)
+    b = ExtremaPair(u_min=2.0, u_max=1.0)
+    swapped = ExtremaPair(2.0, 1.0)
+    assert a == b and hash(a) == hash(b)
+    assert hash(a) == hash((1.0, 2.0))
+    assert a != swapped
+    assert a != (1.0, 2.0)
+    # Same fields, another class: not equal.
+    assert CarrierState(1.0, 2.0) != ExtremaPair(1.0, 2.0)
+    assert ScenarioConfig("device", emission=(
+        EmissionSpec(2.0, 5.82e7, 1.6e-9),)) == ScenarioConfig(
+        emission=(EmissionSpec(pulse_width=1.6e-9, count_rate=5.82e7,
+                               drive_voltage=2.0),), mode="device")
+    assert len({a, b, swapped}) == 2
+
+
+@pytest.mark.parametrize("cls", [SweepResult, LeakageResult])
+def test_array_results_compare_by_identity(cls):
+    rows = np.zeros((2, 3))
+    first, second = cls(rows), cls(rows)
+    assert first == first
+    assert first != second
+    assert hash(first) == object.__hash__(first)
+    assert len({first, second}) == 2
+
+
+# repr of the records the shipped configs give, as the dataclass repr
+# printed them; the trace paths are relative to base_dir "configs".
+CHANNEL = ("ChannelParams(distance=0.0, alpha_sig=0.2, alpha_par=0.8, "
+           "eta_bob_sig=0.78, eta_bob_par=0.25, y0=2e-08, e_d=0.0061, e0=0.5)")
+TAIL = "windows=((0.0, 0.45), (0.5, 0.8), (0.85, 0.9)))"
+REPRS = {
+    "passive_tha.cfg": (
+        f"ScenarioConfig(mode='passive_tha', channel={CHANNEL}, s=0.48, nu=0.02, "
+        "omega=0.001, p_z=1.0, q_proto=0.5, f_ec=1.2, mu_leak=0.09774514191987614, "
+        "distance_min=0.0, distance_max=400.0, step=1.0, emission=(), "
+        "reference_trace=None, unknown_trace=None, lambda_ref_nm=0.0, "
+        f"smooth_window=5, iv_trace=None, temperature=300.0, {TAIL}"),
+    "dual_source.cfg": (
+        f"ScenarioConfig(mode='dual_source', channel={CHANNEL}, s=0.48, nu=0.02, "
+        "omega=0.001, p_z=1.0, q_proto=0.5, f_ec=1.2, mu_leak=0.09774514191987614, "
+        "distance_min=0.0, distance_max=60.0, step=1.0, emission=(), "
+        "reference_trace=None, unknown_trace=None, lambda_ref_nm=0.0, "
+        f"smooth_window=5, iv_trace=None, temperature=300.0, {TAIL}"),
+    "fringe.cfg": (
+        f"ScenarioConfig(mode='fringe', channel={CHANNEL}, s=0.48, nu=0.02, "
+        "omega=0.001, p_z=1.0, q_proto=0.5, f_ec=1.2, mu_leak=0.0, "
+        "distance_min=0.0, distance_max=0.0, step=1.0, emission=(), "
+        "reference_trace=PosixPath('configs/../data/fringe_reference.csv'), "
+        "unknown_trace=PosixPath('configs/../data/fringe_voa.csv'), "
+        "lambda_ref_nm=1550.82, smooth_window=5, iv_trace=None, "
+        f"temperature=300.0, {TAIL}"),
+    "ivfit.cfg": (
+        f"ScenarioConfig(mode='iv_fit', channel={CHANNEL}, s=0.48, nu=0.02, "
+        "omega=0.001, p_z=1.0, q_proto=0.5, f_ec=1.2, mu_leak=0.0, "
+        "distance_min=0.0, distance_max=0.0, step=1.0, emission=(), "
+        "reference_trace=None, unknown_trace=None, lambda_ref_nm=0.0, "
+        "smooth_window=5, iv_trace=PosixPath('configs/../data/iv_trace.csv'), "
+        f"temperature=300.0, {TAIL}"),
+    "device.cfg": (
+        f"ScenarioConfig(mode='device', channel={CHANNEL}, s=0.48, nu=0.02, "
+        "omega=0.001, p_z=1.0, q_proto=0.5, f_ec=1.2, mu_leak=0.0, "
+        "distance_min=0.0, distance_max=0.0, step=1.0, emission=("
+        "EmissionSpec(drive_voltage=1.4, count_rate=23800000.0, pulse_width=2e-10), "
+        "EmissionSpec(drive_voltage=1.4, count_rate=23800000.0, pulse_width=1.6e-09), "
+        "EmissionSpec(drive_voltage=2.0, count_rate=58200000.0, pulse_width=1.6e-09)), "
+        "reference_trace=None, unknown_trace=None, lambda_ref_nm=0.0, "
+        f"smooth_window=5, iv_trace=None, temperature=300.0, {TAIL}"),
+}
+
+
+def _shipped(name):
+    text = (CONFIGS / name).read_text()
+    return config_from_mapping(parse_config_text(text), base_dir="configs")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="the pinned paths are POSIX paths")
+@pytest.mark.parametrize("name", list(REPRS))
+def test_record_repr_of_the_shipped_configs(name):
+    assert repr(_shipped(name)) == REPRS[name]
+
+
+def test_wavelength_result_repr(monkeypatch):
+    monkeypatch.chdir(CONFIGS.parent)
+    assert repr(run_scenario(_shipped("fringe.cfg"))) == (
+        "WavelengthResult(wavelength_nm=1077.8549864253391, "
+        "reference=ExtremaPair(u_max=0.9500000000000001, u_min=1.6), "
+        "unknown=ExtremaPair(u_max=0.66, u_min=1.26))")
+
+
+SCAN = dict(voltages=np.array([0.0, 0.5, 1.0]), counts=np.array([1.0, 2.0, 3.0]))
+IV = dict(voltages=np.array([0.0, 0.5, 1.0]), currents=np.array([0.0, 1e-6, 1e-3]))
+# (record class, valid fields, one bad field)
+CHECKED = [
+    (ChannelParams, {}, {"e_d": 0.75}),
+    (DecoyObservations,
+     dict(s=0.48, nu=0.02, omega=0.001, q_s=0.01, q_nu=5e-4, q_omega=2e-5,
+          e_s=0.01, e_nu=0.03, e_omega=0.5),
+     {"q_s": 0.0}),
+    (SinglePhotonBounds,
+     dict(y1_lower=0.5, e1_upper=0.1, q1_lower=0.15, y0_lower=1e-6),
+     {"e1_upper": 0.6}),
+    (FringeTrace, SCAN, {"counts": np.array([1.0, -2.0, 3.0])}),
+    (ExtremaPair, dict(u_max=1.0, u_min=2.0), {"u_min": 1.0}),
+    (EmissionSpec, dict(drive_voltage=2.0, count_rate=5.82e7, pulse_width=1.6e-9),
+     {"pulse_width": 0.0}),
+    (ScenarioConfig, dict(mode="passive_tha"), {"f_ec": 0.5}),
+    (CarrierState, dict(delta_n_e=1e17, delta_n_h=1e17), {"delta_n_h": -1.0}),
+    (IvCurve, IV, {"voltages": np.array([0.0, 1.0, 0.5])}),
+]
+
+
+@pytest.mark.parametrize("cls, fields, bad", CHECKED,
+                         ids=[case[0].__name__ for case in CHECKED])
+def test_constructor_checks_and_unchecked_paths_do_not(cls, fields, bad):
+    good = cls(**fields)
+    with pytest.raises(VoaleakError):
+        cls(**{**fields, **bad})
+    (name, value), = bad.items()
+    # The checked copy the tests use goes through the constructor too.
+    with pytest.raises(VoaleakError):
+        type(good)(**{**vars(good), **bad})
+    built = unchecked(cls, **{**vars(good), **bad})
+    copied = replace(good, **bad)
+    assert getattr(built, name) is value
+    assert getattr(copied, name) is value
+    assert getattr(good, name) is not value

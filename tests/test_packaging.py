@@ -14,17 +14,29 @@ import voaleak
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_import_loads_no_scipy():
+def _fresh_child(code: str) -> str:
+    """The stdout of code run in a new interpreter that imports this voaleak."""
     env = dict(os.environ)
     src = str(Path(voaleak.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    child = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, check=True)
+    return child.stdout.strip()
+
+
+def test_import_loads_no_scipy():
     code = ("import sys, voaleak\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m == 'scipy' or m.startswith('scipy.')))\n")
-    child = subprocess.run([sys.executable, "-c", code], env=env,
-                           capture_output=True, text=True, check=True)
-    assert child.stdout.strip() == "[]"
+    assert _fresh_child(code) == "[]"
+
+
+def test_cli_import_loads_no_dataclasses():
+    # The records derive from errors.Record, which generates no code at
+    # import; dataclasses would build and exec methods for each class.
+    code = "import sys, voaleak.cli\nprint('dataclasses' in sys.modules)\n"
+    assert _fresh_child(code) == "False"
 
 
 def test_export_lists_resolve():

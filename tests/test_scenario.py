@@ -4,7 +4,6 @@ import io
 import math
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -300,6 +299,11 @@ class TestSweepEvaluation:
         assert r1[E_S] > r0[E_S]
         assert r1[CONTAMINATED] < r1[BASELINE]
         assert r0[CONTAMINATED] == r0[BASELINE]
+
+
+def replace(record, **changes):
+    """A copy of record with changes, checked by its constructor."""
+    return type(record)(**{**vars(record), **changes})
 
 
 def _scalar_chain_row(cfg: ScenarioConfig, d: float) -> tuple[float, ...]:
@@ -821,6 +825,24 @@ class TestCliErrorContract:
         assert code == 2
         assert err.startswith("error:config:")
         assert err.count("\n") == 1
+
+    # Line breaks of str.splitlines, in the key and in the value: an
+    # override stands for one config line.
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\x0b", "\x85", "\u2028"],
+                             ids=["lf", "cr", "crlf", "vt", "nel", "ls"])
+    @pytest.mark.parametrize("template", [
+        "bogus{}key=1", "sweep.distance_max=5{}0", "sweep.distance_max=50{}",
+    ], ids=["key", "value", "value-end"])
+    def test_line_break_in_override_is_one_config_error(self, capsys, brk,
+                                                         template):
+        item = template.format(brk)
+        argv = ["sweep", "--config", str(CONFIGS / "passive_tha.cfg"),
+                "--override", item]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error:config: override must be key=value, got {item!r}\n")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("command, config, key", [
         ("sweep", "passive_tha.cfg", "fringe.smooth_window"),
