@@ -14,12 +14,13 @@ category the CLI prints has exactly one class:
 Only `scenario` and `cli` raise ConfigurationError; each layer below
 them checks its own arguments and raises DomainError. `check_range` is
 the one place where an input, a float or a numpy array, is checked
-against its interval, and `check_scan` the one where the two columns
-of a voltage scan are checked. `Record` is the base of the package's
-frozen records, `unchecked` builds a record from the package's own
-results without checking them again, `replace` copies a record with
-some fields changed the same way, and `plain` hands a 0-d numpy result
-back as a Python number.
+against its interval, including each numeric config key, whose interval
+`scenario` declares once, in a per-mode table. `check_scan` is the one
+place where the two columns of a voltage scan are checked.
+`Record` is the base of the package's frozen records, `unchecked`
+builds a record from the package's own results without checking them
+again, `replace` copies a record with some fields changed the same way,
+and `plain` hands a 0-d numpy result back as a Python number.
 """
 
 import math
@@ -72,12 +73,14 @@ def check_range(name: str, value, lo: float, hi: float = math.inf, *,
                 lo_open: bool = False, hi_open: bool = False) -> None:
     """Raise DomainError unless value is finite and lies between lo and hi.
 
-    Each end is closed unless its `*_open` flag is set. NaN and +-inf
-    are always rejected, so an infinite end reads as "finite and
-    beyond the other end". A numpy array passes when every element
-    does, and the message quotes an element that fails.
+    Each end is closed unless its `*_open` flag is set. NaN, +-inf and
+    an int too large for a double are always rejected, so an infinite
+    end reads as "finite and beyond the other end". A numpy array
+    passes when every element does, and the message quotes an element
+    that fails.
     """
-    if isinstance(value, np.ndarray):
+    # A float skips the isinstance test, a third of a scalar check's cost.
+    if value.__class__ is not float and isinstance(value, np.ndarray):
         # Checked through a NaN it holds, or else its least and greatest
         # elements. Python's min and max over a list cost less than two
         # numpy reductions on the few-element arrays a sweep passes, and
@@ -88,7 +91,11 @@ def check_range(name: str, value, lo: float, hi: float = math.inf, *,
             for end in (min(values), max(values)) if nan is None else (nan,):
                 check_range(name, end, lo, hi, lo_open=lo_open, hi_open=hi_open)
         return
-    if (math.isfinite(value)
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the largest double
+        finite = False
+    if (finite
             and (lo < value if lo_open else lo <= value)
             and (value < hi if hi_open else value <= hi)):
         return

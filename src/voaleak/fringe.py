@@ -11,6 +11,7 @@ a reference laser scan on the same interferometer.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -38,6 +39,9 @@ class FringeTrace(Record):
 
     voltages: np.ndarray
     counts: np.ndarray
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __post_init__(self):
         v, c = check_scan("fringe trace", self.voltages, "counts", self.counts)
@@ -108,7 +112,7 @@ def find_extrema_pair(
 
     Args:
         trace: Scanned fringe, at least 5 samples.
-        smooth_window: Odd moving-average width in samples, >= 1.
+        smooth_window: Odd integer moving-average width in samples, >= 1.
 
     Returns:
         ExtremaPair with the chosen (u_max, u_min).
@@ -123,8 +127,10 @@ def find_extrema_pair(
     if len(trace) < MIN_SAMPLES:
         raise InsufficientDataError(
             f"need at least {MIN_SAMPLES} samples, got {len(trace)}")
-    if smooth_window < 1 or smooth_window % 2 == 0:
-        raise DomainError(f"smooth_window must be odd and >= 1, got {smooth_window}")
+    if (not isinstance(smooth_window, Integral) or smooth_window < 1
+            or smooth_window % 2 == 0):
+        raise DomainError(
+            f"smooth_window must be an odd integer >= 1, got {smooth_window!r}")
 
     u = trace.voltages
     try:

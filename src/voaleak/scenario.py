@@ -22,6 +22,8 @@ configs produce byte-identical output files.
 from __future__ import annotations
 
 import math
+import sys
+from numbers import Integral
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
@@ -35,6 +37,7 @@ from .errors import (
     Record,
     TraceParseError,
     TraceSchemaError,
+    check_range,
     replace,
     unchecked,
 )
@@ -82,15 +85,57 @@ LEAKAGE_HEADER = "drive_voltage_v,count_rate_hz,pulse_width_s,mu"
 
 # Largest sweep grid a config may ask for (one row per point).
 MAX_SWEEP_POINTS = 1_000_000
-# Largest mean photon number a config may set for the signal, decoy or
-# leaked light; well inside the 709 photons `decoy.check_intensities`
-# allows the signal, whose gain the decoy bounds weigh by e^s.
-MAX_INTENSITY = 100.0
+# The ulp of doubles in [2**1024, 2**1025), past the largest double.
+_ULP_PAST_MAX = 2.0 * math.ulp(sys.float_info.max)
 
 
 # ============================================================
 # Configuration
 # ============================================================
+
+def _key(key: str, field: str, interval: str | None = None, kind=float) -> tuple:
+    # A row of _KEYS; an interval "(lo, hi]" becomes (lo, hi, True, False).
+    if interval:
+        lo, hi = map(float, interval[1:-1].split(","))
+        interval = (lo, hi, interval[0] == "(", interval[-1] == ")")
+    return key, field, kind, interval
+
+
+_SWEEP_KEYS = (
+    _key("sweep.step", "step", "(0, inf)"),
+    _key("sweep.distance_min", "distance_min", "[0, inf)"),
+    _key("sweep.distance_max", "distance_max", "[0, inf)"),  # and >= min
+    # 100 photons lie well inside the s <= 709 of `check_intensities`,
+    # which also orders s > nu > omega >= 0 with nu + omega < s.
+    _key("leakage.mu", "mu_leak", "[0, 100]"),
+    _key("intensities.s", "s", "(0, 100]"),
+    _key("intensities.nu", "nu"),
+    _key("intensities.omega", "omega"),
+    _key("conventions.f_ec", "f_ec", "[1, inf)"),
+)
+# The numeric config keys of each mode: the key, the ScenarioConfig field
+# it sets, the type its text parses as and the field's interval (None for
+# a rule that is not an interval), which _RANGES holds for ScenarioConfig.
+# A key left out keeps the field's default. The channel keys set
+# ChannelParams fields, which that record checks.
+_KEYS = {
+    "passive_tha": (*_SWEEP_KEYS, _key("conventions.p_z", "p_z", "(0, 1]")),
+    "dual_source": (*_SWEEP_KEYS, _key("conventions.q_proto", "q_proto", "(0, 1]")),
+    "fringe": (_key("fringe.lambda_ref_nm", "lambda_ref_nm", "(0, inf)"),
+               _key("fringe.smooth_window", "smooth_window", "[1, inf)", int)),
+    "iv_fit": (_key("ivfit.temperature", "temperature", "(0, inf)"),),
+    "device": (),
+}
+_RANGES = {mode: tuple((key, field, *interval)
+                       for key, field, _, interval in rows if interval)
+           for mode, rows in _KEYS.items()}
+# The trace files each mode requires: the key and the field it sets.
+_PATHS = {"fringe": (("fringe.reference_trace", "reference_trace"),
+                     ("fringe.unknown_trace", "unknown_trace")),
+          "iv_fit": (("ivfit.trace", "iv_trace"),)}
+_CHANNEL_KEYS = {"conventions.e0": "e0", **{f"channel.{name}": name for name in (
+    "alpha_sig", "alpha_par", "eta_bob_sig", "eta_bob_par", "y0", "e_d")}}
+
 
 class ScenarioConfig(Record):
     """Validated description of one scenario run.
@@ -109,6 +154,9 @@ class ScenarioConfig(Record):
         reference_trace, unknown_trace, lambda_ref_nm, smooth_window:
             Fringe-mode inputs.
         iv_trace, temperature, windows: I-V fit mode inputs.
+
+    Only the fields the mode reads are checked: the intervals in `_KEYS`,
+    then the rules below. One ConfigurationError names every bad key.
     """
 
     mode: str
@@ -133,77 +181,65 @@ class ScenarioConfig(Record):
     windows: tuple[tuple[float, float], ...] = DEFAULT_FIT_WINDOWS
 
     def __post_init__(self):
-        bad: list[str] = []
         if self.mode not in MODES:
             raise ConfigurationError(
                 f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
+        values = self.__dict__
+        bad: list[str] = []
+        for key, field, lo, hi, lo_open, hi_open in _RANGES[self.mode]:
+            try:
+                check_range(key, values[field], lo, hi,
+                            lo_open=lo_open, hi_open=hi_open)
+            except DomainError as exc:
+                bad.append(str(exc))
+        for key, field in _PATHS.get(self.mode, ()):
+            if values[field] is None:
+                bad.append(f"{key} (required)")
         if self.mode in ("passive_tha", "dual_source"):
-            # Every comparison below is false for NaN, so each check
-            # also rejects non-finite values.
-            if not 0.0 < self.step < math.inf:
-                bad.append("sweep.step (must be finite and > 0)")
-            if not 0.0 <= self.distance_min < math.inf:
-                bad.append("sweep.distance_min (must be finite and >= 0)")
-            if not self.distance_min <= self.distance_max < math.inf:
-                bad.append("sweep.distance_max (must be finite and >= distance_min)")
-            # The grid can be sized once the three checks above passed.
-            # Its points min + k*step and the products k*step lie below
-            # M = max + step and are each rounded by at most ulp(M)/2, so
-            # neighbours differ by at least step - 2 ulp(M): a larger
-            # step keeps every point distinct without building the grid.
-            if not bad:
-                steps = _grid_steps(self)
-                if not steps < MAX_SWEEP_POINTS:
-                    bad.append(f"sweep.step (grid exceeds {MAX_SWEEP_POINTS} points)")
-                elif steps >= 1.0 and not self.step > 2.0 * math.ulp(
-                        self.distance_max + self.step):
-                    bad.append("sweep.step (too small for distinct grid points "
-                               "at these distances)")
-                else:
-                    # The fiber loss alpha * d at the last point of `sweep_distances`.
-                    far = self.distance_min + math.floor(steps) * self.step
-                    for name in ("alpha_sig", "alpha_par"):
-                        if not math.isfinite(getattr(self.channel, name) * far):
-                            bad.append(f"channel.{name} (fiber loss overflows "
-                                       "a double at sweep.distance_max)")
-            if not 0.0 <= self.mu_leak <= MAX_INTENSITY:
-                bad.append(f"leakage.mu (must lie in [0, {MAX_INTENSITY:g}])")
-            if self.s > MAX_INTENSITY:
-                bad.append(f"intensities.s (must be <= {MAX_INTENSITY:g})")
+            # The grid is sized once its keys passed (parts start with keys).
+            if not (bad and any(part.startswith("sweep.") for part in bad)):
+                self._check_grid(bad)
             try:
                 check_intensities(self.s, self.nu, self.omega)
             except DomainError as exc:
                 bad.append(f"intensities ({exc})")
-            if self.mode == "passive_tha" and not 0.0 < self.p_z <= 1.0:
-                bad.append("conventions.p_z (must lie in (0, 1])")
-            if self.mode == "dual_source" and not 0.0 < self.q_proto <= 1.0:
-                bad.append("conventions.q_proto (must lie in (0, 1])")
-            if not 1.0 <= self.f_ec < math.inf:
-                bad.append("conventions.f_ec (must be finite and >= 1)")
         elif self.mode == "fringe":
-            if self.reference_trace is None:
-                bad.append("fringe.reference_trace (required)")
-            if self.unknown_trace is None:
-                bad.append("fringe.unknown_trace (required)")
-            if not (math.isfinite(self.lambda_ref_nm) and self.lambda_ref_nm > 0.0):
-                bad.append("fringe.lambda_ref_nm (must be > 0)")
-            if self.smooth_window < 1 or self.smooth_window % 2 == 0:
-                bad.append("fringe.smooth_window (must be odd and >= 1)")
+            if not (isinstance(self.smooth_window, Integral) and self.smooth_window % 2):
+                bad.append("fringe.smooth_window (must be an odd integer)")
         elif self.mode == "iv_fit":
-            if self.iv_trace is None:
-                bad.append("ivfit.trace (required)")
-            if not (math.isfinite(self.temperature) and self.temperature > 0.0):
-                bad.append("ivfit.temperature (must be > 0)")
             if not self.windows:
                 bad.append("ivfit.windows (at least one lo:hi window)")
             if not all(-math.inf < lo < hi < math.inf for lo, hi in self.windows):
                 bad.append("ivfit.windows (each lo:hi must be finite with lo < hi)")
-        elif self.mode == "device":
-            if not self.emission:
-                bad.append("emission (at least one emission.N.* block)")
+        elif not self.emission:
+            bad.append("emission (at least one emission.N.* block)")
         if bad:
             raise ConfigurationError(
                 "invalid configuration fields: " + "; ".join(bad))
+
+    def _check_grid(self, bad: list[str]) -> None:
+        # The points min + k*step and the products k*step lie below
+        # M = max + step and are each rounded by at most ulp(M)/2, so
+        # neighbours differ by at least step - 2 ulp(M): a larger step
+        # keeps every point distinct without building the grid. An M that
+        # overflows lies below 2**1025, in the binade of _ULP_PAST_MAX.
+        top = self.distance_max + self.step
+        if self.distance_max < self.distance_min:
+            bad.append("sweep.distance_max (must be >= sweep.distance_min)")
+        elif not (steps := _grid_steps(self)) < MAX_SWEEP_POINTS:
+            bad.append(f"sweep.step (grid exceeds {MAX_SWEEP_POINTS} points)")
+        elif steps >= 1.0 and not self.step > 2.0 * (
+                math.ulp(top) if top < math.inf else _ULP_PAST_MAX):
+            bad.append("sweep.step (too small for distinct grid points "
+                       "at these distances)")
+        elif (far := self.distance_min + math.floor(steps) * self.step) == math.inf:
+            # The last point of `sweep_distances`.
+            bad.append("sweep.distance_max (last grid point overflows a double)")
+        else:
+            for name in ("alpha_sig", "alpha_par"):
+                if not math.isfinite(getattr(self.channel, name) * far):
+                    bad.append(f"channel.{name} (fiber loss overflows "
+                               "a double at sweep.distance_max)")
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -249,10 +285,8 @@ def apply_overrides(data: dict[str, str], overrides: Sequence[str]) -> None:
         data[key] = value.strip()
 
 
-def _take_number(data: dict[str, str], key: str, default: float, kind=float) -> float:
-    raw = data.pop(key, None)
-    if raw is None:
-        return default
+def _take_number(data: dict[str, str], key: str, kind=float) -> float:
+    raw = data.pop(key)
     try:
         return kind(raw)
     except ValueError:
@@ -260,14 +294,11 @@ def _take_number(data: dict[str, str], key: str, default: float, kind=float) -> 
         raise ConfigurationError(f"{key}: expected {expected}, got {raw!r}") from None
 
 
-def _take_path(data: dict[str, str], key: str, base_dir: Path | str) -> Path | None:
-    if key not in data:
-        return None
+def _take_path(data: dict[str, str], key: str, base_dir: Path | str) -> Path:
     raw = data.pop(key)
     if not raw or "\0" in raw:
         raise ConfigurationError(f"{key}: expected a file path, got {raw!r}")
-    p = Path(raw)
-    return p if p.is_absolute() else Path(base_dir) / p
+    return Path(base_dir) / raw  # an absolute path stays as it is
 
 
 def _parse_windows(raw: str) -> tuple[tuple[float, float], ...]:
@@ -286,47 +317,28 @@ def _parse_windows(raw: str) -> tuple[tuple[float, float], ...]:
     return tuple(out)
 
 
-_CHANNEL_FIELDS = (
-    "alpha_sig", "alpha_par", "eta_bob_sig", "eta_bob_par", "y0", "e_d")
-
-
 def _take_channel(data: dict[str, str]) -> ChannelParams:
-    # A record keeps its field defaults as class attributes.
-    defaults = ChannelParams
-    kwargs = {name: _take_number(data, f"channel.{name}", getattr(defaults, name))
-              for name in _CHANNEL_FIELDS}
-    e0 = _take_number(data, "conventions.e0", defaults.e0)
+    fields = {name: _take_number(data, key)
+              for key, name in _CHANNEL_KEYS.items() if key in data}
     try:
-        return ChannelParams(distance=0.0, e0=e0, **kwargs)
+        return ChannelParams(**fields)
     except DomainError as exc:
         raise ConfigurationError(f"channel: {exc}") from exc
 
 
 def _take_emission_spec(data: dict[str, str], prefix: str) -> EmissionSpec:
+    # The block under "leakage." or "emission.N.": count_rate and
+    # pulse_width, and a drive voltage that only labels it (0 if left out).
+    rate, width, voltage = (prefix + "count_rate", prefix + "pulse_width",
+                            prefix + "drive_voltage")
+    if rate not in data or width not in data:
+        raise ConfigurationError(f"{rate} and {width} must be given together")
     try:
         return EmissionSpec(
-            drive_voltage=_take_number(data, f"{prefix}drive_voltage", 0.0),
-            count_rate=_take_number(data, f"{prefix}count_rate", 0.0),
-            pulse_width=_take_number(data, f"{prefix}pulse_width", 0.0),
-        )
+            drive_voltage=_take_number(data, voltage) if voltage in data else 0.0,
+            count_rate=_take_number(data, rate), pulse_width=_take_number(data, width))
     except DomainError as exc:
         raise ConfigurationError(f"{prefix[:-1]}: {exc}") from exc
-
-
-def _take_leakage(data: dict[str, str]) -> float:
-    has_mu = "leakage.mu" in data
-    has_counts = "leakage.count_rate" in data or "leakage.pulse_width" in data
-    if has_mu and has_counts:
-        raise ConfigurationError(
-            "give either leakage.mu or leakage.count_rate/pulse_width, not both")
-    if has_mu:
-        return _take_number(data, "leakage.mu", 0.0)
-    if not has_counts:
-        return 0.0
-    if "leakage.count_rate" not in data or "leakage.pulse_width" not in data:
-        raise ConfigurationError(
-            "leakage.count_rate and leakage.pulse_width must be given together")
-    return mean_photon_number(_take_emission_spec(data, "leakage."))
 
 
 def _take_emission(data: dict[str, str]) -> tuple[EmissionSpec, ...]:
@@ -339,20 +351,12 @@ def _take_emission(data: dict[str, str]) -> tuple[EmissionSpec, ...]:
                 raise ConfigurationError(
                     f"emission keys must look like emission.N.field, got {key!r}")
             indices.add(int(parts[1]))
-    if not indices:
-        return ()
-    if min(indices) != 1 or max(indices) != len(indices):
+    if indices and (min(indices) != 1 or max(indices) != len(indices)):
         raise ConfigurationError(
             "emission blocks must be numbered 1..N without gaps, got "
             f"{sorted(indices)}")
-    specs = []
-    for n in sorted(indices):
-        prefix = f"emission.{n}."
-        if f"{prefix}count_rate" not in data or f"{prefix}pulse_width" not in data:
-            raise ConfigurationError(
-                f"emission block {n} needs count_rate and pulse_width")
-        specs.append(_take_emission_spec(data, prefix))
-    return tuple(specs)
+    return tuple(_take_emission_spec(data, f"emission.{n}.")
+                 for n in sorted(indices))
 
 
 def config_from_mapping(
@@ -363,50 +367,33 @@ def config_from_mapping(
     Relative trace paths are resolved against base_dir. Only the keys
     the mode reads are taken; any other key is an error, so typos and
     settings meant for another mode cannot silently fall back to
-    defaults or be ignored. Missing keys take ScenarioConfig's field
-    defaults, which a record keeps as class attributes;
-    ScenarioConfig checks the mode.
+    defaults or be ignored. The numeric keys and trace paths of each
+    mode and the fields they set are declared once, in `_KEYS` and
+    `_PATHS`; a key the mapping leaves out keeps the field's default.
+    ScenarioConfig checks the values.
     """
     data = dict(data)
     if "mode" not in data:
         raise ConfigurationError("missing required key 'mode'")
     mode = data.pop("mode")
 
-    defaults = ScenarioConfig
-    fields = {}
+    fields = {field: _take_number(data, key, kind)
+              for key, field, kind, _ in _KEYS.get(mode, ()) if key in data}
+    for key, field in _PATHS.get(mode, ()):
+        if key in data:
+            fields[field] = _take_path(data, key, base_dir)
     if mode in ("passive_tha", "dual_source"):
-        fields = dict(
-            channel=_take_channel(data),
-            s=_take_number(data, "intensities.s", defaults.s),
-            nu=_take_number(data, "intensities.nu", defaults.nu),
-            omega=_take_number(data, "intensities.omega", defaults.omega),
-            f_ec=_take_number(data, "conventions.f_ec", defaults.f_ec),
-            mu_leak=_take_leakage(data),
-            distance_min=_take_number(data, "sweep.distance_min", defaults.distance_min),
-            distance_max=_take_number(data, "sweep.distance_max", defaults.distance_max),
-            step=_take_number(data, "sweep.step", defaults.step),
-        )
-        if mode == "passive_tha":
-            fields["p_z"] = _take_number(data, "conventions.p_z", defaults.p_z)
-        else:
-            fields["q_proto"] = _take_number(data, "conventions.q_proto", defaults.q_proto)
-    elif mode == "fringe":
-        fields = dict(
-            reference_trace=_take_path(data, "fringe.reference_trace", base_dir),
-            unknown_trace=_take_path(data, "fringe.unknown_trace", base_dir),
-            lambda_ref_nm=_take_number(data, "fringe.lambda_ref_nm", defaults.lambda_ref_nm),
-            smooth_window=_take_number(
-                data, "fringe.smooth_window", defaults.smooth_window, int),
-        )
-    elif mode == "iv_fit":
-        fields = dict(
-            iv_trace=_take_path(data, "ivfit.trace", base_dir),
-            temperature=_take_number(data, "ivfit.temperature", defaults.temperature),
-            windows=(_parse_windows(data.pop("ivfit.windows"))
-                     if "ivfit.windows" in data else defaults.windows),
-        )
+        fields["channel"] = _take_channel(data)
+        if "leakage.count_rate" in data or "leakage.pulse_width" in data:
+            if "mu_leak" in fields:
+                raise ConfigurationError("give either leakage.mu or "
+                                         "leakage.count_rate/pulse_width, not both")
+            fields["mu_leak"] = mean_photon_number(
+                _take_emission_spec(data, "leakage."))
+    elif mode == "iv_fit" and "ivfit.windows" in data:
+        fields["windows"] = _parse_windows(data.pop("ivfit.windows"))
     elif mode == "device":
-        fields = dict(emission=_take_emission(data))
+        fields["emission"] = _take_emission(data)
     config = ScenarioConfig(mode=mode, **fields)
     if data:
         raise ConfigurationError(

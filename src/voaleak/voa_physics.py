@@ -108,6 +108,9 @@ class IvCurve(Record):
     voltages: np.ndarray
     currents: np.ndarray
 
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
     def __post_init__(self):
         v, i = check_scan("I-V trace", self.voltages, "currents", self.currents)
         object.__setattr__(self, "voltages", v)

@@ -7,6 +7,7 @@ must raise exactly that class; every closed end must be accepted.
 """
 
 import math
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import pytest
@@ -14,11 +15,13 @@ import pytest
 from voaleak import (
     CarrierState,
     ChannelParams,
+    ConfigurationError,
     DecoyObservations,
     DomainError,
     EmissionSpec,
     ExtremaPair,
     IvCurve,
+    ScenarioConfig,
     SinglePhotonBounds,
     attenuation_db,
     attenuation_from_counts,
@@ -82,6 +85,16 @@ RUN = (DecoyObservations(**DECOY), SinglePhotonBounds(**BOUNDS))
 EMISSION = dict(drive_voltage=2.0, count_rate=5.82e7, pulse_width=1.6e-9)
 IV = IvCurve(*shockley_curve(2.0))
 PAIR = ExtremaPair(1.0, 2.0)
+# One valid ScenarioConfig per mode, with the trace paths set so that only
+# the field under test can fail; the config checks no file.
+SCENARIOS = dict(
+    passive_tha=dict(mode="passive_tha"),
+    dual_source=dict(mode="dual_source"),
+    fringe=dict(mode="fringe", reference_trace=Path("ref.csv"),
+                unknown_trace=Path("unk.csv"), lambda_ref_nm=1550.0),
+    iv_fit=dict(mode="iv_fit", iv_trace=Path("iv.csv")),
+)
+DEFAULT_S = ScenarioConfig("passive_tha")
 
 CASES = [
     *(Case(f"ChannelParams.{n}", with_field(ChannelParams, CHANNEL, n), *iv)
@@ -170,6 +183,25 @@ CASES = [
     Case("ExtremaPair.u_min", lambda v: ExtremaPair(1.0, v), *open_(-INF, INF)),
     Case("center_wavelength.lambda_ref",
          lambda v: center_wavelength(v, PAIR, PAIR), *open_(0.0, INF)),
+    # The config intervals, written out here on their own. The sweep
+    # grid needs distance_min <= distance_max (0 in the base config);
+    # `check_intensities` puts s above nu + omega.
+    *(Case(f"ScenarioConfig.{mode}.{n}",
+           with_field(ScenarioConfig, SCENARIOS[mode], n), *iv)
+      for mode, n, iv in (
+          ("passive_tha", "step", open_(0.0, INF, ConfigurationError)),
+          ("passive_tha", "distance_min", half_open(0.0, INF, ConfigurationError)),
+          ("passive_tha", "distance_max", half_open(0.0, INF, ConfigurationError)),
+          ("passive_tha", "mu_leak", closed(0.0, 100.0, ConfigurationError)),
+          ("passive_tha", "s", open_closed(DEFAULT_S.nu + DEFAULT_S.omega, 100.0,
+                                           ConfigurationError)),
+          ("passive_tha", "p_z", open_closed(0.0, 1.0, ConfigurationError)),
+          ("dual_source", "q_proto", open_closed(0.0, 1.0, ConfigurationError)),
+          ("dual_source", "f_ec", half_open(1.0, INF, ConfigurationError)),
+          ("fringe", "lambda_ref_nm", open_(0.0, INF, ConfigurationError)),
+          # An int; its oddness is a rule of its own.
+          ("fringe", "smooth_window", half_open(1, INF, ConfigurationError)),
+          ("iv_fit", "temperature", open_(0.0, INF, ConfigurationError)))),
 ]
 
 

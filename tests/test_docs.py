@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import voaleak
+from voaleak.scenario import MODES, config_from_mapping
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -78,3 +79,49 @@ def test_readme_command_runs(args, tmp_path):
     child = run_python(["-m", "voaleak.cli", *args], tmp_path)
     assert child.returncode == 0, child.stderr
     assert child.stderr == ""
+
+
+def config_key_rows():
+    """(modes, key, default) of each row of the README's config key table."""
+    table = README.split("<!-- config-keys -->")[1].split("<!-- /config-keys -->")[0]
+    rows = []
+    for line in table.strip().splitlines()[2:]:
+        modes, key, default, _ = (cell.strip() for cell in line.strip("|").split("|"))
+        rows.append((modes.split(", "), key.strip("`"), default))
+    return rows
+
+
+CONFIG_KEY_ROWS = config_key_rows()
+# The least valid config of each mode: required keys only.
+MODE_BASES = {
+    "passive_tha": {},
+    "dual_source": {},
+    "fringe": {"fringe.reference_trace": "ref.csv", "fringe.unknown_trace": "unk.csv",
+               "fringe.lambda_ref_nm": "1550"},
+    "iv_fit": {"ivfit.trace": "iv.csv"},
+    "device": {"emission.1.count_rate": "1e7", "emission.1.pulse_width": "1e-9"},
+}
+# Keys read only together with others.
+COMPANIONS = {"leakage.drive_voltage": {"leakage.count_rate": "1e7",
+                                        "leakage.pulse_width": "1e-9"}}
+
+
+def test_config_key_table_covers_every_mode():
+    assert {mode for modes, _, _ in CONFIG_KEY_ROWS for mode in modes} == set(MODES)
+
+
+@pytest.mark.parametrize("modes, key, default", CONFIG_KEY_ROWS,
+                         ids=[row[1] for row in CONFIG_KEY_ROWS])
+def test_config_key_table_default(modes, key, default):
+    # A key given at its listed default builds the same config as the key
+    # left out: a stale default, or a key the mode does not read, fails.
+    key = key.replace(".N.", ".1.")
+    for mode in modes:
+        base = {"mode": mode, **MODE_BASES[mode], **COMPANIONS.get(key, {})}
+        if default == "required":
+            assert key in base
+            continue
+        if default == "none":
+            continue
+        given = config_from_mapping({**base, key: default})
+        assert given == config_from_mapping(base), (mode, key)

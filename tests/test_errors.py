@@ -55,6 +55,8 @@ TABLE = [
     (INF, -INF, INF, True, True, False),
     (-INF, -INF, INF, False, False, False),
     (2, 1.0, INF, False, False, True),
+    # An int beyond the largest double fails as inf does.
+    (10 ** 400, 1.0, INF, False, False, False),
 ]
 
 
@@ -235,14 +237,17 @@ def test_record_eq_and_hash_follow_the_field_order():
     assert len({a, b, swapped}) == 2
 
 
-@pytest.mark.parametrize("cls", [SweepResult, LeakageResult])
+@pytest.mark.parametrize("cls", [SweepResult, LeakageResult, FringeTrace, IvCurve])
 def test_array_results_compare_by_identity(cls):
-    rows = np.zeros((2, 3))
-    first, second = cls(rows), cls(rows)
+    # Each record's array fields, equal in both instances.
+    arrays = ((np.zeros((2, 3)),) if cls in (SweepResult, LeakageResult)
+              else (np.array([0.0, 1.0]), np.array([1.0, 2.0])))
+    first, second = cls(*arrays), cls(*arrays)
     assert first == first
     assert first != second
     assert hash(first) == object.__hash__(first)
     assert len({first, second}) == 2
+    assert first in [second, first] and second not in [first]
 
 
 # repr of the records the shipped configs give, as the dataclass repr

@@ -105,6 +105,17 @@ class TestFindExtremaPair:
         with pytest.raises(DomainError):
             find_extrema_pair(trace, smooth_window=4)
 
+    @pytest.mark.parametrize("window", [math.nan, math.inf, 5.0, "5"])
+    def test_non_integer_window_is_domain_error(self, window):
+        trace = FringeTrace(*synthetic_fringe(REF_C2, REF_PHI0))
+        with pytest.raises(DomainError, match="odd integer"):
+            find_extrema_pair(trace, smooth_window=window)
+
+    def test_numpy_integer_window_accepted(self):
+        trace = FringeTrace(*synthetic_fringe(REF_C2, REF_PHI0))
+        assert (find_extrema_pair(trace, smooth_window=np.int64(5))
+                == find_extrema_pair(trace, smooth_window=5))
+
     def test_count_rates_whose_window_sums_overflow(self):
         u, counts = synthetic_fringe(REF_C2, REF_PHI0)
         trace = FringeTrace(u, counts * (1e308 / counts.max()))

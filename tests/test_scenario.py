@@ -244,6 +244,33 @@ class TestScenarioConfigValidation:
         with pytest.raises(ConfigurationError, match="emission"):
             ScenarioConfig(mode="device")
 
+    def test_interval_messages_name_the_key(self):
+        with pytest.raises(ConfigurationError) as info:
+            ScenarioConfig(mode="dual_source", step=-1.0, q_proto=2.0, f_ec=math.nan)
+        assert str(info.value) == (
+            "invalid configuration fields: "
+            "sweep.step must be finite and > 0, got -1.0; "
+            "conventions.f_ec must be finite and >= 1, got nan; "
+            "conventions.q_proto must lie in (0, 1], got 2.0")
+
+    def test_grid_rules_join_the_other_fields(self):
+        # The grid is sized while another field is bad, and both are named.
+        with pytest.raises(ConfigurationError) as info:
+            ScenarioConfig(mode="passive_tha", distance_max=1e300, p_z=0.0)
+        assert "conventions.p_z" in str(info.value)
+        assert "grid exceeds" in str(info.value)
+        with pytest.raises(ConfigurationError, match=(
+                r"sweep\.distance_max \(must be >= sweep\.distance_min\)")):
+            ScenarioConfig(mode="passive_tha", distance_min=2.0, distance_max=1.0)
+
+    # NaN and +-inf are among the boundary cases of tests/test_boundaries.py.
+    @pytest.mark.parametrize("window", [5.0, 4, -3])
+    def test_smooth_window_must_be_an_odd_integer(self, window):
+        with pytest.raises(ConfigurationError, match=r"fringe\.smooth_window"):
+            ScenarioConfig(mode="fringe", reference_trace=Path("r.csv"),
+                           unknown_trace=Path("u.csv"), lambda_ref_nm=1550.0,
+                           smooth_window=window)
+
     def test_each_sweep_mode_checks_only_its_convention(self):
         # Neither rate reads the other mode's convention, and
         # config_from_mapping rejects its key, so its value is not checked.
@@ -914,6 +941,34 @@ class TestCliErrorContract:
         assert len(sweep_distances(cfg)) == MAX_SWEEP_POINTS
         with pytest.raises(ConfigurationError, match="grid exceeds"):
             ScenarioConfig(mode="passive_tha", distance_max=MAX_SWEEP_POINTS)
+
+    # distance_max + step overflows a double, yet the points are far apart.
+    @pytest.mark.parametrize("overrides, first, last", [
+        (["sweep.distance_max=1.5e308", "sweep.step=1e308"], 0.0, 1e308),
+        (["sweep.distance_min=1e308", "sweep.distance_max=1.7e308",
+          "sweep.step=0.6e308"], 1e308, 1.6e308),
+    ])
+    def test_grid_past_the_largest_double(self, capsys, overrides, first, last):
+        argv = ["sweep", "--config", str(CONFIGS / "passive_tha.cfg")]
+        for item in overrides:
+            argv += ["--override", item]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = captured.out.splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [first, last]
+
+    def test_grid_point_beyond_the_largest_double(self, capsys):
+        # 3 * step is inf: the last point of the grid does not exist.
+        argv = ["sweep", "--config", str(CONFIGS / "passive_tha.cfg"),
+                "--override", "sweep.distance_max=1.7976931348623157e308",
+                "--override", "sweep.step=5.992310449541053e307"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error:config: invalid configuration fields: "
+                                "sweep.distance_max (last grid point overflows "
+                                "a double)\n")
 
 
 # Float text of every kind: huge, tiny, negative, subnormal, nan and inf.
