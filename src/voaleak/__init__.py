@@ -26,47 +26,14 @@ The subpackages cover the chain from device physics to key rate:
 - `scenario` / `cli`: config-driven distance sweeps and file IO.
 """
 
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    InsufficientDataError,
-    TraceParseError,
-    TraceSchemaError,
-    VoaleakError,
-)
-from .voa_physics import (
-    DEFAULT_FIT_WINDOWS,
-    CarrierState,
-    IdealityFit,
-    IvCurve,
-    attenuation_db,
-    attenuation_from_counts,
-    bandgap_wavelength,
-    fit_ideality,
-    plasma_dispersion_general,
-    soref_1550,
-)
-from .fringe import (
-    ExtremaPair,
-    FringeTrace,
-    center_wavelength,
-    find_extrema_pair,
-)
-from .leakage import EmissionSpec, mean_photon_number
-from .channel import (
-    ChannelParams,
-    Observables,
-    observables_for_intensity,
-)
-from .decoy import DecoyObservations, SinglePhotonBounds, single_photon_bounds
-from .security import (
-    binary_entropy,
-    calibrated_intensity,
-    coin_imbalance,
-    dual_source_key_rate,
-    gllp_key_rate,
-    phase_error_with_tha,
-)
+from . import channel, decoy, errors, fringe, leakage, scenario, security, voa_physics
+from .errors import *
+from .voa_physics import *
+from .fringe import *
+from .leakage import *
+from .channel import *
+from .decoy import *
+from .security import *
 from .scenario import (
     RESULT_HEADER,
     IvFitResult,
@@ -84,29 +51,7 @@ from .scenario import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "VoaleakError", "DomainError", "InsufficientDataError",
-    "ConfigurationError", "TraceParseError", "TraceSchemaError",
-    # voa_physics
-    "CarrierState", "IvCurve", "IdealityFit", "DEFAULT_FIT_WINDOWS",
-    "plasma_dispersion_general", "soref_1550", "attenuation_db",
-    "attenuation_from_counts", "bandgap_wavelength", "fit_ideality",
-    # fringe
-    "FringeTrace", "ExtremaPair", "find_extrema_pair", "center_wavelength",
-    # leakage
-    "EmissionSpec", "mean_photon_number",
-    # channel
-    "ChannelParams", "Observables", "observables_for_intensity",
-    # decoy
-    "DecoyObservations", "SinglePhotonBounds", "single_photon_bounds",
-    # security
-    "binary_entropy", "coin_imbalance", "phase_error_with_tha",
-    "gllp_key_rate", "dual_source_key_rate", "calibrated_intensity",
-    # scenario
-    "ScenarioConfig", "SweepResult", "WavelengthResult",
-    "IvFitResult", "LeakageResult", "RESULT_HEADER", "load_config",
-    "run_scenario", "load_trace", "save_trace", "emit_results",
-    "read_results",
-]
+# Each module's export list, and the part of scenario's imported above.
+__all__ = ["__version__", *errors.__all__, *voa_physics.__all__, *fringe.__all__,
+           *leakage.__all__, *channel.__all__, *decoy.__all__, *security.__all__,
+           *(name for name in scenario.__all__ if name in globals())]

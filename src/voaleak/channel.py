@@ -65,15 +65,10 @@ class ChannelParams(Record):
     e_d: float = 0.0061
     e0: float = 0.5
 
-    def __post_init__(self):
-        check_range("distance", self.distance, 0.0)
-        check_range("alpha_sig", self.alpha_sig, 0.0)
-        check_range("alpha_par", self.alpha_par, 0.0)
-        check_range("eta_bob_sig", self.eta_bob_sig, 0.0, 1.0, lo_open=True)
-        check_range("eta_bob_par", self.eta_bob_par, 0.0, 1.0, lo_open=True)
-        check_range("y0", self.y0, 0.0, 1.0, hi_open=True)
-        check_range("e_d", self.e_d, 0.0, 0.5)
-        check_range("e0", self.e0, 0.0, 1.0)
+    _intervals = {"distance": "[0, inf)", "alpha_sig": "[0, inf)",
+                  "alpha_par": "[0, inf)", "eta_bob_sig": "(0, 1]",
+                  "eta_bob_par": "(0, 1]", "y0": "[0, 1)", "e_d": "[0, 0.5]",
+                  "e0": "[0, 1]"}
 
     def eta_signal(self):
         """End-to-end signal transmittance including the receiver."""

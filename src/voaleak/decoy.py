@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, Record, check_range, plain, unchecked
+from .errors import DomainError, Record, plain, unchecked
 
 __all__ = ["DecoyObservations", "SinglePhotonBounds", "single_photon_bounds"]
 
@@ -75,12 +75,11 @@ class DecoyObservations(Record):
     e_nu: float
     e_omega: float
 
+    _intervals = {"q_s": "(0, 1]", "q_nu": "(0, 1]", "q_omega": "(0, 1]",
+                  "e_s": "[0, 1]", "e_nu": "[0, 1]", "e_omega": "[0, 1]"}
+
     def __post_init__(self):
         check_intensities(self.s, self.nu, self.omega)
-        for name in ("q_s", "q_nu", "q_omega"):
-            check_range(name, getattr(self, name), 0.0, 1.0, lo_open=True)
-        for name in ("e_s", "e_nu", "e_omega"):
-            check_range(name, getattr(self, name), 0.0, 1.0)
 
 
 class SinglePhotonBounds(Record):
@@ -110,12 +109,9 @@ class SinglePhotonBounds(Record):
     y0_lower: float
     clamp_events: int = 0
 
-    def __post_init__(self):
-        check_range("y1_lower", self.y1_lower, 0.0, 1.0)
-        check_range("e1_upper", self.e1_upper, 0.0, 0.5)
-        check_range("q1_lower", self.q1_lower, 0.0, 1.0)
-        check_range("y0_lower", self.y0_lower, 0.0, 1.0)
-        check_range("clamp_events", self.clamp_events, 0)
+    _intervals = {"y1_lower": "[0, 1]", "e1_upper": "[0, 0.5]",
+                  "q1_lower": "[0, 1]", "y0_lower": "[0, 1]",
+                  "clamp_events": "[0, inf)"}
 
 
 def single_photon_bounds(obs: DecoyObservations) -> SinglePhotonBounds:

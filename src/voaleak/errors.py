@@ -14,8 +14,10 @@ category the CLI prints has exactly one class:
 Only `scenario` and `cli` raise ConfigurationError; each layer below
 them checks its own arguments and raises DomainError. `check_range` is
 the one place where an input, a float or a numpy array, is checked
-against its interval, including each numeric config key, whose interval
-`scenario` declares once, in a per-mode table. `check_scan` is the one
+against its interval. An interval is declared once, as text such as
+"(0, 1]" that `interval` parses: a record's fields in its `_intervals`,
+each numeric config key in `scenario`'s per-mode table, and a channel
+key by the `ChannelParams` field it sets. `check_scan` is the one
 place where the two columns of a voltage scan are checked.
 `Record` is the base of the package's frozen records, `unchecked`
 builds a record from the package's own results without checking them
@@ -26,6 +28,9 @@ and `plain` hands a 0-d numpy result back as a Python number.
 import math
 
 import numpy as np
+
+__all__ = ["VoaleakError", "DomainError", "InsufficientDataError",
+           "ConfigurationError", "TraceParseError", "TraceSchemaError"]
 
 
 class VoaleakError(ValueError):
@@ -69,7 +74,7 @@ class TraceSchemaError(VoaleakError):
     category = "schema"
 
 
-def check_range(name: str, value, lo: float, hi: float = math.inf, *,
+def check_range(name: str, value, lo: float, hi: float = math.inf,
                 lo_open: bool = False, hi_open: bool = False) -> None:
     """Raise DomainError unless value is finite and lies between lo and hi.
 
@@ -109,6 +114,18 @@ def check_range(name: str, value, lo: float, hi: float = math.inf, *,
     raise DomainError(f"{name} must {rule}, got {value!r}")
 
 
+def interval(text: str) -> tuple[float, float, bool, bool]:
+    """check_range's lo, hi, lo_open and hi_open for an interval text.
+
+    The text is written as in mathematics, "[lo, hi]" with a round
+    bracket at an open end; either end may be inf or -inf.
+    """
+    if text[0] not in "[(" or text[-1] not in "])":
+        raise ValueError(f"an interval must be bracketed, got {text!r}")
+    lo, hi = map(float, text[1:-1].split(","))
+    return lo, hi, text[0] == "(", text[-1] == ")"
+
+
 def check_scan(trace: str, voltages, name: str, values
                ) -> tuple[np.ndarray, np.ndarray]:
     """The voltages and the named sample column of a trace as float arrays.
@@ -135,17 +152,22 @@ class Record:
 
     A subclass lists its fields as annotations, in order, each with an
     optional default in the class body; the defaults stay readable as
-    class attributes. Its instances take the fields by position or by
-    keyword, fill in the defaults and then run `__post_init__`, where a
-    subclass checks its values. A field cannot be assigned or deleted
-    afterwards. Two records are equal when they are of the same class
-    and their fields are equal in order, and the hash is that of the
-    tuple of fields. A record whose fields are arrays sets `__eq__` and
-    `__hash__` back to `object`'s, comparing by identity.
+    class attributes. A class-level `_intervals` maps some fields to
+    interval texts such as "(0, 1]" (see `interval`). Its instances take
+    the fields by position or by keyword, fill in the defaults, check
+    each field of `_intervals`, in its order, with `check_range` and
+    then run `__post_init__`, where a subclass checks its other rules.
+    A field cannot be assigned or deleted afterwards. Two records are
+    equal when they are of the same class and their fields are equal in
+    order, and the hash is that of the tuple of fields. A record whose
+    fields are arrays sets `__eq__` and `__hash__` back to `object`'s,
+    comparing by identity.
 
-    The fields are read once per subclass, in `__init_subclass__`, so no
-    method is generated for it.
+    The fields and intervals are read once per subclass, in
+    `__init_subclass__`, so no method is generated for it.
     """
+
+    _intervals = {}  # not annotated, so not a field
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -153,6 +175,8 @@ class Record:
         cls._field_set = frozenset(cls._fields)
         body = vars(cls)
         cls._defaults = {name: body[name] for name in cls._fields if name in body}
+        cls._ranges = tuple((name, *interval(text))
+                            for name, text in cls._intervals.items())
 
     def __init__(self, *args, **kwargs):
         # One frozenset test for the keywords and, only where a field is
@@ -184,6 +208,8 @@ class Record:
                 raise TypeError(f"{type(self).__name__}() missing "
                                 f"arguments: {missing}")
         self.__dict__.update(kwargs)
+        for name, lo, hi, lo_open, hi_open in self._ranges:
+            check_range(name, kwargs[name], lo, hi, lo_open, hi_open)
         self.__post_init__()
 
     def __post_init__(self):

@@ -10,7 +10,6 @@ a reference laser scan on the same interferometer.
 
 from __future__ import annotations
 
-import math
 from numbers import Integral
 
 import numpy as np
@@ -65,9 +64,9 @@ class ExtremaPair(Record):
     u_max: float
     u_min: float
 
+    _intervals = {"u_max": "(-inf, inf)", "u_min": "(-inf, inf)"}
+
     def __post_init__(self):
-        check_range("u_max", self.u_max, -math.inf)
-        check_range("u_min", self.u_min, -math.inf)
         if self.u_max == self.u_min:
             raise DomainError("u_max and u_min must differ")
 

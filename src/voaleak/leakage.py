@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, Record, check_range
+from .errors import DomainError, Record
 
 __all__ = ["EmissionSpec", "mean_photon_number"]
 
@@ -31,10 +31,10 @@ class EmissionSpec(Record):
     count_rate: float
     pulse_width: float
 
+    _intervals = {"drive_voltage": "[0, inf)", "count_rate": "[0, inf)",
+                  "pulse_width": "(0, inf)"}
+
     def __post_init__(self):
-        check_range("drive_voltage", self.drive_voltage, 0.0)
-        check_range("count_rate", self.count_rate, 0.0)
-        check_range("pulse_width", self.pulse_width, 0.0, lo_open=True)
         if self.count_rate * self.pulse_width >= 1.0:
             raise DomainError(
                 "count_rate * pulse_width = "

@@ -38,6 +38,7 @@ from .errors import (
     TraceParseError,
     TraceSchemaError,
     check_range,
+    interval,
     replace,
     unchecked,
 )
@@ -93,12 +94,9 @@ _ULP_PAST_MAX = 2.0 * math.ulp(sys.float_info.max)
 # Configuration
 # ============================================================
 
-def _key(key: str, field: str, interval: str | None = None, kind=float) -> tuple:
+def _key(key: str, field: str, text: str | None = None, kind=float) -> tuple:
     # A row of _KEYS; an interval "(lo, hi]" becomes (lo, hi, True, False).
-    if interval:
-        lo, hi = map(float, interval[1:-1].split(","))
-        interval = (lo, hi, interval[0] == "(", interval[-1] == ")")
-    return key, field, kind, interval
+    return key, field, kind, text and interval(text)
 
 
 _SWEEP_KEYS = (
@@ -116,8 +114,7 @@ _SWEEP_KEYS = (
 # The numeric config keys of each mode: the key, the ScenarioConfig field
 # it sets, the type its text parses as and the field's interval (None for
 # a rule that is not an interval), which _RANGES holds for ScenarioConfig.
-# A key left out keeps the field's default. The channel keys set
-# ChannelParams fields, which that record checks.
+# A key left out keeps the field's default.
 _KEYS = {
     "passive_tha": (*_SWEEP_KEYS, _key("conventions.p_z", "p_z", "(0, 1]")),
     "dual_source": (*_SWEEP_KEYS, _key("conventions.q_proto", "q_proto", "(0, 1]")),
@@ -126,15 +123,18 @@ _KEYS = {
     "iv_fit": (_key("ivfit.temperature", "temperature", "(0, inf)"),),
     "device": (),
 }
-_RANGES = {mode: tuple((key, field, *interval)
-                       for key, field, _, interval in rows if interval)
+_RANGES = {mode: tuple((key, field, bounds)
+                       for key, field, _, bounds in rows if bounds)
            for mode, rows in _KEYS.items()}
 # The trace files each mode requires: the key and the field it sets.
 _PATHS = {"fringe": (("fringe.reference_trace", "reference_trace"),
                      ("fringe.unknown_trace", "unknown_trace")),
           "iv_fit": (("ivfit.trace", "iv_trace"),)}
-_CHANNEL_KEYS = {"conventions.e0": "e0", **{f"channel.{name}": name for name in (
-    "alpha_sig", "alpha_par", "eta_bob_sig", "eta_bob_par", "y0", "e_d")}}
+# The channel keys of the sweep modes, one per ChannelParams field but the
+# distance: the key, the field it sets and the interval the record declares.
+_CHANNEL_RANGES = tuple(
+    ("conventions.e0" if name == "e0" else f"channel.{name}", name, tuple(bounds))
+    for name, *bounds in ChannelParams._ranges if name != "distance")
 
 
 class ScenarioConfig(Record):
@@ -156,7 +156,9 @@ class ScenarioConfig(Record):
         iv_trace, temperature, windows: I-V fit mode inputs.
 
     Only the fields the mode reads are checked: the intervals in `_KEYS`,
-    then the rules below. One ConfigurationError names every bad key.
+    in a sweep mode each channel key against the interval `ChannelParams`
+    declares for its field, then the rules below. One ConfigurationError
+    names every bad key by its config key, `channel.y0` say, not `y0`.
     """
 
     mode: str
@@ -184,18 +186,12 @@ class ScenarioConfig(Record):
         if self.mode not in MODES:
             raise ConfigurationError(
                 f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
-        values = self.__dict__
-        bad: list[str] = []
-        for key, field, lo, hi, lo_open, hi_open in _RANGES[self.mode]:
-            try:
-                check_range(key, values[field], lo, hi,
-                            lo_open=lo_open, hi_open=hi_open)
-            except DomainError as exc:
-                bad.append(str(exc))
+        bad = _out_of_range(self.__dict__, _RANGES[self.mode])
         for key, field in _PATHS.get(self.mode, ()):
-            if values[field] is None:
+            if self.__dict__[field] is None:
                 bad.append(f"{key} (required)")
         if self.mode in ("passive_tha", "dual_source"):
+            bad += _out_of_range(self.channel.__dict__, _CHANNEL_RANGES)
             # The grid is sized once its keys passed (parts start with keys).
             if not (bad and any(part.startswith("sweep.") for part in bad)):
                 self._check_grid(bad)
@@ -237,9 +233,22 @@ class ScenarioConfig(Record):
             bad.append("sweep.distance_max (last grid point overflows a double)")
         else:
             for name in ("alpha_sig", "alpha_par"):
-                if not math.isfinite(getattr(self.channel, name) * far):
-                    bad.append(f"channel.{name} (fiber loss overflows "
+                key = f"channel.{name}"  # skipped where its interval failed
+                if not (math.isfinite(getattr(self.channel, name) * far)
+                        or any(part.startswith(key + " ") for part in bad)):
+                    bad.append(f"{key} (fiber loss overflows "
                                "a double at sweep.distance_max)")
+
+
+def _out_of_range(values: dict, rows) -> list[str]:
+    # The message of each (key, field, interval) row whose value is outside.
+    bad = []
+    for key, field, (lo, hi, lo_open, hi_open) in rows:
+        try:
+            check_range(key, values[field], lo, hi, lo_open, hi_open)
+        except DomainError as exc:
+            bad.append(str(exc))
+    return bad
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -317,15 +326,6 @@ def _parse_windows(raw: str) -> tuple[tuple[float, float], ...]:
     return tuple(out)
 
 
-def _take_channel(data: dict[str, str]) -> ChannelParams:
-    fields = {name: _take_number(data, key)
-              for key, name in _CHANNEL_KEYS.items() if key in data}
-    try:
-        return ChannelParams(**fields)
-    except DomainError as exc:
-        raise ConfigurationError(f"channel: {exc}") from exc
-
-
 def _take_emission_spec(data: dict[str, str], prefix: str) -> EmissionSpec:
     # The block under "leakage." or "emission.N.": count_rate and
     # pulse_width, and a drive voltage that only labels it (0 if left out).
@@ -346,8 +346,10 @@ def _take_emission(data: dict[str, str]) -> tuple[EmissionSpec, ...]:
     for key in data:
         if key.startswith("emission."):
             parts = key.split(".")
-            # isdecimal, not isdigit: int() rejects digits such as "²".
-            if len(parts) != 3 or not parts[1].isdecimal():
+            # isdecimal, not isdigit: int() rejects digits such as "²". A
+            # number is written as str gives it: not "01", not "٣".
+            if (len(parts) != 3 or not parts[1].isdecimal()
+                    or parts[1] != str(int(parts[1]))):
                 raise ConfigurationError(
                     f"emission keys must look like emission.N.field, got {key!r}")
             indices.add(int(parts[1]))
@@ -383,7 +385,11 @@ def config_from_mapping(
         if key in data:
             fields[field] = _take_path(data, key, base_dir)
     if mode in ("passive_tha", "dual_source"):
-        fields["channel"] = _take_channel(data)
+        channel = {name: _take_number(data, key)
+                   for key, name, _ in _CHANNEL_RANGES if key in data}
+        # Unchecked: ScenarioConfig checks each channel value by its key.
+        fields["channel"] = unchecked(ChannelParams,
+                                      **{**ChannelParams._defaults, **channel})
         if "leakage.count_rate" in data or "leakage.pulse_width" in data:
             if "mu_leak" in fields:
                 raise ConfigurationError("give either leakage.mu or "

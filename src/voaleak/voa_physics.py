@@ -89,9 +89,7 @@ class CarrierState(Record):
     delta_n_e: float
     delta_n_h: float
 
-    def __post_init__(self):
-        check_range("delta_n_e", self.delta_n_e, 0.0)
-        check_range("delta_n_h", self.delta_n_h, 0.0)
+    _intervals = {"delta_n_e": "[0, inf)", "delta_n_h": "[0, inf)"}
 
 
 class IvCurve(Record):

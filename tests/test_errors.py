@@ -23,7 +23,7 @@ from voaleak import (
     SweepResult,
     VoaleakError,
 )
-from voaleak.errors import check_range, replace, unchecked
+from voaleak.errors import check_range, interval, replace, unchecked
 from voaleak.scenario import config_from_mapping, parse_config_text, run_scenario
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -85,6 +85,36 @@ def test_message_states_the_interval(kwargs, message):
 def test_infinite_interval_message():
     with pytest.raises(DomainError, match=r"^u must be finite, got nan$"):
         check_range("u", math.nan, -INF)
+
+
+@pytest.mark.parametrize("text, parsed", [
+    ("[0, 1]", (0.0, 1.0, False, False)),
+    ("(0, 1]", (0.0, 1.0, True, False)),
+    ("[0, 0.5)", (0.0, 0.5, False, True)),
+    ("(-inf, inf)", (-INF, INF, True, True)),
+    ("[1, inf)", (1.0, INF, False, True)),
+    ("(-inf,2]", (-INF, 2.0, True, False)),
+])
+def test_interval_text(text, parsed):
+    assert interval(text) == parsed
+
+
+@pytest.mark.parametrize("text", ["{0, 1]", "0, 1", "[0, 1}", "[0; 1]", "[0, 1, 2]"])
+def test_malformed_interval_text(text):
+    with pytest.raises(ValueError):
+        interval(text)
+
+
+def test_declared_intervals_keep_the_record_messages():
+    with pytest.raises(DomainError) as info:
+        ChannelParams(y0=5.0)
+    assert str(info.value) == "y0 must lie in [0, 1), got 5.0"
+    # The declared fields are checked in field order, before __post_init__.
+    with pytest.raises(DomainError, match=r"^y0 must"):
+        ChannelParams(y0=5.0, e0=2.0)
+    with pytest.raises(DomainError, match=r"^q_s must lie in \(0, 1\], got 0.0$"):
+        DecoyObservations(s=0.1, nu=0.2, omega=0.3, q_s=0.0, q_nu=0.1,
+                          q_omega=0.1, e_s=0.1, e_nu=0.1, e_omega=0.1)
 
 
 # Arrays pass when every element does; a failing array's message quotes

@@ -51,6 +51,44 @@ def test_export_lists_resolve():
     assert set(voaleak.__all__) <= namespace.keys()
 
 
+# The names `from voaleak import *` gives, written out: an export list
+# assembled from the modules' lists must neither lose nor gain one.
+PUBLIC = {
+    "__version__",
+    "VoaleakError", "DomainError", "InsufficientDataError",
+    "ConfigurationError", "TraceParseError", "TraceSchemaError",
+    "CarrierState", "IvCurve", "IdealityFit", "DEFAULT_FIT_WINDOWS",
+    "plasma_dispersion_general", "soref_1550", "attenuation_db",
+    "attenuation_from_counts", "bandgap_wavelength", "fit_ideality",
+    "FringeTrace", "ExtremaPair", "find_extrema_pair", "center_wavelength",
+    "EmissionSpec", "mean_photon_number",
+    "ChannelParams", "Observables", "observables_for_intensity",
+    "DecoyObservations", "SinglePhotonBounds", "single_photon_bounds",
+    "binary_entropy", "coin_imbalance", "phase_error_with_tha",
+    "gllp_key_rate", "dual_source_key_rate", "calibrated_intensity",
+    "ScenarioConfig", "SweepResult", "WavelengthResult",
+    "IvFitResult", "LeakageResult", "RESULT_HEADER", "load_config",
+    "run_scenario", "load_trace", "save_trace", "emit_results",
+    "read_results",
+}
+
+
+def test_public_names():
+    assert len(PUBLIC) == 47
+    assert len(voaleak.__all__) == len(set(voaleak.__all__))
+    assert set(voaleak.__all__) == PUBLIC
+
+
+def test_errors_exports_the_exception_classes():
+    errors = voaleak.errors
+    assert set(errors.__all__) == {
+        "VoaleakError", "DomainError", "InsufficientDataError",
+        "ConfigurationError", "TraceParseError", "TraceSchemaError"}
+    assert len(errors.__all__) == 6
+    assert all(issubclass(getattr(errors, name), errors.VoaleakError)
+               for name in errors.__all__)
+
+
 def test_generate_data_rebuilds_data_byte_for_byte(tmp_path, monkeypatch):
     spec = importlib.util.spec_from_file_location(
         "generate_data", ROOT / "scripts" / "generate_data.py")

@@ -198,6 +198,17 @@ class TestConfigFromMapping:
                 "emission.3.pulse_width": "1e-9",
             })
 
+    # A block number is read only as str(int(n)) writes it, and an error
+    # quotes the key as the config wrote it.
+    @pytest.mark.parametrize("number", ["01", "00", "\u0661"])
+    def test_emission_number_is_written_plainly(self, number):
+        key = f"emission.{number}.count_rate"
+        with pytest.raises(ConfigurationError) as info:
+            config_from_mapping({"mode": "device", key: "1e7",
+                                 f"emission.{number}.pulse_width": "1e-9"})
+        assert str(info.value) == (
+            f"emission keys must look like emission.N.field, got {key!r}")
+
     def test_windows_parsing(self):
         cfg = config_from_mapping({
             "mode": "iv_fit", "ivfit.trace": "t.csv",
@@ -957,6 +968,31 @@ class TestCliErrorContract:
         assert captured.err == ""
         rows = captured.out.splitlines()[1:]
         assert [float(row.split(",")[0]) for row in rows] == [first, last]
+
+    def test_channel_keys_join_the_other_bad_keys(self, capsys):
+        # Each bad key, a channel key too, is named once by its config key,
+        # in the one line.
+        argv = ["sweep", "--config", str(CONFIGS / "passive_tha.cfg"),
+                "--override", "conventions.e0=2", "--override", "channel.y0=5",
+                "--override", "sweep.step=-1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error:config: invalid configuration fields: "
+                                "sweep.step must be finite and > 0, got -1.0; "
+                                "channel.y0 must lie in [0, 1), got 5.0; "
+                                "conventions.e0 must lie in [0, 1], got 2.0\n")
+
+    # A loss outside its interval is not also reported as overflowing.
+    @pytest.mark.parametrize("key", ["channel.alpha_sig", "channel.alpha_par"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e308"])
+    def test_bad_fiber_loss_is_named_once(self, capsys, key, value):
+        argv = ["sweep", "--config", str(CONFIGS / "dual_source.cfg"),
+                "--override", f"{key}={value}"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == ("error:config: invalid configuration fields: "
+                       f"{key} must be finite and >= 0, got {float(value)!r}\n")
 
     def test_grid_point_beyond_the_largest_double(self, capsys):
         # 3 * step is inf: the last point of the grid does not exist.
