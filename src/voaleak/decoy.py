@@ -166,11 +166,10 @@ def single_photon_bounds(obs: DecoyObservations) -> SinglePhotonBounds:
     clamps = (np.add(y0_l != y0_raw, y1_l != y1_raw, dtype=int)
               + ((e1_u != e1_raw) | dead))
     # Clamped to their ranges, the bounds need no second check.
-    return unchecked(
-        SinglePhotonBounds,
-        y1_lower=plain(y1_l),
-        e1_upper=plain(e1_u),
-        q1_lower=plain(s * math.exp(-s) * y1_l),
-        y0_lower=plain(y0_l),
-        clamp_events=plain(clamps),
-    )
+    return unchecked(SinglePhotonBounds, {
+        "y1_lower": plain(y1_l),
+        "e1_upper": plain(e1_u),
+        "q1_lower": plain(s * math.exp(-s) * y1_l),
+        "y0_lower": plain(y0_l),
+        "clamp_events": plain(clamps),
+    })

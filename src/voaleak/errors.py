@@ -238,13 +238,14 @@ class Record:
         return hash(self._values())
 
 
-def unchecked(cls, **values):
+def unchecked(cls, values):
     """An instance of the record class cls, built without its checks.
 
     For records the package fills with its own results, which lie in
     range by construction (clamped bounds, gains of checked inputs).
-    Every field must be given. A record built from a caller's values
-    goes through its constructor and is checked as usual.
+    values maps every field to its value; it is read, not kept. A record
+    built from a caller's values goes through its constructor and is
+    checked as usual.
     """
     record = object.__new__(cls)
     record.__dict__.update(values)
@@ -259,7 +260,9 @@ def replace(record, **changes):
     a checked record whose changed fields the package has checked
     already.
     """
-    return unchecked(type(record), **{**record.__dict__, **changes})
+    record = unchecked(type(record), record.__dict__)
+    record.__dict__.update(changes)
+    return record
 
 
 def plain(value):

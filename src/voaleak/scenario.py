@@ -183,20 +183,28 @@ class ScenarioConfig(Record):
     windows: tuple[tuple[float, float], ...] = DEFAULT_FIT_WINDOWS
 
     def __post_init__(self):
+        self._check({})
+
+    def _check(self, unparsed: dict[str, str]) -> None:
+        # unparsed maps each key whose text `config_from_mapping` could not
+        # parse to its message. Its field kept the default, which no rule
+        # reads: the error names the key with that message, first.
         if self.mode not in MODES:
             raise ConfigurationError(
                 f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
-        bad = _out_of_range(self.__dict__, _RANGES[self.mode])
+        bad = [*unparsed.values(),
+               *_out_of_range(self.__dict__, _RANGES[self.mode], unparsed)]
         for key, field in _PATHS.get(self.mode, ()):
             if self.__dict__[field] is None:
                 bad.append(f"{key} (required)")
         if self.mode in ("passive_tha", "dual_source"):
-            bad += _out_of_range(self.channel.__dict__, _CHANNEL_RANGES)
+            bad += _out_of_range(self.channel.__dict__, _CHANNEL_RANGES, unparsed)
             # The grid is sized once its keys passed (parts start with keys).
             if not (bad and any(part.startswith("sweep.") for part in bad)):
                 self._check_grid(bad)
             try:
-                check_intensities(self.s, self.nu, self.omega)
+                if not any(key.startswith("intensities.") for key in unparsed):
+                    check_intensities(self.s, self.nu, self.omega)
             except DomainError as exc:
                 bad.append(f"intensities ({exc})")
         elif self.mode == "fringe":
@@ -240,12 +248,14 @@ class ScenarioConfig(Record):
                                "a double at sweep.distance_max)")
 
 
-def _out_of_range(values: dict, rows) -> list[str]:
-    # The message of each (key, field, interval) row whose value is outside.
+def _out_of_range(values: dict, rows, skip) -> list[str]:
+    # The message of each (key, field, interval) row whose value is
+    # outside, but for the keys in skip.
     bad = []
     for key, field, (lo, hi, lo_open, hi_open) in rows:
         try:
-            check_range(key, values[field], lo, hi, lo_open, hi_open)
+            if key not in skip:
+                check_range(key, values[field], lo, hi, lo_open, hi_open)
         except DomainError as exc:
             bad.append(str(exc))
     return bad
@@ -294,13 +304,20 @@ def apply_overrides(data: dict[str, str], overrides: Sequence[str]) -> None:
         data[key] = value.strip()
 
 
-def _take_number(data: dict[str, str], key: str, kind=float) -> float:
+def _take_number(data: dict[str, str], key: str, kind=float,
+                 unparsed: dict[str, str] | None = None) -> float | None:
+    # A value that does not parse raises, or, given the dict unparsed, is
+    # named there and taken as None.
     raw = data.pop(key)
     try:
         return kind(raw)
     except ValueError:
         expected = "a number" if kind is float else "an integer"
-        raise ConfigurationError(f"{key}: expected {expected}, got {raw!r}") from None
+        message = f"{key}: expected {expected}, got {raw!r}"
+        if unparsed is None:
+            raise ConfigurationError(message) from None
+        unparsed[key] = message
+        return None
 
 
 def _take_path(data: dict[str, str], key: str, base_dir: Path | str) -> Path:
@@ -379,17 +396,22 @@ def config_from_mapping(
         raise ConfigurationError("missing required key 'mode'")
     mode = data.pop("mode")
 
-    fields = {field: _take_number(data, key, kind)
-              for key, field, kind, _ in _KEYS.get(mode, ()) if key in data}
+    # A value that does not parse leaves its field out, so that every
+    # other key is checked too and one error names them all.
+    unparsed: dict[str, str] = {}
+    fields = {field: value for key, field, kind, _ in _KEYS.get(mode, ())
+              if key in data
+              and (value := _take_number(data, key, kind, unparsed)) is not None}
     for key, field in _PATHS.get(mode, ()):
         if key in data:
             fields[field] = _take_path(data, key, base_dir)
     if mode in ("passive_tha", "dual_source"):
-        channel = {name: _take_number(data, key)
-                   for key, name, _ in _CHANNEL_RANGES if key in data}
+        channel = {name: value for key, name, _ in _CHANNEL_RANGES
+                   if key in data
+                   and (value := _take_number(data, key, float, unparsed)) is not None}
         # Unchecked: ScenarioConfig checks each channel value by its key.
         fields["channel"] = unchecked(ChannelParams,
-                                      **{**ChannelParams._defaults, **channel})
+                                      {**ChannelParams._defaults, **channel})
         if "leakage.count_rate" in data or "leakage.pulse_width" in data:
             if "mu_leak" in fields:
                 raise ConfigurationError("give either leakage.mu or "
@@ -400,6 +422,9 @@ def config_from_mapping(
         fields["windows"] = _parse_windows(data.pop("ivfit.windows"))
     elif mode == "device":
         fields["emission"] = _take_emission(data)
+    if unparsed:
+        unchecked(ScenarioConfig, {**ScenarioConfig._defaults, "mode": mode,
+                                   **fields})._check(unparsed)
     config = ScenarioConfig(mode=mode, **fields)
     if data:
         raise ConfigurationError(
@@ -524,9 +549,9 @@ def _sweep(config: ScenarioConfig) -> SweepResult:
         obs = observables_for_intensity(intensities, 0.0, ch)
     # Gains and QBERs of checked inputs lie in range by construction.
     (q_s, q_nu, q_omega), (e_s, e_nu, e_omega) = obs.gain, obs.qber
-    decoy = unchecked(DecoyObservations, s=s, nu=nu, omega=omega,
-                      q_s=q_s, q_nu=q_nu, q_omega=q_omega,
-                      e_s=e_s, e_nu=e_nu, e_omega=e_omega)
+    decoy = unchecked(DecoyObservations, {
+        "s": s, "nu": nu, "omega": omega, "q_s": q_s, "q_nu": q_nu,
+        "q_omega": q_omega, "e_s": e_s, "e_nu": e_nu, "e_omega": e_omega})
     bounds = single_photon_bounds(decoy)
     columns = (decoy.q_s, decoy.e_s, bounds.y1_lower, bounds.e1_upper)
     if dual:
@@ -587,10 +612,136 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 # Text IO
 # ============================================================
 
+# Chunks of whole rows of about _CHUNK_CELLS cells keep the arrays of
+# `_format_rows` small: 8 192 cells raised the peak memory of the dense
+# sweeps by 2.7 MB, 4 096 by 0.3 MB.
+_VECTOR_MIN_CELLS = 600
+_CHUNK_CELLS = 4096
+
+
 def _render(header: str, table: np.ndarray) -> str:
-    """Header line, then rows of .17g cells (which round-trip any double)."""
-    row = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
-    return f"{header}\n" + (row * len(table)) % tuple(table.ravel().tolist())
+    """Header line, then rows of .17g cells (which round-trip any double).
+
+    A table of fewer than _VECTOR_MIN_CELLS cells is one `%` operation,
+    the reference. A larger one goes through `_format_rows`, which
+    writes the same bytes: exact integer arithmetic for every cell with
+    1e-11 <= |x| < 1e15 and for zeros, and `%` for the rest (nan,
+    infinities, subnormals, tiny and huge values). Against `%`,
+    `_format_rows` costs a fixed 0.1 ms or so a call and less than half
+    as much a cell, and about 0.4 ms more on its first call in a
+    process: the two cross near 300 cells in a warm process and near
+    1 000 on a first call, as in one `voaleak` run. 600 lies between.
+    """
+    if table.size < _VECTOR_MIN_CELLS:
+        row = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
+        return f"{header}\n" + (row * len(table)) % tuple(table.ravel().tolist())
+    return "".join([f"{header}\n", *_format_rows(table)])
+
+
+_U64 = np.uint64
+# The smallest double >= 10**k for k = -11..15; int / int rounds
+# correctly, and nextafter lifts a quotient that fell below 10**k.
+_DECADES = []
+for _k in range(-11, 16):
+    _num, _den = (10 ** _k, 1) if _k >= 0 else (1, 10 ** -_k)
+    _x = _num / _den
+    _a, _b = _x.as_integer_ratio()
+    _DECADES.append(_x if _a * _den >= _num * _b else math.nextafter(_x, math.inf))
+_DECADES = np.array(_DECADES)
+# 5**q as its high and low 32 bits.
+_POW5 = np.array([divmod(5 ** q, 2 ** 32) for q in range(28)], _U64).T
+# A cell is laid out as six 8-byte words: "-0.000", its first digit and
+# a point; four words of four digits, each digit followed by a point;
+# "e-NN", the separator and three spare bytes. _KEEP[k + 11, last] marks
+# the bytes %.17g writes but the sign, where last is the position of the
+# last digit kept, from 0 to 16.
+_HEAD = np.frombuffer(b"".join(b"-0.000%d." % d for d in range(10)), _U64)
+_TAIL = np.frombuffer(b"".join(b"e-%02d,   " % abs(k) for k in range(-11, 15)), _U64)
+_PAIRS = np.frombuffer(b"0.1.2.3.4.5.6.7.8.9.", np.uint16)
+_QUAD = np.empty((10, 10, 10, 10, 4), np.uint16)  # of 0..9999
+for _j in range(4):
+    _QUAD[..., _j] = _PAIRS.reshape((10,) + (1,) * (3 - _j))
+_QUAD = _QUAD.reshape(10000, 4).view(_U64).ravel()
+# The last nonzero digit of a 4-digit group, counted from its first
+# digit, or -16 for 0; the four groups start at digits 1, 5, 9 and 13.
+_LAST = np.full((10, 10, 10, 10), 3)
+_LAST[..., 0] = 2
+_LAST[..., 0, 0] = 1
+_LAST[..., 0, 0, 0] = 0
+_LAST = _LAST.ravel()
+_LAST[0] = -16
+_STARTS = np.array([[1], [5], [9], [13]])
+_KEEP = np.zeros((26, 17, 48), bool)
+for _j in range(17):
+    _KEEP[:, _j, 6:7 + 2 * _j:2] = True  # the digits up to the last
+_KEEP[:7, :, 40:44] = True  # "e-NN" from k = -5 down
+_KEEP[..., 44] = True
+for _k in range(-11, 15):
+    if -5 < _k < 0:
+        _KEEP[_k + 11, :, 1:2 - _k] = True  # "0." and -k - 1 zeros
+    else:  # the point after the units digit, where a digit follows it
+        _KEEP[_k + 11, max(_k, 0) + 1:, 7 + 2 * max(_k, 0)] = True
+_KEEP = _KEEP.reshape(-1, 48)
+
+
+def _format_rows(table: np.ndarray):
+    """The rows of a table as `%.17g` writes them, one str per chunk.
+
+    Exact integer arithmetic in numpy. For |x| = m * 2**e in 10**k <=
+    |x| < 10**(k + 1) the digits are D = m * 5**q * 2**(e + q) rounded
+    half to even, q = 16 - k; D never reaches 10**17, since the double
+    below each 10**k here prints with seventeen 9s. Cells with 1e-11 <=
+    |x| < 1e15 and zeros are formatted here, which bounds q by 27, so
+    that 5**q < 2**63, and the shift -(e + q) to 1..62; the rest (nan,
+    infinities, subnormals, tiny and huge values) by one `%` per chunk.
+    """
+    cols = table.shape[1]
+    step = max(1, _CHUNK_CELLS // cols) * cols
+    flat = np.ascontiguousarray(table, dtype=np.float64).ravel()
+    for start in range(0, flat.size, step):
+        x = flat[start:start + step]
+        ax = np.abs(x)
+        i = np.searchsorted(_DECADES, ax, side="right")
+        fast = (i >= 1) & (i <= 26)
+        k = np.where(fast, i - 12, 0)
+        bits = np.where(fast, ax, 1.0).view(_U64)
+        # m * 5**q as hi * 2**64 + lo, from 32-bit halves: with m < 2**53
+        # and 5**q < 2**63 no partial product nor mid overflows. Each
+        # operand is a uint64, as numpy 1.24 makes uint64 with int64 a
+        # float64.
+        m = (bits & _U64(2 ** 52 - 1)) | _U64(2 ** 52)
+        s32, low32, one = _U64(32), _U64(2 ** 32 - 1), _U64(1)
+        mh, ml, (fh, fl) = m >> s32, m & low32, _POW5[:, 16 - k]
+        low, mid = ml * fl, mh * fl + ml * fh
+        lo = low + (mid << s32)
+        hi = mh * fh + (mid >> s32) + (lo < low)
+        r = (1059 + k - (bits >> _U64(52)).astype(np.int64)).astype(_U64)
+        digits = (hi << (_U64(64) - r)) | (lo >> r)
+        digits += (lo & ((one << r) - one)) + (digits & one) > one << (r - one)
+        digits[~fast] = 0
+        # The first digit, then four groups of four.
+        groups = np.empty((5, x.size), _U64)
+        for j in range(4, 0, -1):
+            digits, groups[j] = np.divmod(digits, _U64(10 ** 4))
+        groups[0] = digits
+        text = np.vstack((_HEAD[groups[0]], _QUAD[groups[1:]], _TAIL[k + 11]))
+        text = text.T.copy().view(np.uint8)
+        text.reshape(-1, cols, 48)[:, -1, 44] = ord("\n")
+        # %g keeps the integer digits and the fraction up to its last
+        # nonzero digit.
+        last = np.maximum((_LAST[groups[1:]] + _STARTS).max(0, initial=0), k)
+        keep = _KEEP.take((k + 11) * 17 + last, axis=0)
+        keep[:, 0] = np.signbit(x)
+        slow = np.flatnonzero(~fast & (x != 0.0))
+        if slow.size:
+            # Each as `%` writes it, padded with spaces to 24 bytes, the
+            # longest %.17g text.
+            padded = ("%-24.17g" * slow.size) % tuple(x[slow].tolist())
+            padded = np.frombuffer(padded.encode(), np.uint8).reshape(-1, 24)
+            text[slow, :24] = padded
+            keep[slow, :44] = False
+            keep[slow, :24] = padded != ord(" ")
+        yield np.compress(keep.ravel(), text.ravel()).tobytes().decode()
 
 
 def _read_table(path: Path, header: str) -> np.ndarray:

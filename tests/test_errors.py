@@ -238,7 +238,7 @@ def test_scenario_config_needs_its_mode():
 @pytest.mark.parametrize("record", [
     ExtremaPair(1.0, 2.0),
     ChannelParams(),
-    unchecked(ExtremaPair, u_max=1.0, u_min=1.0),
+    unchecked(ExtremaPair, {"u_max": 1.0, "u_min": 1.0}),
 ], ids=["checked", "defaults", "unchecked"])
 def test_record_fields_cannot_change(record):
     with pytest.raises(AttributeError):
@@ -376,7 +376,7 @@ def test_constructor_checks_and_unchecked_paths_do_not(cls, fields, bad):
     # The checked copy the tests use goes through the constructor too.
     with pytest.raises(VoaleakError):
         type(good)(**{**vars(good), **bad})
-    built = unchecked(cls, **{**vars(good), **bad})
+    built = unchecked(cls, {**vars(good), **bad})
     copied = replace(good, **bad)
     assert getattr(built, name) is value
     assert getattr(copied, name) is value

@@ -2,6 +2,7 @@
 
 import io
 import math
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -634,6 +635,88 @@ class TestRenderProperty:
         assert (scenario._render(header, table)
                 == render_reference(header, table.tolist()))
 
+    # Tables of the least size `_render` does not write with `%`, and
+    # tables past a chunk boundary, so that the chunks of whole rows join.
+    @settings(max_examples=20, deadline=None)
+    @given(table=st.sampled_from([2, 5, 7]).flatmap(lambda cols: arrays(
+        np.float64,
+        st.one_of(st.just(-(-scenario._VECTOR_MIN_CELLS // cols)),
+                  st.integers(scenario._CHUNK_CELLS // cols + 1,
+                              scenario._CHUNK_CELLS // cols + 60)).map(
+            lambda rows: (rows, cols)),
+        elements=_CELLS)))
+    def test_large_tables_match_reference(self, table):
+        assert table.size >= scenario._VECTOR_MIN_CELLS
+        header = ",".join(f"c{k}" for k in range(table.shape[1]))
+        assert (scenario._render(header, table)
+                == render_reference(header, table.tolist()))
+
+
+def _format_rows_and_reference(table: np.ndarray) -> tuple[str, str]:
+    # The table path of `_render`, whatever the table's size, and the
+    # reference, each with a header line.
+    header = ",".join(f"c{k}" for k in range(table.shape[1]))
+    return (f"{header}\n" + "".join(scenario._format_rows(table)),
+            render_reference(header, table.tolist()))
+
+
+# Raw 64-bit patterns: any sign and mantissa, with the exponent drawn over
+# all of its values or near the range `_format_rows` computes itself,
+# about 1e-12 to 1e15, so that both sides of both ends occur.
+_BITS = st.builds(lambda sign, exponent, mantissa: sign << 63 | exponent << 52 | mantissa,
+                  st.integers(0, 1),
+                  st.one_of(st.integers(0, 2047), st.integers(985, 1075)),
+                  st.integers(0, 2 ** 52 - 1))
+
+
+def _decade_edges() -> list[float]:
+    # Each power of ten from 1e-12 to 1e17 and the doubles on either side.
+    edges = []
+    for k in range(-12, 18):
+        power = float(f"1e{k}")
+        edges += [math.nextafter(power, 0.0), power, math.nextafter(power, math.inf)]
+    return edges
+
+
+class TestFormatRows:
+    """The numpy path writes the bytes `%.17g` writes, cell by cell."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(bits=st.tuples(st.integers(1, 100), st.sampled_from([1, 2, 4, 7])).flatmap(
+        lambda shape: arrays(np.uint64, shape, elements=_BITS)))
+    def test_bit_patterns(self, bits):
+        text, reference = _format_rows_and_reference(bits.view(np.float64))
+        assert text == reference
+
+    @pytest.mark.parametrize("cols", [1, 3, 7])
+    def test_edge_values(self, cols):
+        cells = [
+            *_decade_edges(),
+            # Written within half a unit of the 17th digit below 10**17
+            # and 1: the double 1e17, past the range, and the double
+            # below 1.
+            99999999999999999.0, 0.99999999999999994,
+            # Halfway between two 17-digit decimals, and the double nearest
+            # 1e-7, which lies below it.
+            1234567890123456.75, 0.5, 9.9999999999999995e-08,
+            0.0, math.nan, math.inf, 5e-324, sys.float_info.min,
+            sys.float_info.max, 1e-11, 1e15,
+        ]
+        cells += [-cell for cell in cells]
+        cells += [0.0] * (-len(cells) % cols)
+        text, reference = _format_rows_and_reference(np.array(cells).reshape(-1, cols))
+        assert text == reference
+
+    @pytest.mark.parametrize("config, overrides, rows", [
+        ("passive_tha.cfg", ["sweep.step=0.05"], 8001),
+        ("dual_source.cfg", ["sweep.distance_max=200", "sweep.step=0.05"], 4001),
+    ])
+    def test_dense_shipped_sweeps(self, config, overrides, rows):
+        result = run_scenario(load_config(CONFIGS / config, overrides))
+        assert len(result) == rows
+        assert (sweep_to_text(result)
+                == render_reference(RESULT_HEADER, result.rows.tolist()))
+
 
 class TestCli:
     def test_sweep_passive_to_file(self, tmp_path, capsys):
@@ -982,6 +1065,45 @@ class TestCliErrorContract:
                                 "sweep.step must be finite and > 0, got -1.0; "
                                 "channel.y0 must lie in [0, 1), got 5.0; "
                                 "conventions.e0 must lie in [0, 1], got 2.0\n")
+
+    def test_values_that_do_not_parse_join_the_other_bad_keys(self, capsys):
+        # Each value that does not parse is named first, and the keys
+        # that parse are checked as well, all in the one line.
+        argv = ["sweep", "--config", str(CONFIGS / "passive_tha.cfg"),
+                "--override", "sweep.step=x", "--override", "channel.y0=y",
+                "--override", "conventions.e0=2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error:config: invalid configuration fields: "
+                                "sweep.step: expected a number, got 'x'; "
+                                "channel.y0: expected a number, got 'y'; "
+                                "conventions.e0 must lie in [0, 1], got 2.0\n")
+
+    # A key that does not parse keeps its default, which no rule reads:
+    # it is named once, and the defaults raise no error of their own.
+    @pytest.mark.parametrize("config, overrides, message", [
+        ("passive_tha.cfg", {"intensities.nu": "x", "intensities.s": "0.01"},
+         "intensities.nu: expected a number, got 'x'"),
+        ("dual_source.cfg", {"sweep.step": "x", "sweep.distance_max": "1e300"},
+         "sweep.step: expected a number, got 'x'"),
+        ("fringe.cfg", {"fringe.lambda_ref_nm": "abc", "fringe.smooth_window": "2.5"},
+         "fringe.lambda_ref_nm: expected a number, got 'abc'; "
+         "fringe.smooth_window: expected an integer, got '2.5'"),
+    ])
+    def test_value_that_does_not_parse_is_named_once(self, config, overrides, message):
+        data = parse_config_text((CONFIGS / config).read_text())
+        apply_overrides(data, [f"{key}={value}" for key, value in overrides.items()])
+        with pytest.raises(ConfigurationError) as info:
+            config_from_mapping(data, base_dir=CONFIGS)
+        assert str(info.value) == f"invalid configuration fields: {message}"
+
+    def test_emission_value_that_does_not_parse_stops_alone(self, capsys):
+        argv = ["leakage", "--config", str(CONFIGS / "device.cfg"),
+                "--override", "emission.1.count_rate=z"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error:config: emission.1.count_rate: expected a number, got 'z'\n")
 
     # A loss outside its interval is not also reported as overflowing.
     @pytest.mark.parametrize("key", ["channel.alpha_sig", "channel.alpha_par"])
