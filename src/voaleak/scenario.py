@@ -135,6 +135,9 @@ _PATHS = {"fringe": (("fringe.reference_trace", "reference_trace"),
 _CHANNEL_RANGES = tuple(
     ("conventions.e0" if name == "e0" else f"channel.{name}", name, tuple(bounds))
     for name, *bounds in ChannelParams._ranges if name != "distance")
+# The keys the grid rule and `check_intensities` read.
+_GRID_KEYS = ("sweep.distance_min", "sweep.distance_max", "sweep.step")
+_INTENSITY_KEYS = ("intensities.s", "intensities.nu", "intensities.omega")
 
 
 class ScenarioConfig(Record):
@@ -157,8 +160,9 @@ class ScenarioConfig(Record):
 
     Only the fields the mode reads are checked: the intervals in `_KEYS`,
     in a sweep mode each channel key against the interval `ChannelParams`
-    declares for its field, then the rules below. One ConfigurationError
-    names every bad key by its config key, `channel.y0` say, not `y0`.
+    declares for its field, then the rules below, each skipped where a
+    key it reads is bad already. One ConfigurationError names every bad
+    key once, by its config key: `channel.y0` say, not `y0`.
     """
 
     mode: str
@@ -185,43 +189,41 @@ class ScenarioConfig(Record):
     def __post_init__(self):
         self._check({})
 
-    def _check(self, unparsed: dict[str, str]) -> None:
-        # unparsed maps each key whose text `config_from_mapping` could not
-        # parse to its message. Its field kept the default, which no rule
-        # reads: the error names the key with that message, first.
+    def _check(self, bad: dict[str, str]) -> None:
+        # bad maps each key whose value `config_from_mapping` could not take
+        # to its message. A rule that reads a key in bad is skipped, and
+        # `_name` adds a message only for a key not yet named in bad.
         if self.mode not in MODES:
             raise ConfigurationError(
                 f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
-        bad = [*unparsed.values(),
-               *_out_of_range(self.__dict__, _RANGES[self.mode], unparsed)]
+        _out_of_range(bad, self.__dict__, _RANGES[self.mode])
         for key, field in _PATHS.get(self.mode, ()):
             if self.__dict__[field] is None:
-                bad.append(f"{key} (required)")
+                _name(bad, key, "required")
         if self.mode in ("passive_tha", "dual_source"):
-            bad += _out_of_range(self.channel.__dict__, _CHANNEL_RANGES, unparsed)
-            # The grid is sized once its keys passed (parts start with keys).
-            if not (bad and any(part.startswith("sweep.") for part in bad)):
+            _out_of_range(bad, self.channel.__dict__, _CHANNEL_RANGES)
+            if bad.keys().isdisjoint(_GRID_KEYS):
                 self._check_grid(bad)
             try:
-                if not any(key.startswith("intensities.") for key in unparsed):
+                if bad.keys().isdisjoint(_INTENSITY_KEYS):
                     check_intensities(self.s, self.nu, self.omega)
             except DomainError as exc:
-                bad.append(f"intensities ({exc})")
+                _name(bad, "intensities", exc)
         elif self.mode == "fringe":
             if not (isinstance(self.smooth_window, Integral) and self.smooth_window % 2):
-                bad.append("fringe.smooth_window (must be an odd integer)")
+                _name(bad, "fringe.smooth_window", "must be an odd integer")
         elif self.mode == "iv_fit":
             if not self.windows:
-                bad.append("ivfit.windows (at least one lo:hi window)")
+                _name(bad, "ivfit.windows", "at least one lo:hi window")
             if not all(-math.inf < lo < hi < math.inf for lo, hi in self.windows):
-                bad.append("ivfit.windows (each lo:hi must be finite with lo < hi)")
-        elif not self.emission:
-            bad.append("emission (at least one emission.N.* block)")
+                _name(bad, "ivfit.windows", "each lo:hi must be finite with lo < hi")
+        elif not (bad or self.emission):
+            _name(bad, "emission", "at least one emission.N.* block")
         if bad:
             raise ConfigurationError(
-                "invalid configuration fields: " + "; ".join(bad))
+                "invalid configuration fields: " + "; ".join(bad.values()))
 
-    def _check_grid(self, bad: list[str]) -> None:
+    def _check_grid(self, bad: dict[str, str]) -> None:
         # The points min + k*step and the products k*step lie below
         # M = max + step and are each rounded by at most ulp(M)/2, so
         # neighbours differ by at least step - 2 ulp(M): a larger step
@@ -229,36 +231,36 @@ class ScenarioConfig(Record):
         # overflows lies below 2**1025, in the binade of _ULP_PAST_MAX.
         top = self.distance_max + self.step
         if self.distance_max < self.distance_min:
-            bad.append("sweep.distance_max (must be >= sweep.distance_min)")
+            _name(bad, "sweep.distance_max", "must be >= sweep.distance_min")
         elif not (steps := _grid_steps(self)) < MAX_SWEEP_POINTS:
-            bad.append(f"sweep.step (grid exceeds {MAX_SWEEP_POINTS} points)")
+            _name(bad, "sweep.step", f"grid exceeds {MAX_SWEEP_POINTS} points")
         elif steps >= 1.0 and not self.step > 2.0 * (
                 math.ulp(top) if top < math.inf else _ULP_PAST_MAX):
-            bad.append("sweep.step (too small for distinct grid points "
-                       "at these distances)")
+            _name(bad, "sweep.step",
+                  "too small for distinct grid points at these distances")
         elif (far := self.distance_min + math.floor(steps) * self.step) == math.inf:
             # The last point of `sweep_distances`.
-            bad.append("sweep.distance_max (last grid point overflows a double)")
+            _name(bad, "sweep.distance_max", "last grid point overflows a double")
         else:
             for name in ("alpha_sig", "alpha_par"):
-                key = f"channel.{name}"  # skipped where its interval failed
-                if not (math.isfinite(getattr(self.channel, name) * far)
-                        or any(part.startswith(key + " ") for part in bad)):
-                    bad.append(f"{key} (fiber loss overflows "
-                               "a double at sweep.distance_max)")
+                if not math.isfinite(getattr(self.channel, name) * far):
+                    _name(bad, f"channel.{name}",
+                          "fiber loss overflows a double at sweep.distance_max")
 
 
-def _out_of_range(values: dict, rows, skip) -> list[str]:
-    # The message of each (key, field, interval) row whose value is
-    # outside, but for the keys in skip.
-    bad = []
+def _name(bad: dict[str, str], key: str, reason) -> None:
+    # A rule's message "key (reason)", unless bad names the key already.
+    bad.setdefault(key, f"{key} ({reason})")
+
+
+def _out_of_range(bad: dict[str, str], values: dict, rows) -> None:
+    # Names in bad each row's key, if not yet there, whose value is outside.
     for key, field, (lo, hi, lo_open, hi_open) in rows:
         try:
-            if key not in skip:
+            if key not in bad:
                 check_range(key, values[field], lo, hi, lo_open, hi_open)
         except DomainError as exc:
-            bad.append(str(exc))
-    return bad
+            bad[key] = str(exc)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -304,61 +306,57 @@ def apply_overrides(data: dict[str, str], overrides: Sequence[str]) -> None:
         data[key] = value.strip()
 
 
-def _take_number(data: dict[str, str], key: str, kind=float,
-                 unparsed: dict[str, str] | None = None) -> float | None:
-    # A value that does not parse raises, or, given the dict unparsed, is
-    # named there and taken as None.
+def _take_number(data: dict, key: str, bad: dict, kind=float) -> float | None:
+    # None for a value that does not parse, which bad names.
     raw = data.pop(key)
     try:
         return kind(raw)
     except ValueError:
         expected = "a number" if kind is float else "an integer"
-        message = f"{key}: expected {expected}, got {raw!r}"
-        if unparsed is None:
-            raise ConfigurationError(message) from None
-        unparsed[key] = message
+        bad[key] = f"{key}: expected {expected}, got {raw!r}"
         return None
 
 
-def _take_path(data: dict[str, str], key: str, base_dir: Path | str) -> Path:
+def _take_path(data: dict, key: str, base_dir: Path | str, bad: dict) -> Path | None:
     raw = data.pop(key)
     if not raw or "\0" in raw:
-        raise ConfigurationError(f"{key}: expected a file path, got {raw!r}")
+        bad[key] = f"{key}: expected a file path, got {raw!r}"
+        return None
     return Path(base_dir) / raw  # an absolute path stays as it is
 
 
-def _parse_windows(raw: str) -> tuple[tuple[float, float], ...]:
+def _parse_windows(raw: str, bad: dict) -> tuple[tuple[float, float], ...] | None:
     out = []
-    for part in raw.split(","):
-        lo, sep, hi = part.strip().partition(":")
-        if not sep:
-            raise ConfigurationError(
-                f"ivfit.windows: expected lo:hi entries, got {part.strip()!r}")
-        try:
+    for part in map(str.strip, raw.split(",")):
+        lo, sep, hi = part.partition(":")
+        try:  # without a ":", hi is "", which float() refuses
             out.append((float(lo), float(hi)))
         except ValueError:
-            raise ConfigurationError(
-                f"ivfit.windows: non-numeric window edge in {part.strip()!r}"
-            ) from None
+            problem = (f"non-numeric window edge in {part!r}" if sep
+                       else f"expected lo:hi entries, got {part!r}")
+            bad["ivfit.windows"] = f"ivfit.windows: {problem}"
+            return None
     return tuple(out)
 
 
-def _take_emission_spec(data: dict[str, str], prefix: str) -> EmissionSpec:
-    # The block under "leakage." or "emission.N.": count_rate and
-    # pulse_width, and a drive voltage that only labels it (0 if left out).
+def _take_emission_spec(data: dict, prefix: str, bad: dict) -> EmissionSpec | None:
+    # The block under "leakage." or "emission.N."; its drive voltage only
+    # labels it (0 if left out). None where bad names a value or the block.
     rate, width, voltage = (prefix + "count_rate", prefix + "pulse_width",
                             prefix + "drive_voltage")
     if rate not in data or width not in data:
         raise ConfigurationError(f"{rate} and {width} must be given together")
+    values = (_take_number(data, voltage, bad) if voltage in data else 0.0,
+              _take_number(data, rate, bad), _take_number(data, width, bad))
     try:
-        return EmissionSpec(
-            drive_voltage=_take_number(data, voltage) if voltage in data else 0.0,
-            count_rate=_take_number(data, rate), pulse_width=_take_number(data, width))
+        if None not in values:
+            return EmissionSpec(*values)
     except DomainError as exc:
-        raise ConfigurationError(f"{prefix[:-1]}: {exc}") from exc
+        bad[prefix[:-1]] = f"{prefix[:-1]}: {exc}"
+    return None
 
 
-def _take_emission(data: dict[str, str]) -> tuple[EmissionSpec, ...]:
+def _take_emission(data: dict, bad: dict) -> tuple[EmissionSpec | None, ...]:
     indices = set()
     for key in data:
         if key.startswith("emission."):
@@ -374,7 +372,7 @@ def _take_emission(data: dict[str, str]) -> tuple[EmissionSpec, ...]:
         raise ConfigurationError(
             "emission blocks must be numbered 1..N without gaps, got "
             f"{sorted(indices)}")
-    return tuple(_take_emission_spec(data, f"emission.{n}.")
+    return tuple(_take_emission_spec(data, f"emission.{n}.", bad)
                  for n in sorted(indices))
 
 
@@ -389,43 +387,46 @@ def config_from_mapping(
     defaults or be ignored. The numeric keys and trace paths of each
     mode and the fields they set are declared once, in `_KEYS` and
     `_PATHS`; a key the mapping leaves out keeps the field's default.
-    ScenarioConfig checks the values.
+    Each value that cannot be taken is named by its key, and the config
+    is checked once, so one ConfigurationError names every bad value.
+    An error in the shape of the mapping raises at once: the mode, the
+    emission numbering, leakage.mu beside a count rate, a count rate or
+    pulse width alone, or an unrecognized key.
     """
     data = dict(data)
     if "mode" not in data:
         raise ConfigurationError("missing required key 'mode'")
     mode = data.pop("mode")
 
-    # A value that does not parse leaves its field out, so that every
-    # other key is checked too and one error names them all.
-    unparsed: dict[str, str] = {}
+    # bad names each value that cannot be taken; its field is left out.
+    bad: dict[str, str] = {}
     fields = {field: value for key, field, kind, _ in _KEYS.get(mode, ())
               if key in data
-              and (value := _take_number(data, key, kind, unparsed)) is not None}
+              and (value := _take_number(data, key, bad, kind)) is not None}
     for key, field in _PATHS.get(mode, ()):
         if key in data:
-            fields[field] = _take_path(data, key, base_dir)
+            fields[field] = _take_path(data, key, base_dir, bad)
     if mode in ("passive_tha", "dual_source"):
         channel = {name: value for key, name, _ in _CHANNEL_RANGES
                    if key in data
-                   and (value := _take_number(data, key, float, unparsed)) is not None}
-        # Unchecked: ScenarioConfig checks each channel value by its key.
+                   and (value := _take_number(data, key, bad)) is not None}
+        # Unchecked: _check checks each channel value by its key.
         fields["channel"] = unchecked(ChannelParams,
                                       {**ChannelParams._defaults, **channel})
         if "leakage.count_rate" in data or "leakage.pulse_width" in data:
-            if "mu_leak" in fields:
+            if "mu_leak" in fields or "leakage.mu" in bad:
                 raise ConfigurationError("give either leakage.mu or "
                                          "leakage.count_rate/pulse_width, not both")
-            fields["mu_leak"] = mean_photon_number(
-                _take_emission_spec(data, "leakage."))
+            if spec := _take_emission_spec(data, "leakage.", bad):
+                fields["mu_leak"] = mean_photon_number(spec)
     elif mode == "iv_fit" and "ivfit.windows" in data:
-        fields["windows"] = _parse_windows(data.pop("ivfit.windows"))
+        if windows := _parse_windows(data.pop("ivfit.windows"), bad):
+            fields["windows"] = windows
     elif mode == "device":
-        fields["emission"] = _take_emission(data)
-    if unparsed:
-        unchecked(ScenarioConfig, {**ScenarioConfig._defaults, "mode": mode,
-                                   **fields})._check(unparsed)
-    config = ScenarioConfig(mode=mode, **fields)
+        fields["emission"] = _take_emission(data, bad)
+    config = unchecked(ScenarioConfig, {**ScenarioConfig._defaults, "mode": mode,
+                                        **fields})
+    config._check(bad)
     if data:
         raise ConfigurationError(
             "unrecognized keys: " + ", ".join(sorted(data)))

@@ -265,8 +265,9 @@ def calibrated_intensity(q_observed: float, eta: float, y0: float) -> float:
         Inferred intensity s_cal = -(1/eta) ln((1 - Q)/(1 - Y0)).
 
     Raises:
-        DomainError: if an argument is outside its domain, or if
-            q_observed <= y0 (below the background).
+        DomainError: if an argument is outside its domain, if
+            q_observed <= y0 (below the background), or if the intensity
+            overflows a double.
     """
     check_range("q_observed", q_observed, 0.0, 1.0, lo_open=True, hi_open=True)
     check_range("eta", eta, 0.0, 1.0, lo_open=True)
@@ -275,4 +276,6 @@ def calibrated_intensity(q_observed: float, eta: float, y0: float) -> float:
         raise DomainError(
             f"gain {q_observed:g} does not exceed the background yield {y0:g}")
     # log1p keeps precision when the gain is close to the background.
-    return -(math.log1p(-q_observed) - math.log1p(-y0)) / eta
+    s_cal = -(math.log1p(-q_observed) - math.log1p(-y0)) / eta
+    check_range("inferred intensity", s_cal, 0.0)
+    return s_cal

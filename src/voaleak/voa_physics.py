@@ -160,23 +160,31 @@ def plasma_dispersion_general(
         added absorption [cm^-1, >= 0].
 
     Raises:
-        DomainError: if wavelength is not positive and finite.
+        DomainError: if wavelength is not positive and finite, or its
+            square or a change overflows a double.
     """
     check_range("wavelength", wavelength, 0.0, lo_open=True)
     lam = wavelength * 1e-9               # nm -> m
     ne = carriers.delta_n_e * 1e6         # cm^-3 -> m^-3
     nh = carriers.delta_n_h * 1e6
 
+    # lam * lam, not lam ** 2: a square past the largest double is inf,
+    # which check_range rejects, where ** raises OverflowError.
+    lam2 = lam * lam
+    check_range("squared wavelength [m^2]", lam2, 0.0)
+
     c2 = speed_of_light ** 2
-    pref_n = elementary_charge ** 2 * lam ** 2 / (
+    pref_n = elementary_charge ** 2 * lam2 / (
         8.0 * math.pi ** 2 * c2 * epsilon_0 * _N0)
-    pref_a = elementary_charge ** 3 * lam ** 2 / (
+    pref_a = elementary_charge ** 3 * lam2 / (
         4.0 * math.pi ** 2 * c2 * speed_of_light * epsilon_0 * _N0)
 
     delta_n = -pref_n * (ne / _M_CE + nh / _M_CH)
-    delta_alpha_m = pref_a * (ne / (_M_CE ** 2 * _MU_N)
-                              + nh / (_M_CH ** 2 * _MU_P))
-    return delta_n, delta_alpha_m * 1e-2  # m^-1 -> cm^-1
+    delta_alpha = pref_a * (ne / (_M_CE ** 2 * _MU_N)
+                            + nh / (_M_CH ** 2 * _MU_P)) * 1e-2  # m^-1 -> cm^-1
+    check_range("index change", delta_n, -math.inf)
+    check_range("absorption change", delta_alpha, -math.inf)
+    return delta_n, delta_alpha
 
 
 def soref_1550(carriers: CarrierState) -> tuple[float, float]:
@@ -214,11 +222,14 @@ def attenuation_db(delta_alpha: float, length: float) -> float:
 
     Raises:
         DomainError: if delta_alpha is negative or length is not
-            positive, or either is non-finite.
+            positive, or either is non-finite, or the attenuation
+            overflows a double.
     """
     check_range("delta_alpha", delta_alpha, 0.0)
     check_range("length", length, 0.0, lo_open=True)
-    return 10.0 * math.log10(math.e) * delta_alpha * length
+    db = 10.0 * math.log10(math.e) * delta_alpha * length
+    check_range("attenuation", db, 0.0)
+    return db
 
 
 def attenuation_from_counts(counts_on: float, counts_off: float) -> float:
@@ -237,7 +248,9 @@ def attenuation_from_counts(counts_on: float, counts_off: float) -> float:
     """
     check_range("counts_on", counts_on, 0.0, lo_open=True)
     check_range("counts_off", counts_off, 0.0, lo_open=True)
-    return -10.0 * math.log10(counts_on / counts_off)
+    # A difference of logarithms, not the log of a ratio that can overflow
+    # or vanish: finite for any two counts, and exactly antisymmetric.
+    return 10.0 * (math.log10(counts_off) - math.log10(counts_on))
 
 
 # ============================================================
@@ -254,10 +267,14 @@ def bandgap_wavelength(e_g: float) -> float:
         Wavelength lambda = h c / E_g in nm.
 
     Raises:
-        DomainError: if e_g is not positive and finite.
+        DomainError: if e_g is not positive and finite, or the
+            wavelength overflows a double.
     """
     check_range("e_g", e_g, 0.0, lo_open=True)
-    return Planck * speed_of_light / (e_g * elementary_charge) * 1e9
+    # h c / q in eV nm first: e_g * q can vanish where e_g cannot.
+    wavelength = Planck * speed_of_light / elementary_charge * 1e9 / e_g
+    check_range("wavelength", wavelength, 0.0, lo_open=True)
+    return wavelength
 
 
 # ============================================================

@@ -232,3 +232,31 @@ def test_outside_values_raise_the_parameter_error(case):
 def test_closed_ends_are_accepted(case):
     for value in accepted(case):
         case.call(value)
+
+
+# In-domain, finite arguments whose result, or a product or quotient on
+# the way to it, overflows or vanishes.
+EXTREME_CALLS = {
+    "bandgap_wavelength(1e-320)": lambda: bandgap_wavelength(1e-320),
+    "attenuation_from_counts(1e-320, 1e308)":
+        lambda: attenuation_from_counts(1e-320, 1e308),
+    "attenuation_from_counts(1e308, 1e-320)":
+        lambda: attenuation_from_counts(1e308, 1e-320),
+    "plasma_dispersion_general(1e18, 1e18, 1e200)":
+        lambda: plasma_dispersion_general(CarrierState(1e18, 1e18), 1e200),
+    "plasma_dispersion_general(1e308, 1e308)":
+        lambda: plasma_dispersion_general(CarrierState(1e308, 1e308)),
+    "attenuation_db(1e308, 10.0)": lambda: attenuation_db(1e308, 10.0),
+    "calibrated_intensity(0.5, 1e-320, 0.0)":
+        lambda: calibrated_intensity(0.5, 1e-320, 0.0),
+}
+
+
+@pytest.mark.parametrize("call", EXTREME_CALLS.values(), ids=EXTREME_CALLS)
+def test_extreme_arguments_give_finite_floats_or_a_domain_error(call):
+    try:
+        result = call()
+    except DomainError:
+        return
+    for value in result if isinstance(result, tuple) else (result,):
+        assert type(value) is float and math.isfinite(value), result

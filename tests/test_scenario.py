@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -179,9 +180,11 @@ class TestConfigFromMapping:
         })
         assert cfg.mu_leak == pytest.approx(0.09774514191987614, rel=1e-12)
 
-    def test_leakage_forms_are_exclusive(self):
+    # A shape error: a leakage.mu that does not parse is still given.
+    @pytest.mark.parametrize("mu", ["0.1", "x"])
+    def test_leakage_forms_are_exclusive(self, mu):
         with pytest.raises(ConfigurationError, match="not both"):
-            config_from_mapping({"mode": "passive_tha", "leakage.mu": "0.1",
+            config_from_mapping({"mode": "passive_tha", "leakage.mu": mu,
                                  "leakage.count_rate": "1e7"})
 
     def test_count_rate_needs_pulse_width(self):
@@ -1080,8 +1083,10 @@ class TestCliErrorContract:
                                 "channel.y0: expected a number, got 'y'; "
                                 "conventions.e0 must lie in [0, 1], got 2.0\n")
 
-    # A key that does not parse keeps its default, which no rule reads:
-    # it is named once, and the defaults raise no error of their own.
+    # A value that cannot be taken (a number, an emission block, windows
+    # or a path) keeps its field's default, which no rule reads: it is
+    # named once, beside the other bad keys, and the defaults raise no
+    # error of their own.
     @pytest.mark.parametrize("config, overrides, message", [
         ("passive_tha.cfg", {"intensities.nu": "x", "intensities.s": "0.01"},
          "intensities.nu: expected a number, got 'x'"),
@@ -1090,6 +1095,15 @@ class TestCliErrorContract:
         ("fringe.cfg", {"fringe.lambda_ref_nm": "abc", "fringe.smooth_window": "2.5"},
          "fringe.lambda_ref_nm: expected a number, got 'abc'; "
          "fringe.smooth_window: expected an integer, got '2.5'"),
+        ("passive_tha.cfg", {"leakage.count_rate": "x", "sweep.step": "x"},
+         "sweep.step: expected a number, got 'x'; "
+         "leakage.count_rate: expected a number, got 'x'"),
+        ("ivfit.cfg", {"ivfit.windows": "a:b", "ivfit.temperature": "-1"},
+         "ivfit.windows: non-numeric window edge in 'a:b'; "
+         "ivfit.temperature must be finite and > 0, got -1.0"),
+        ("ivfit.cfg", {"ivfit.trace": "", "ivfit.temperature": "-1"},
+         "ivfit.trace: expected a file path, got ''; "
+         "ivfit.temperature must be finite and > 0, got -1.0"),
     ])
     def test_value_that_does_not_parse_is_named_once(self, config, overrides, message):
         data = parse_config_text((CONFIGS / config).read_text())
@@ -1098,12 +1112,19 @@ class TestCliErrorContract:
             config_from_mapping(data, base_dir=CONFIGS)
         assert str(info.value) == f"invalid configuration fields: {message}"
 
-    def test_emission_value_that_does_not_parse_stops_alone(self, capsys):
+    def test_emission_values_join_the_other_bad_keys(self, capsys):
+        # A value that does not parse and a block that fails its own
+        # checks are named in the one line, the block by its prefix.
         argv = ["leakage", "--config", str(CONFIGS / "device.cfg"),
-                "--override", "emission.1.count_rate=z"]
+                "--override", "emission.1.count_rate=z",
+                "--override", "emission.2.pulse_width=0"]
         assert main(argv) == 2
-        assert capsys.readouterr().err == (
-            "error:config: emission.1.count_rate: expected a number, got 'z'\n")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error:config: invalid configuration fields: "
+            "emission.1.count_rate: expected a number, got 'z'; "
+            "emission.2: pulse_width must be finite and > 0, got 0.0\n")
 
     # A loss outside its interval is not also reported as overflowing.
     @pytest.mark.parametrize("key", ["channel.alpha_sig", "channel.alpha_par"])
@@ -1115,6 +1136,15 @@ class TestCliErrorContract:
         err = capsys.readouterr().err
         assert err == ("error:config: invalid configuration fields: "
                        f"{key} must be finite and >= 0, got {float(value)!r}\n")
+
+    def test_window_outside_its_interval_is_named_once(self, capsys):
+        # Not also named by the rule that the window be odd.
+        argv = ["wavelength", "--config", str(CONFIGS / "fringe.cfg"),
+                "--override", "fringe.smooth_window=0"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error:config: invalid configuration fields: "
+            "fringe.smooth_window must be finite and >= 1, got 0\n")
 
     def test_grid_point_beyond_the_largest_double(self, capsys):
         # 3 * step is inf: the last point of the grid does not exist.
@@ -1190,6 +1220,7 @@ class TestCliErrorContractProperty:
         category = err.split(":", 2)[1]
         assert code == (2 if category == "config" else 1), err
         assert out.getvalue() == ""
+        _assert_each_key_named_once(err)
 
 
 def _shipped_lines(name: str) -> list[str]:
@@ -1209,6 +1240,27 @@ _INSERT_KEYS = _SWEEP_KEYS + (
     "mode", "emission.1.count_rate", "emission.4.pulse_width",
     "emission.\u00b2.count_rate",
     "fringe.smooth_window", "ivfit.windows", "leakage.mu")
+# The keys a config error may name: every key of a shipped config or
+# inserted by the fuzzer, and the names of the rules over several keys.
+_NAMED_KEYS = frozenset(
+    {line.partition("=")[0].strip() for _, lines in _SHIPPED for line in lines}
+    | {*_INSERT_KEYS, "intensities", "leakage", "emission"})
+
+
+def _assert_each_key_named_once(err: str) -> None:
+    """No key leads two '; '-separated parts of an `invalid configuration
+    fields:` line. A part led by no key is the tail of a message that
+    holds '; ' itself, as a saturated emission block's does."""
+    head = "error:config: invalid configuration fields: "
+    if not err.startswith(head):
+        return
+    keys = [re.match(r"[^ :(]*", part).group()
+            for part in err[len(head):-1].split("; ")]
+    keys = [key for key in keys if key in _NAMED_KEYS
+            or re.fullmatch(r"emission\.\d+(\.\w+)?", key)]
+    assert keys and len(keys) == len(set(keys)), err
+
+
 _VALUE_TEXT = st.one_of(_FLOAT_TEXT, st.text(max_size=20),
                         st.sampled_from(["", ".", "/", "a\x00b", "0:1, 1:0",
                                          "\u00b2", "\u0663", "\ufeff1"]))
@@ -1246,6 +1298,10 @@ class TestWholeConfigProperty:
 
     @settings(max_examples=300, deadline=None)
     @given(case=_fuzzed_config())
+    # A window that fails its interval is not also named as even.
+    @example(case=("wavelength", "\n".join(
+        "fringe.smooth_window = 0" if line.startswith("fringe.smooth_window")
+        else line for line in dict(_SHIPPED)["wavelength"]).encode()))
     def test_any_config_text(self, case):
         command, text = case
         out, err = io.StringIO(), io.StringIO()
@@ -1264,6 +1320,7 @@ class TestWholeConfigProperty:
         category = err.split(":", 2)[1]
         assert code == (2 if category == "config" else 1), err
         assert out.getvalue() == ""
+        _assert_each_key_named_once(err)
 
 
 _TRACE_LINE = st.lists(_FLOAT_TEXT, min_size=1, max_size=8).map(",".join)
