@@ -18,6 +18,7 @@ from voaleak import (
     ConfigurationError,
     DecoyObservations,
     TraceParseError,
+    TraceSchemaError,
     observables_for_intensity,
 )
 
@@ -443,12 +444,15 @@ def read_table_reference(path, header: str) -> np.ndarray:
     cell through `float()`.
 
     `scenario._read_table` must return the same bytes, or raise
-    TraceParseError naming the same line. The readers differ only in the
-    cell grammar README documents: `float()` also took `_` between
+    TraceParseError naming the same line, or TraceSchemaError when the
+    first line, stripped, is not the header. The readers differ only in
+    the cell grammar README documents: `float()` also took `_` between
     digits and non-ASCII digits, and refused `\x1f` as padding.
     """
     width = header.count(",") + 1
     lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0].strip() != header:
+        raise TraceSchemaError(f"{path}: header")
     numbered = [(num, line.split(",")) for num, line
                 in enumerate(map(str.strip, lines[1:]), start=2) if line]
     for num, cells in numbered:

@@ -2,9 +2,12 @@
 
 import io
 import math
+import os
 import re
 import sys
 import tempfile
+import threading
+import urllib.request
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -1369,26 +1372,56 @@ _CELL = st.one_of(
 )
 
 
+_BREAKS = ["\n", "\r\n", "\r", "\v", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+           "\u2028", "\u2029"]
+# Mostly well-formed, so that whole tables parse.
+_PLAIN_CELL = st.one_of(
+    *[_FLOAT_TEXT] * 6,
+    st.tuples(_PAD, _FLOAT_TEXT, _PAD).map("".join).filter(str.isascii),
+    _CELL.filter(str.isascii))
+
+
 @st.composite
 def _table_text(draw, header):
     """Table text under header: rows of drawn cells, mostly of the right
     width, split by any line break splitlines() knows and padded with
-    blank and whitespace-only lines."""
+    blank and whitespace-only lines. A break or padding may come before
+    the header and after a cell. Two tables in three are ASCII with only
+    \\n, \\r\\n and \\r breaks, as numpy parses them by path."""
     width = header.count(",") + 1
-    lines = [header]
+    plain = draw(st.sampled_from([True, True, False]))
+    breaks = ["\n", "\r\n", "\r"] if plain else _BREAKS
+    after = st.sampled_from([""] * (40 if plain else 8) + breaks)
+    cell = st.tuples(_PLAIN_CELL if plain else _CELL, after).map("".join)
+    pads = ["", "", "", " ", "\t"] if plain else ["", " ", "\t", "\xa0 "]
+    lines = [draw(st.sampled_from([""] * 16 + [" ", "\t", "\x1f"] + breaks))
+             + header]
     for _ in range(draw(st.integers(0, 6))):
-        lines += draw(st.lists(st.sampled_from(["", " ", "\t", "\xa0 "]),
-                               max_size=1))
+        lines += draw(st.lists(st.sampled_from(pads), max_size=1))
         count = draw(st.sampled_from([width] * 4 + [width - 1, width + 1]))
-        lines.append(",".join(draw(st.lists(_CELL, min_size=count,
+        lines.append(",".join(draw(st.lists(cell, min_size=count,
                                             max_size=count))))
-    breaks = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x85"])
-    return "".join(line + draw(breaks) for line in lines)
+    return "".join(line + draw(st.sampled_from(["\n"] * 4 + breaks))
+                   for line in lines)
+
+
+def _assert_reads_as_reference(path: Path, header: str) -> None:
+    try:
+        expected = read_table_reference(path, header)
+    except (TraceParseError, TraceSchemaError) as exc:
+        with pytest.raises(type(exc)) as info:
+            scenario._read_table(path, header)
+        assert getattr(info.value, "line", None) == getattr(exc, "line", None)
+        return
+    got = scenario._read_table(path, header)
+    assert got.dtype == np.float64 and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 class TestTableReaderParity:
-    """One loadtxt parse reads every table as the per-line float() reader
-    did, outside the documented cell grammar cases."""
+    """numpy's chunked and line-list parses read every table as the
+    per-line float() reader did, outside the documented cell grammar
+    cases."""
 
     @settings(max_examples=400, deadline=None)
     @given(data=st.data(), header=st.sampled_from([FRINGE_HEADER,
@@ -1398,16 +1431,20 @@ class TestTableReaderParity:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "table.csv"
             path.write_bytes(text.encode())
-            try:
-                expected = read_table_reference(path, header)
-            except TraceParseError as exc:
-                with pytest.raises(TraceParseError) as info:
-                    scenario._read_table(path, header)
-                assert info.value.line == exc.line
-                return
-            got = scenario._read_table(path, header)
-        assert got.dtype == np.float64 and got.shape == expected.shape
-        assert got.tobytes() == expected.tobytes()
+            _assert_reads_as_reference(path, header)
+
+    @pytest.mark.parametrize("text", [
+        # splitlines() ends a line at \x0c; numpy strips it as padding.
+        f"{IV_HEADER}\n0,1\n1\x0c,2\n",
+        f"\x0c{IV_HEADER}\n0,1\n",
+        f"\r{IV_HEADER}\n0,1\n",
+        # A whitespace-only line is blank to the line reader alone.
+        f"{IV_HEADER}\n0,1\n \t\n1,2\n",
+    ])
+    def test_lines_numpy_would_split_otherwise(self, tmp_path, text):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(text.encode())
+        _assert_reads_as_reference(path, IV_HEADER)
 
 
 class TestCellGrammar:
@@ -1438,12 +1475,13 @@ class TestCellGrammar:
         assert info.value.line == 3
 
     def test_rescan_ends_in_parse_error(self, tmp_path, monkeypatch):
-        # Should the whole-table parse fail where no single line does,
-        # the reader still raises its own error, not numpy's.
+        # Should the whole-table parses, of the file and of its lines,
+        # fail where no single line does, the reader still raises its own
+        # error, not numpy's.
         loadtxt = np.loadtxt
 
         def whole_table_fails(rows, **kwargs):
-            if len(rows) > 1:
+            if not isinstance(rows, list) or len(rows) > 1:
                 raise ValueError("table")
             return loadtxt(rows, **kwargs)
 
@@ -1457,13 +1495,14 @@ class TestCellGrammar:
     @pytest.mark.parametrize("bad, line", [((8000,), 8002), ((0, 8000), 2),
                                            ((4000, 7999), 4002)])
     def test_rescan_bisects_rows(self, tmp_path, monkeypatch, bad, line):
-        # Naming the first bad row of 8001 takes the whole-table parse,
-        # about log2(8001) parses of halved spans and one of the row.
+        # Naming the first bad row of 8001 takes the chunked parse of the
+        # file, then, of the lines, the whole-table parse, about
+        # log2(8001) parses of halved spans and one of the row.
         loadtxt = np.loadtxt
         calls = []
 
         def counted(rows, **kwargs):
-            calls.append(len(rows))
+            calls.append(len(rows) if isinstance(rows, list) else "path")
             return loadtxt(rows, **kwargs)
 
         rows = [f"{k},{'one' if k in bad else 1}" for k in range(8001)]
@@ -1473,7 +1512,100 @@ class TestCellGrammar:
         with pytest.raises(TraceParseError) as info:
             load_trace(path, "iv")
         assert info.value.line == line
-        assert len(calls) <= 16
+        assert calls[0] == "path" and calls.count("path") == 1
+        assert len(calls) - 1 <= 16
+
+
+def _dense_table(path: Path) -> np.ndarray:
+    # A results table as emit_results writes it, and its rows.
+    result = run_scenario(ScenarioConfig(mode="passive_tha", mu_leak=0.0388,
+                                         distance_max=40.0, step=0.5))
+    emit_results(result, path)
+    return result.rows
+
+
+class TestChunkedRead:
+    """numpy parses a plain results or trace file by its path; every
+    other input reads as the line reader reads it."""
+
+    def test_one_chunked_parse(self, tmp_path, monkeypatch):
+        rows = _dense_table(tmp_path / "rates.csv")
+        loadtxt = np.loadtxt
+        calls = []
+
+        def counted(source, **kwargs):
+            calls.append(type(source))
+            return loadtxt(source, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        assert read_results(tmp_path / "rates.csv").rows.tobytes() == rows.tobytes()
+        assert len(calls) == 1 and issubclass(calls[0], Path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_named_pipe(self, tmp_path):
+        # numpy, opening the pipe again by name, would wait for a second
+        # writer that never comes.
+        rows = _dense_table(tmp_path / "rates.csv")
+        fifo = tmp_path / "rates.fifo"
+        os.mkfifo(fifo)
+        got = []
+
+        def write():
+            with open(fifo, "wb") as pipe:
+                pipe.write((tmp_path / "rates.csv").read_bytes())
+
+        writer = threading.Thread(target=write, daemon=True)
+        reader = threading.Thread(
+            target=lambda: got.append(read_results(fifo).rows), daemon=True)
+        writer.start()
+        reader.start()
+        reader.join(timeout=60)
+        if reader.is_alive():
+            # Let the blocked open return before the test fails.
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=60)
+            pytest.fail("reading a named pipe did not finish")
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert got and got[0].tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compression_suffix_is_a_name(self, tmp_path, suffix):
+        rows = _dense_table(tmp_path / f"rates{suffix}")
+        assert read_results(tmp_path / f"rates{suffix}").rows.tobytes() == rows.tobytes()
+
+    def test_url_like_name_is_a_file(self, tmp_path, monkeypatch):
+        (tmp_path / "http:" / "x").mkdir(parents=True)
+        rows = _dense_table(tmp_path / "http:" / "x" / "t.csv")
+
+        def no_network(*args, **kwargs):
+            raise AssertionError("urlopen called")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_network)
+        monkeypatch.chdir(tmp_path)
+        assert read_results("http://x/t.csv").rows.tobytes() == rows.tobytes()
+        assert sorted(p.relative_to(tmp_path).as_posix()
+                      for p in tmp_path.rglob("*")) == [
+            "http:", "http:/x", "http:/x/t.csv"]
+
+    @pytest.mark.skipif(not hasattr(os, "symlink"), reason="no symlinks")
+    def test_dot_dot_after_a_symlink(self, tmp_path):
+        # The OS resolves ".." after following the link; a path folded
+        # as text would name tmp_path/t.csv instead.
+        (tmp_path / "real" / "sub").mkdir(parents=True)
+        (tmp_path / "link").symlink_to(tmp_path / "real" / "sub")
+        rows = _dense_table(tmp_path / "real" / "t.csv")
+        (tmp_path / "t.csv").write_text(f"{RESULT_HEADER}\n0,0,0,0,0,0,0\n")
+        got = read_results(tmp_path / "link" / ".." / "t.csv").rows
+        assert got.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("body", ["", "\n\n", "\r\n \r\n\t\n"])
+    def test_blank_body_takes_no_parse(self, tmp_path, monkeypatch, body):
+        # numpy warns on a table with no rows; no parse runs on one.
+        path = tmp_path / "rates.csv"
+        path.write_text(f"{RESULT_HEADER}\n{body}", newline="")
+        monkeypatch.setattr(np, "loadtxt", None)
+        assert read_results(path).rows.shape == (0, 7)
 
 
 class TestLoadConfig:
