@@ -22,9 +22,6 @@ configs produce byte-identical output files.
 from __future__ import annotations
 
 import math
-import os
-import re
-import stat
 import sys
 from numbers import Integral
 from pathlib import Path
@@ -652,8 +649,8 @@ for _k in range(-11, 16):
     _a, _b = _x.as_integer_ratio()
     _DECADES.append(_x if _a * _den >= _num * _b else math.nextafter(_x, math.inf))
 _DECADES = np.array(_DECADES)
-# 5**q as its high and low 32 bits.
-_POW5 = np.array([divmod(5 ** q, 2 ** 32) for q in range(28)], _U64).T
+# 5**q, each below 2**63.
+_POW5 = np.array([5 ** q for q in range(28)], _U64)
 # A cell is laid out as six 8-byte words: "-0.000", its first digit and
 # a point; four words of four digits, each digit followed by a point;
 # "e-NN", the separator and three spare bytes. _KEEP[k + 11, last] marks
@@ -688,6 +685,20 @@ for _k in range(-11, 15):
 _KEEP = _KEEP.reshape(-1, 48)
 
 
+def _mul_wide(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * b as two uint64 words (hi, lo), for a < 2**60 and b < 2**63.
+
+    From 32-bit halves, where under these bounds no partial product nor
+    their middle sum overflows. Each operand is a uint64, as numpy 1.24
+    makes uint64 with int64 a float64.
+    """
+    s32, low32 = _U64(32), _U64(2 ** 32 - 1)
+    ah, al, bh, bl = a >> s32, a & low32, b >> s32, b & low32
+    low, mid = al * bl, ah * bl + al * bh
+    carry = ((low >> s32) + (mid & low32)) >> s32
+    return ah * bh + (mid >> s32) + carry, low + (mid << s32)
+
+
 def _format_rows(table: np.ndarray):
     """The rows of a table as `%.17g` writes them, one str per chunk.
 
@@ -709,16 +720,9 @@ def _format_rows(table: np.ndarray):
         fast = (i >= 1) & (i <= 26)
         k = np.where(fast, i - 12, 0)
         bits = np.where(fast, ax, 1.0).view(_U64)
-        # m * 5**q as hi * 2**64 + lo, from 32-bit halves: with m < 2**53
-        # and 5**q < 2**63 no partial product nor mid overflows. Each
-        # operand is a uint64, as numpy 1.24 makes uint64 with int64 a
-        # float64.
         m = (bits & _U64(2 ** 52 - 1)) | _U64(2 ** 52)
-        s32, low32, one = _U64(32), _U64(2 ** 32 - 1), _U64(1)
-        mh, ml, (fh, fl) = m >> s32, m & low32, _POW5[:, 16 - k]
-        low, mid = ml * fl, mh * fl + ml * fh
-        lo = low + (mid << s32)
-        hi = mh * fh + (mid >> s32) + (lo < low)
+        hi, lo = _mul_wide(m, _POW5[16 - k])
+        one = _U64(1)
         r = (1059 + k - (bits >> _U64(52)).astype(np.int64)).astype(_U64)
         digits = (hi << (_U64(64) - r)) | (lo >> r)
         digits += (lo & ((one << r) - one)) + (digits & one) > one << (r - one)
@@ -748,13 +752,204 @@ def _format_rows(table: np.ndarray):
         yield np.compress(keep.ravel(), text.ravel()).tobytes().decode()
 
 
-# Line breaks of splitlines() that numpy's file reader takes for padding
-# around a cell, not for the end of a line.
-_OTHER_BREAKS = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
-# Suffixes numpy opens as compressed files.
-_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
-# A byte str.strip() keeps: numpy warns on a table of blank lines.
-_NON_BLANK = re.compile(rb"[^\s\x1c-\x1f]")
+# The fast grammar of a table body, as `_render` and `repr` write it:
+# rows of cells -?D+(.D+)?(e[+-]D+)?, each followed by "," or, the last
+# of its row, by "\n". The bytes that are not digits carry the whole
+# shape, and a class each: an exponent's sign becomes _EXP_SIGN, and 0
+# marks a byte outside the grammar. _SHAPE[a << 5 | b << 2 | gap] is
+# true where class b may follow class a in that sequence, right after
+# it (gap 1) or with digits between (gap 2).
+_MINUS, _PLUS, _POINT, _EXP, _EXP_SIGN, _COMMA, _NEWLINE = range(1, 8)
+_CLASS = np.zeros(256, np.intp)
+_CLASS[list(b"-+.e,\n")] = [_MINUS, _PLUS, _POINT, _EXP, _COMMA, _NEWLINE]
+_SHAPE = np.zeros(256, bool)
+for _a, _b, _gap in [
+        *[(_sep, _MINUS, 1) for _sep in (_COMMA, _NEWLINE)],
+        *[(_a, _b, 2) for _a in (_COMMA, _NEWLINE, _MINUS)
+          for _b in (_POINT, _EXP, _COMMA, _NEWLINE)],
+        *[(_POINT, _b, 2) for _b in (_EXP, _COMMA, _NEWLINE)],
+        (_EXP, _EXP_SIGN, 1),
+        *[(_EXP_SIGN, _b, 2) for _b in (_COMMA, _NEWLINE)]]:
+    _SHAPE[_a << 5 | _b << 2 | _gap] = True
+# Between a cell's last digit and its separator: 2 classes after an
+# exponent ("e" and its sign), else none.
+_EXP_TAIL = np.zeros(8, np.intp)
+_EXP_TAIL[_EXP_SIGN] = 2
+_IS_POINT = (np.arange(8) == _POINT).astype(np.intp)
+# Cells are parsed as integers: the digits without the point, then the
+# exponent as a cell of its own.
+_TOKENS = bytes.maketrans(b"e\n", b",,")
+# A first guess of d * 10**q for q = -28..15 is float(d) * _TEN_UP[q + 28]
+# / _TEN_DOWN[q + 28], in two roundings at most (float(int) rounds
+# correctly).
+_TEN_UP = np.array([1.0] * 28 + [float(10 ** q) for q in range(15)] + [1.0])
+_TEN_DOWN = np.array([1.0] + [float(10 ** k) for k in range(27, 0, -1)] + [1.0] * 16)
+# Bytes of rows per chunk, which bound the arrays of a read. Larger
+# chunks make arrays above 128 KB, which glibc maps and unmaps on each
+# allocation, and raise the peak memory of a read.
+_READ_BYTES = 1 << 17
+
+
+def _read_fast(data: bytes, start: int, width: int) -> np.ndarray | None:
+    """The rows of data from offset start on, as an (n, width) array,
+    or None when they are not in the fast grammar.
+
+    The rows go in chunks of about _READ_BYTES, and every chunk is
+    checked before any is parsed, so no parse meets a cell it cannot
+    read. The cells a chunk leaves to check again are checked together
+    at the end, and stepped until each is the nearest double.
+    """
+    if not data.endswith(b"\n"):
+        return None
+    values = np.empty(data.count(b"\n", start) * width)
+    negative = np.empty(values.size, bool)
+    chunks, done = [], 0
+    while start < len(data):
+        end = (data.rfind(b"\n", start, start + _READ_BYTES) + 1
+               or data.find(b"\n", start + _READ_BYTES) + 1)
+        found = _cells(data[start:end], width)
+        if found is None:
+            return None
+        exp, scale, sign = found
+        negative[done:done + sign.size] = sign
+        chunks.append((start, end, done, exp, scale))
+        start, done = end, done + sign.size
+    again = []
+    for start, end, done, exp, scale in chunks:
+        x, (at, d, k) = _parse_rows(data[start:end], exp, scale)
+        values[done:done + x.size] = x
+        again.append((at + done, d, k))
+    del chunks
+    if again:
+        at, d, k = (np.concatenate(parts) for parts in zip(*again))
+        values[at] = _nearest(d, k, values[at])
+    np.negative(values, out=values, where=negative)
+    return values.reshape(-1, width)
+
+
+def _cells(chunk: bytes, width: int) -> tuple[np.ndarray, ...] | None:
+    """The cells of chunk, whole rows ending in \\n, or None if it is not
+    in the fast grammar with rows of width cells: for each cell, whether
+    it has an exponent, how many digits follow its point, and whether it
+    is negative."""
+    b = np.frombuffer(chunk, np.uint8)
+    at = np.flatnonzero(b - 48 > 9)
+    cls = _CLASS.take(b[at])
+    signs = np.flatnonzero(cls[:-1] == _EXP) + 1
+    if not (cls.all() and (cls[signs] <= _PLUS).all()):
+        return None
+    cls[signs] = _EXP_SIGN
+    pairs = (cls[:-1] << 5) + (cls[1:] << 2) + np.minimum(at[1:] - at[:-1], 2)
+    sep = np.flatnonzero(cls >= _COMMA)
+    row = np.array([_COMMA] * (width - 1) + [_NEWLINE])
+    # A row starts as if after a "\n".
+    if not (_SHAPE[_NEWLINE << 5 | cls[0] << 2 | min(at[0] + 1, 2)]
+            and _SHAPE.take(pairs).all() and sep.size % width == 0
+            and (cls[sep].reshape(-1, width) == row).all()):
+        return None
+    # Before its separator a cell has [-] [.] [e sign]; the class before
+    # the first cell's separator wraps round to the last "\n".
+    tail = _EXP_TAIL.take(cls[sep - 1])
+    point = sep - 1 - tail
+    scale = _IS_POINT.take(cls[point]) * (at[sep - tail] - at[point] - 1)
+    negative = np.empty(sep.size, bool)
+    negative[0] = cls[0] == _MINUS
+    negative[1:] = cls[sep[:-1] + 1] == _MINUS
+    # The first two are kept for the whole table until it is parsed.
+    return tail.astype(bool), scale.astype(np.int32), negative
+
+
+def _parse_rows(chunk: bytes, exp: np.ndarray,
+                scale: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The magnitudes of the cells of chunk, as `_cells` found them, and
+    the cells to check again.
+
+    A cell d * 10**q of the writer's fast range, or zero, becomes
+    float(d) * 10**q or float(d) / 10**-q. That is the nearest double
+    when d < 2**53 and |q| <= 22 (Clinger, 1990): both operands are
+    exact, and one operation rounds. Any other such cell is stepped once
+    toward the nearest double; those that moved are returned as
+    (index, d, -q), to be checked again. The rest, out of range or with
+    more than 17 significant digits, go through float().
+    """
+    tokens = np.fromstring(chunk[:-1].translate(_TOKENS, b"."), np.int64, sep=",")
+    exp = exp.astype(np.intp)
+    first = np.arange(exp.size) + np.cumsum(exp) - exp
+    # Integer parsing turns -0 into 0 and a value beyond the int64 range
+    # into its limit, which fails d < 10**17.
+    d = np.abs(tokens[first]).view(_U64)
+    # q + 28, where q = -28 and 15 stand for every q out of range.
+    i = np.clip(tokens[first + exp] * exp - scale, -28, 15) + 28
+    x = d.astype(np.float64) * _TEN_UP[i] / _TEN_DOWN[i]
+    fast = (x < 1e15) & (d < _U64(10 ** 17)) & (i > 0) & (i < 43)
+    near = np.flatnonzero(fast & (x > 0.0) & ((d >= _U64(2 ** 53)) | (i < 6)))
+    d, k, guess = d[near], (28 - i[near]).view(_U64), x[near]
+    step = _ulp_steps(d, k, guess)
+    x[near] = (guess.view(np.int64) + step).view(np.float64)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = chunk.replace(b"\n", b",").split(b",")
+        x[slow] = [abs(float(text[cell])) for cell in slow.tolist()]
+    moved = np.flatnonzero(step)
+    return x, (near[moved], d[moved], k[moved])
+
+
+def _nearest(d: np.ndarray, k: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x, positive, stepped one ulp at a time to the doubles nearest
+    d / 10**k (see `_ulp_steps`)."""
+    at = np.arange(x.size)
+    while at.size:
+        step = _ulp_steps(d, k, x[at])
+        x[at] = (x[at].view(np.int64) + step).view(np.float64)
+        moved = np.flatnonzero(step)
+        at, d, k = at[moved], d[moved], k[moved]
+    return x
+
+
+def _ulp_steps(d: np.ndarray, k: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """1 where x lies below the double nearest v = d / 10**k, -1 where
+    it lies above, and 0 where it is that double, ties to even.
+
+    x = m * 2**e with 2**52 <= m < 2**53 is the nearest double when v
+    lies between the midpoints (4m - 2) * 2**(e - 2) and
+    (4m + 2) * 2**(e - 2), reaching one only for an even m. For m = 2**52
+    the double below is half as far, and the lower midpoint is
+    (4m - 1) * 2**(e - 2). v against a midpoint M * 2**(e - 2) is
+    d * 2**t against M * 5**k, t = 2 - e - k, both integers. For
+    0 < d < 10**17, 1 <= k <= 27 and a normal x within a few ulps of v,
+    t >= 0 and both stay below 2**118.
+    """
+    bits = x.view(_U64)
+    m = (bits & _U64(2 ** 52 - 1)) | _U64(2 ** 52)
+    v = _shift_left(d, _U64(1077) - k - (bits >> _U64(52)))
+    five = _POW5[k]
+    # 4m * 5**k, then the midpoints 2 * 5**k above and (2 or 1) * 5**k
+    # below it.
+    hi, lo = _mul_wide(m << _U64(2), five)
+    up = five << _U64(1)
+    down = np.where(m == _U64(2 ** 52), five, up)
+    above_lo = lo + up
+    above = hi + (above_lo < lo).astype(_U64), above_lo
+    below = hi - (lo < down).astype(_U64), lo - down
+    odd = (m & _U64(1)).astype(bool)
+    return (_exceeds(v, above, odd).view(np.int8)
+            - _exceeds(below, v, odd).view(np.int8))
+
+
+def _shift_left(a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 2**s as two uint64 words (hi, lo), for 0 <= s < 128 and a
+    product below 2**128. No shift count reaches 64."""
+    r = s & _U64(63)
+    low = a << r
+    high = (a >> _U64(1)) >> (_U64(63) - r)  # a >> (64 - r), 0 for r = 0
+    wide = s > _U64(63)
+    return np.where(wide, low, high), np.where(wide, _U64(0), low)
+
+
+def _exceeds(a, b, tie: np.ndarray) -> np.ndarray:
+    """a > b, or a == b where tie, for pairs of uint64 words (hi, lo)."""
+    (ah, al), (bh, bl) = a, b
+    return (ah > bh) | ((ah == bh) & ((al > bl) | ((al == bl) & tie)))
 
 
 def _read_table(path: Path, header: str) -> np.ndarray:
@@ -764,32 +959,23 @@ def _read_table(path: Path, header: str) -> np.ndarray:
     malformed row or a line that is not UTF-8 raises TraceParseError
     with its line number.
 
-    The file is read once. numpy parses a regular, uncompressed, ASCII
-    file in C chunks, by its path, when its first line is the header,
-    rows follow, and its only line breaks are \\n, \\r and \\r\\n. Every
-    other file, and one numpy rejects, goes through the line reader on
-    the bytes already read. Both give the same values and errors.
+    The file is read once. When its first line is exactly the header
+    and the rows below it are in the fast grammar (above `_CLASS`: width
+    cells -?D+(.D+)?(e[+-]D+)?, "," between them and "\\n" after each
+    row), as the package and `repr` write tables, `_read_fast` parses
+    the cells as integers and rounds them exactly: each value is the
+    double float() reads from its cell, bit for bit. Every other text
+    goes through the line reader, which gives the same values and names
+    every error.
     """
     with open(path, "rb") as file:
-        regular = stat.S_ISREG(os.fstat(file.fileno()).st_mode)
         data = file.read()
     width = header.count(",") + 1
-    end = data.find(b"\n") + 1
-    if (regular and data.isascii() and end
-            and data[:end].decode().strip() == header
-            and _NON_BLANK.search(data, end)
-            and not any(brk in data for brk in _OTHER_BREAKS)
-            and path.suffix not in _COMPRESSED):
-        try:
-            # numpy takes a name such as "http://x/t.csv" for a URL, and
-            # an absolute one never. Unlike os.path.abspath, absolute()
-            # keeps "..", which the OS resolves after a symlink.
-            values = np.loadtxt(path.absolute(), delimiter=",", comments=None,
-                                ndmin=2, skiprows=1, encoding="utf-8")
-            if values.shape[1] == width:
-                return values
-        except ValueError:
-            pass
+    head = f"{header}\n".encode()
+    if data.startswith(head):
+        table = _read_fast(data, len(head), width)
+        if table is not None:
+            return table
     try:
         lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:

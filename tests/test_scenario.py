@@ -9,7 +9,9 @@ import tempfile
 import threading
 import urllib.request
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal, localcontext
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1387,7 +1389,7 @@ def _table_text(draw, header):
     width, split by any line break splitlines() knows and padded with
     blank and whitespace-only lines. A break or padding may come before
     the header and after a cell. Two tables in three are ASCII with only
-    \\n, \\r\\n and \\r breaks, as numpy parses them by path."""
+    \\n, \\r\\n and \\r breaks, and some of those are in the fast grammar."""
     width = header.count(",") + 1
     plain = draw(st.sampled_from([True, True, False]))
     breaks = ["\n", "\r\n", "\r"] if plain else _BREAKS
@@ -1419,7 +1421,7 @@ def _assert_reads_as_reference(path: Path, header: str) -> None:
 
 
 class TestTableReaderParity:
-    """numpy's chunked and line-list parses read every table as the
+    """The exact reader and the line reader read every table as the
     per-line float() reader did, outside the documented cell grammar
     cases."""
 
@@ -1475,9 +1477,9 @@ class TestCellGrammar:
         assert info.value.line == 3
 
     def test_rescan_ends_in_parse_error(self, tmp_path, monkeypatch):
-        # Should the whole-table parses, of the file and of its lines,
-        # fail where no single line does, the reader still raises its own
-        # error, not numpy's.
+        # Should the whole-table parse of the line reader fail where no
+        # single line does, the reader still raises its own error, not
+        # numpy's. \r\n breaks keep the table out of the fast grammar.
         loadtxt = np.loadtxt
 
         def whole_table_fails(rows, **kwargs):
@@ -1486,7 +1488,7 @@ class TestCellGrammar:
             return loadtxt(rows, **kwargs)
 
         path = tmp_path / "trace.csv"
-        path.write_text(f"{IV_HEADER}\n0,1\n1,2\n")
+        path.write_bytes(f"{IV_HEADER}\r\n0,1\r\n1,2\r\n".encode())
         monkeypatch.setattr(np, "loadtxt", whole_table_fails)
         with pytest.raises(TraceParseError) as info:
             load_trace(path, "iv")
@@ -1495,9 +1497,10 @@ class TestCellGrammar:
     @pytest.mark.parametrize("bad, line", [((8000,), 8002), ((0, 8000), 2),
                                            ((4000, 7999), 4002)])
     def test_rescan_bisects_rows(self, tmp_path, monkeypatch, bad, line):
-        # Naming the first bad row of 8001 takes the chunked parse of the
-        # file, then, of the lines, the whole-table parse, about
-        # log2(8001) parses of halved spans and one of the row.
+        # Naming the first bad row of 8001 takes no parse of the file by
+        # its path: the bad cell fails the byte check, and the line reader
+        # runs the whole-table parse, about log2(8001) parses of halved
+        # spans and one of the row.
         loadtxt = np.loadtxt
         calls = []
 
@@ -1512,8 +1515,7 @@ class TestCellGrammar:
         with pytest.raises(TraceParseError) as info:
             load_trace(path, "iv")
         assert info.value.line == line
-        assert calls[0] == "path" and calls.count("path") == 1
-        assert len(calls) - 1 <= 16
+        assert "path" not in calls and len(calls) <= 16
 
 
 def _dense_table(path: Path) -> np.ndarray:
@@ -1525,21 +1527,18 @@ def _dense_table(path: Path) -> np.ndarray:
 
 
 class TestChunkedRead:
-    """numpy parses a plain results or trace file by its path; every
-    other input reads as the line reader reads it."""
+    """A results or trace file as the package writes it reads without
+    numpy's float parser; every other input reads as the line reader
+    reads it."""
 
     def test_one_chunked_parse(self, tmp_path, monkeypatch):
         rows = _dense_table(tmp_path / "rates.csv")
-        loadtxt = np.loadtxt
-        calls = []
 
-        def counted(source, **kwargs):
-            calls.append(type(source))
-            return loadtxt(source, **kwargs)
+        def no_float_parser(*args, **kwargs):
+            raise AssertionError("np.loadtxt called")
 
-        monkeypatch.setattr(np, "loadtxt", counted)
+        monkeypatch.setattr(np, "loadtxt", no_float_parser)
         assert read_results(tmp_path / "rates.csv").rows.tobytes() == rows.tobytes()
-        assert len(calls) == 1 and issubclass(calls[0], Path)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_named_pipe(self, tmp_path):
@@ -1606,6 +1605,148 @@ class TestChunkedRead:
         path.write_text(f"{RESULT_HEADER}\n{body}", newline="")
         monkeypatch.setattr(np, "loadtxt", None)
         assert read_results(path).rows.shape == (0, 7)
+
+
+
+def _near_edges() -> list[float]:
+    # 10**k for k = -11..15 and each power of two from 2**-40 to 2**60,
+    # with the doubles on either side; zeros, subnormals and the ends of
+    # the double range.
+    edges = [0.0, -0.0, 5e-324, 1e-323, 2.2250738585072009e-308,
+             2.2250738585072014e-308, 1e-300, 1e300, 1e308,
+             1.7976931348623157e308, 1e16, 1e17, 123456789012345680.0]
+    for x in [float(f"1e{k}") for k in range(-11, 16)] + [
+            2.0 ** j for j in range(-40, 61)]:
+        edges += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+    return edges
+
+
+_EXACT_FLOATS = st.one_of(
+    st.sampled_from(_near_edges()),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(1e-12, 1e16),
+).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+def _decimal_text(value: Decimal, scientific: bool) -> str:
+    # value in the fast grammar: plain digits, or one digit, a point
+    # and an e+NN or e-NN exponent.
+    if scientific:
+        text = f"{value:e}"
+        return text if "e" in text else text + "e+00"
+    return f"{value:f}"
+
+
+@st.composite
+def _long_cells(draw) -> str:
+    """Cells only float() reads exactly in one step: a midpoint between
+    two doubles (a tie), the 17-digit decimals either side of the lower
+    midpoint below a power of two, and exact expansions of doubles with
+    more than 17 significant digits."""
+    x = abs(draw(st.floats(1e-15, 1e20)))
+    kind = draw(st.sampled_from(["tie", "below_power", "expansion"]))
+    with localcontext(Context(prec=400)):
+        if kind == "tie":
+            value = (Decimal(x) + Decimal(math.nextafter(x, math.inf))) / 2
+        elif kind == "below_power":
+            power = Decimal(2) ** draw(st.integers(-36, 49))
+            middle = power - power / Decimal(2 ** 54)
+            rounding = draw(st.sampled_from([ROUND_FLOOR, ROUND_CEILING]))
+            value = middle.quantize(
+                Decimal(1).scaleb(middle.adjusted() - 16), rounding=rounding)
+        else:
+            value = Decimal(x)
+        text = _decimal_text(value, draw(st.booleans()))
+    return draw(st.sampled_from([text, "-" + text]))
+
+
+_TIES = ["9007199254740993", "-9007199254740995", "18014398509481990",
+         "0", "-0", "0.0", "-0.0e+00", "1e+16", "1e-300", "5e-324", "-1e+300"]
+
+
+class TestExactReader:
+    """Tables as `_render` and `repr` write them, and cells only float()
+    reads in one step, read bit for bit as float() reads each cell,
+    without numpy's float parser, in chunks of any size."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference(self, data, tmp_path_factory):
+        values = data.draw(st.lists(_EXACT_FLOATS, min_size=1, max_size=80))
+        rows = data.draw(st.integers(100, 150))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        table = rng.choice(np.array(values), (rows, 7))
+        writer = data.draw(st.sampled_from(["render", "repr", "cells"]))
+        if writer == "render":
+            assert table.size >= scenario._VECTOR_MIN_CELLS  # _format_rows
+            text = scenario._render(RESULT_HEADER, table)
+        else:
+            cells = [repr(x) for x in table.ravel().tolist()]
+            if writer == "cells":
+                extra = data.draw(st.lists(
+                    st.one_of(_long_cells(), st.sampled_from(_TIES)),
+                    min_size=1, max_size=40))
+                for at in rng.choice(len(cells), len(extra), replace=False):
+                    cells[at] = extra.pop()
+            text = RESULT_HEADER + "\n" + "".join(
+                ",".join(cells[k:k + 7]) + "\n" for k in range(0, len(cells), 7))
+        chunk = data.draw(st.sampled_from([48, 700, 4096, scenario._READ_BYTES]))
+        path = tmp_path_factory.mktemp("exact") / "table.csv"
+        path.write_text(text)
+        expected = read_table_reference(path, RESULT_HEADER)
+        with mock.patch.object(np, "loadtxt", side_effect=AssertionError(
+                "np.loadtxt called")), \
+                mock.patch.object(scenario, "_READ_BYTES", chunk):
+            got = scenario._read_table(path, RESULT_HEADER)
+        assert got.dtype == np.float64 and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_dense_sweep(self, tmp_path, monkeypatch):
+        # 8 001 rows, 56 007 cells, in many chunks.
+        result = run_scenario(ScenarioConfig(mode="passive_tha", mu_leak=0.0388,
+                                             distance_max=400.0, step=0.05))
+        emit_results(result, tmp_path / "rates.csv")
+        monkeypatch.setattr(np, "loadtxt", None)
+        got = read_results(tmp_path / "rates.csv").rows
+        assert got.tobytes() == result.rows.tobytes()
+
+    @pytest.mark.parametrize("d, k, x, step", [
+        # 2**53 + 1 and 2**53 + 3 are midpoints: ties go to the even
+        # mantissa, 2**53 and 2**53 + 4.
+        (90071992547409930, 1, 2.0 ** 53, 0),
+        (90071992547409930, 1, 2.0 ** 53 + 2, -1),
+        (90071992547409950, 1, 2.0 ** 53 + 2, 1),
+        (90071992547409950, 1, 2.0 ** 53 + 4, 0),
+        # Below 1.0 the lower midpoint is 1 - 2**-54: 0.99999999999999994
+        # lies under it, 0.99999999999999995 over it.
+        (99999999999999994, 17, 1.0, -1),
+        (99999999999999995, 17, 1.0, 0),
+        (99999999999999994, 17, math.nextafter(1.0, 0.0), 0),
+        (99999999999999995, 17, math.nextafter(1.0, 0.0), 1),
+    ])
+    def test_ulp_steps(self, d, k, x, step):
+        got = scenario._ulp_steps(np.array([d], np.uint64), np.array([k], np.uint64),
+                                  np.array([x]))
+        assert got.tolist() == [step]
+
+    def test_bad_file_takes_no_parse(self, tmp_path, monkeypatch):
+        # A bad last row fails the byte check of its chunk before any
+        # chunk is parsed; the line reader names it.
+        path = tmp_path / "trace.csv"
+        path.write_text(IV_HEADER + "\n" + "".join(
+            f"{k},1.0000000000000001e-05\n" for k in range(8000)) + "8000,one\n")
+        loadtxt = np.loadtxt
+
+        def rows_only(rows, **kwargs):
+            assert isinstance(rows, list), "the file parsed by its path"
+            return loadtxt(rows, **kwargs)
+
+        monkeypatch.setattr(scenario, "_READ_BYTES", 4096)
+        monkeypatch.setattr(np, "fromstring", None)
+        monkeypatch.setattr(np, "loadtxt", rows_only)
+        with pytest.raises(TraceParseError) as info:
+            load_trace(path, "iv")
+        assert info.value.line == 8002
 
 
 class TestLoadConfig:
