@@ -771,11 +771,6 @@ for _a, _b, _gap in [
         (_EXP, _EXP_SIGN, 1),
         *[(_EXP_SIGN, _b, 2) for _b in (_COMMA, _NEWLINE)]]:
     _SHAPE[_a << 5 | _b << 2 | _gap] = True
-# Between a cell's last digit and its separator: 2 classes after an
-# exponent ("e" and its sign), else none.
-_EXP_TAIL = np.zeros(8, np.intp)
-_EXP_TAIL[_EXP_SIGN] = 2
-_IS_POINT = (np.arange(8) == _POINT).astype(np.intp)
 # Cells are parsed as integers: the digits without the point, then the
 # exponent as a cell of its own.
 _TOKENS = bytes.maketrans(b"e\n", b",,")
@@ -794,36 +789,30 @@ def _read_fast(data: bytes, start: int, width: int) -> np.ndarray | None:
     """The rows of data from offset start on, as an (n, width) array,
     or None when they are not in the fast grammar.
 
-    The rows go in chunks of about _READ_BYTES, and every chunk is
-    checked before any is parsed, so no parse meets a cell it cannot
-    read. The cells a chunk leaves to check again are checked together
-    at the end, and stepped until each is the nearest double.
+    The rows go in chunks of about _READ_BYTES, each checked and then
+    parsed before the next, so no parse meets a cell it cannot read.
+    Only the values are kept, and the cells left to check again, which
+    are stepped together at the end until each is the nearest double.
     """
-    if not data.endswith(b"\n"):
+    if not data.endswith(b"\n") or data.endswith(b"\n\n"):
         return None
     values = np.empty(data.count(b"\n", start) * width)
-    negative = np.empty(values.size, bool)
-    chunks, done = [], 0
+    again, done = [], 0
     while start < len(data):
         end = (data.rfind(b"\n", start, start + _READ_BYTES) + 1
                or data.find(b"\n", start + _READ_BYTES) + 1)
-        found = _cells(data[start:end], width)
+        chunk = data[start:end]
+        found = _cells(chunk, width)
         if found is None:
             return None
-        exp, scale, sign = found
-        negative[done:done + sign.size] = sign
-        chunks.append((start, end, done, exp, scale))
-        start, done = end, done + sign.size
-    again = []
-    for start, end, done, exp, scale in chunks:
-        x, (at, d, k) = _parse_rows(data[start:end], exp, scale)
+        x, (at, d, k) = _parse_rows(chunk, *found)
         values[done:done + x.size] = x
         again.append((at + done, d, k))
-    del chunks
+        start, done = end, done + x.size
     if again:
         at, d, k = (np.concatenate(parts) for parts in zip(*again))
-        values[at] = _nearest(d, k, values[at])
-    np.negative(values, out=values, where=negative)
+        v = values[at]
+        values[at] = np.copysign(_nearest(d, k, np.abs(v)), v)
     return values.reshape(-1, width)
 
 
@@ -849,20 +838,19 @@ def _cells(chunk: bytes, width: int) -> tuple[np.ndarray, ...] | None:
         return None
     # Before its separator a cell has [-] [.] [e sign]; the class before
     # the first cell's separator wraps round to the last "\n".
-    tail = _EXP_TAIL.take(cls[sep - 1])
+    tail = 2 * (cls[sep - 1] == _EXP_SIGN)
     point = sep - 1 - tail
-    scale = _IS_POINT.take(cls[point]) * (at[sep - tail] - at[point] - 1)
+    scale = (cls[point] == _POINT) * (at[sep - tail] - at[point] - 1)
     negative = np.empty(sep.size, bool)
     negative[0] = cls[0] == _MINUS
     negative[1:] = cls[sep[:-1] + 1] == _MINUS
-    # The first two are kept for the whole table until it is parsed.
-    return tail.astype(bool), scale.astype(np.int32), negative
+    return tail > 0, scale, negative
 
 
-def _parse_rows(chunk: bytes, exp: np.ndarray,
-                scale: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """The magnitudes of the cells of chunk, as `_cells` found them, and
-    the cells to check again.
+def _parse_rows(chunk: bytes, exp: np.ndarray, scale: np.ndarray,
+                negative: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The values of the cells of chunk, as `_cells` found them, and the
+    cells to check again.
 
     A cell d * 10**q of the writer's fast range, or zero, becomes
     float(d) * 10**q or float(d) / 10**-q. That is the nearest double
@@ -873,7 +861,6 @@ def _parse_rows(chunk: bytes, exp: np.ndarray,
     more than 17 significant digits, go through float().
     """
     tokens = np.fromstring(chunk[:-1].translate(_TOKENS, b"."), np.int64, sep=",")
-    exp = exp.astype(np.intp)
     first = np.arange(exp.size) + np.cumsum(exp) - exp
     # Integer parsing turns -0 into 0 and a value beyond the int64 range
     # into its limit, which fails d < 10**17.
@@ -886,10 +873,11 @@ def _parse_rows(chunk: bytes, exp: np.ndarray,
     d, k, guess = d[near], (28 - i[near]).view(_U64), x[near]
     step = _ulp_steps(d, k, guess)
     x[near] = (guess.view(np.int64) + step).view(np.float64)
+    np.negative(x, out=x, where=negative)
     slow = np.flatnonzero(~fast)
     if slow.size:
         text = chunk.replace(b"\n", b",").split(b",")
-        x[slow] = [abs(float(text[cell])) for cell in slow.tolist()]
+        x[slow] = [float(text[cell]) for cell in slow.tolist()]
     moved = np.flatnonzero(step)
     return x, (near[moved], d[moved], k[moved])
 
@@ -962,11 +950,13 @@ def _read_table(path: Path, header: str) -> np.ndarray:
     The file is read once. When its first line is exactly the header
     and the rows below it are in the fast grammar (above `_CLASS`: width
     cells -?D+(.D+)?(e[+-]D+)?, "," between them and "\\n" after each
-    row), as the package and `repr` write tables, `_read_fast` parses
-    the cells as integers and rounds them exactly: each value is the
-    double float() reads from its cell, bit for bit. Every other text
-    goes through the line reader, which gives the same values and names
-    every error.
+    row), as the package and `repr` write tables, `_read_fast` checks
+    and parses them chunk by chunk, the cells as integers, and rounds
+    them exactly: each value is the double float() reads from its cell,
+    bit for bit. Every other text, a table that ends in blank lines
+    included, goes through the line reader, which gives the same values
+    and names every error. A chunk that fails its check sends the read
+    there after the chunks before it have been parsed.
     """
     with open(path, "rb") as file:
         data = file.read()
@@ -985,7 +975,8 @@ def _read_table(path: Path, header: str) -> np.ndarray:
                               line=num) from None
     if not lines or lines[0].strip() != header:
         raise TraceSchemaError(f"{path}: expected header {header!r}")
-    rows = list(filter(None, map(str.strip, lines[1:])))
+    stripped = list(map(str.strip, lines[1:]))
+    rows = list(filter(None, stripped))
     if not rows:
         # loadtxt warns on an empty input; a header-only table is valid.
         return np.empty((0, width))
@@ -998,8 +989,7 @@ def _read_table(path: Path, header: str) -> np.ndarray:
         pass
     # Rescan only on failure, to name the bad line: first a wrong field
     # count on any line, then the first row the same parser rejects.
-    numbered = [(num, line) for num, line
-                in enumerate(map(str.strip, lines[1:]), start=2) if line]
+    numbered = [(num, line) for num, line in enumerate(stripped, start=2) if line]
     for num, line in numbered:
         if line.count(",") != width - 1:
             raise TraceParseError(

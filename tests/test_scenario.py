@@ -1730,8 +1730,8 @@ class TestExactReader:
         assert got.tolist() == [step]
 
     def test_bad_file_takes_no_parse(self, tmp_path, monkeypatch):
-        # A bad last row fails the byte check of its chunk before any
-        # chunk is parsed; the line reader names it.
+        # A bad last row fails the byte check of its chunk, and the line
+        # reader names it, without a parse of the file by its path.
         path = tmp_path / "trace.csv"
         path.write_text(IV_HEADER + "\n" + "".join(
             f"{k},1.0000000000000001e-05\n" for k in range(8000)) + "8000,one\n")
@@ -1742,11 +1742,23 @@ class TestExactReader:
             return loadtxt(rows, **kwargs)
 
         monkeypatch.setattr(scenario, "_READ_BYTES", 4096)
-        monkeypatch.setattr(np, "fromstring", None)
         monkeypatch.setattr(np, "loadtxt", rows_only)
         with pytest.raises(TraceParseError) as info:
             load_trace(path, "iv")
         assert info.value.line == 8002
+
+    def test_trailing_blank_lines_take_no_parse(self, tmp_path, monkeypatch):
+        # A table that ends in a blank line is not in the fast grammar:
+        # it goes to the line reader without a chunk checked or parsed.
+        table = run_scenario(ScenarioConfig(mode="passive_tha", mu_leak=0.0388,
+                                            distance_max=400.0, step=0.05)).rows
+        path = tmp_path / "rates.csv"
+        path.write_text(scenario._render(RESULT_HEADER, table) + "\n")
+        expected = read_table_reference(path, RESULT_HEADER)
+        monkeypatch.setattr(scenario, "_cells", None)
+        monkeypatch.setattr(np, "fromstring", None)
+        got = scenario._read_table(path, RESULT_HEADER)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestLoadConfig:
