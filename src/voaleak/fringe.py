@@ -86,14 +86,16 @@ def _moving_average(y: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-def _local_maxima(x: np.ndarray) -> np.ndarray:
-    # Interior local maxima. A flat top counts once, at the midpoint
+def _local_extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Interior local maxima and minima, from one pass over the signs of
+    # the steps. A flat top or bottom counts once, at the midpoint
     # (left + right) // 2 of its samples; a plateau touching either end
-    # of the trace is not a peak.
-    step = (x[1:] > x[:-1]).astype(np.int8) - (x[1:] < x[:-1])
-    k = np.flatnonzero(step)
-    top = (step[k[:-1]] > 0) & (step[k[1:]] < 0)
-    return (k[:-1][top] + 1 + k[1:][top]) // 2
+    # of the trace is not an extremum.
+    up, down = x[1:] > x[:-1], x[1:] < x[:-1]
+    k = np.flatnonzero(up | down)
+    rise = up[k]
+    middle = (k[:-1] + 1 + k[1:]) // 2
+    return middle[rise[:-1] > rise[1:]], middle[rise[:-1] < rise[1:]]
 
 
 def find_extrema_pair(
@@ -138,8 +140,7 @@ def find_extrema_pair(
     except FloatingPointError:
         raise DomainError("count rates overflow a double when smoothed") from None
 
-    maxima = _local_maxima(s)
-    minima = _local_maxima(-s)
+    maxima, minima = _local_extrema(s)
 
     if maxima.size == 0:
         d = np.diff(s)

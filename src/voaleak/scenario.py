@@ -789,28 +789,36 @@ def _read_fast(data: bytes, start: int, width: int) -> np.ndarray | None:
     """The rows of data from offset start on, as an (n, width) array,
     or None when they are not in the fast grammar.
 
-    The rows go in chunks of about _READ_BYTES, each checked and then
-    parsed before the next, so no parse meets a cell it cannot read.
-    Only the values are kept, and the cells left to check again, which
-    are stepped together at the end until each is the nearest double.
+    The run of \\n bytes after the last row is dropped before the check,
+    so a table that ends in blank lines reads as the same table without
+    them. The rows go in chunks of about _READ_BYTES, each checked and
+    then parsed before the next, so no parse meets a cell it cannot
+    read. Only each chunk's values are kept, joined at the end (those of
+    a one-chunk table are the result), with the few cells left to check
+    again, if any: these are stepped together at the end until each is
+    the nearest double.
     """
-    if not data.endswith(b"\n") or data.endswith(b"\n\n"):
+    stop = len(data.rstrip(b"\n")) + 1
+    if stop > len(data):
         return None
-    values = np.empty(data.count(b"\n", start) * width)
-    again, done = [], 0
-    while start < len(data):
-        end = (data.rfind(b"\n", start, start + _READ_BYTES) + 1
+    if stop <= start:
+        return np.empty((0, width))
+    parts, again, done = [], [], 0
+    while start < stop:
+        end = (data.rfind(b"\n", start, min(start + _READ_BYTES, stop)) + 1
                or data.find(b"\n", start + _READ_BYTES) + 1)
         chunk = data[start:end]
         found = _cells(chunk, width)
         if found is None:
             return None
         x, (at, d, k) = _parse_rows(chunk, *found)
-        values[done:done + x.size] = x
-        again.append((at + done, d, k))
+        parts.append(x)
+        if at.size:
+            again.append((at + done, d, k))
         start, done = end, done + x.size
+    values = parts[0] if len(parts) == 1 else np.concatenate(parts)
     if again:
-        at, d, k = (np.concatenate(parts) for parts in zip(*again))
+        at, d, k = (np.concatenate(column) for column in zip(*again))
         v = values[at]
         values[at] = np.copysign(_nearest(d, k, np.abs(v)), v)
     return values.reshape(-1, width)
@@ -819,8 +827,8 @@ def _read_fast(data: bytes, start: int, width: int) -> np.ndarray | None:
 def _cells(chunk: bytes, width: int) -> tuple[np.ndarray, ...] | None:
     """The cells of chunk, whole rows ending in \\n, or None if it is not
     in the fast grammar with rows of width cells: for each cell, whether
-    it has an exponent, how many digits follow its point, and whether it
-    is negative."""
+    it has an exponent, how many digits follow its point, whether it is
+    negative, and the offset of the separator after it."""
     b = np.frombuffer(chunk, np.uint8)
     at = np.flatnonzero(b - 48 > 9)
     cls = _CLASS.take(b[at])
@@ -838,35 +846,51 @@ def _cells(chunk: bytes, width: int) -> tuple[np.ndarray, ...] | None:
         return None
     # Before its separator a cell has [-] [.] [e sign]; the class before
     # the first cell's separator wraps round to the last "\n".
-    tail = 2 * (cls[sep - 1] == _EXP_SIGN)
-    point = sep - 1 - tail
-    scale = (cls[point] == _POINT) * (at[sep - tail] - at[point] - 1)
+    ends = at[sep]
+    exp = cls[sep - 1] == _EXP_SIGN
+    point, digits_end = sep - 1, ends
+    if signs.size:
+        point = point - 2 * exp
+        digits_end = at[point + 1]
+    scale = (cls[point] == _POINT) * (digits_end - at[point] - 1)
     negative = np.empty(sep.size, bool)
     negative[0] = cls[0] == _MINUS
     negative[1:] = cls[sep[:-1] + 1] == _MINUS
-    return tail > 0, scale, negative
+    return exp, scale, negative, ends
 
 
 def _parse_rows(chunk: bytes, exp: np.ndarray, scale: np.ndarray,
-                negative: np.ndarray) -> tuple[np.ndarray, tuple]:
+                negative: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, tuple]:
     """The values of the cells of chunk, as `_cells` found them, and the
     cells to check again.
 
-    A cell d * 10**q of the writer's fast range, or zero, becomes
+    A cell d * 10**q of the writer's fast range, or zero, gets the guess
     float(d) * 10**q or float(d) / 10**-q. That is the nearest double
     when d < 2**53 and |q| <= 22 (Clinger, 1990): both operands are
     exact, and one operation rounds. Any other such cell is stepped once
-    toward the nearest double; those that moved are returned as
+    toward the nearest double. For |q| <= 22 that step is final: float(d)
+    is off by at most u * d, u = 2**-53, so the exact product or quotient
+    by at most u * v for v = d * 10**q, less than one spacing of the
+    doubles at v, and its rounding adds at most half a spacing. Where the
+    guess falls below a power of two 2**p <= v, the spacing there is
+    halved, but v lies so close to 2**p that the sum stays under 1.5
+    halved spacings. Within 1.5 spacings of v, the guess is at most one
+    double from the nearest. For 23 <= -q <= 27, 10**-q is itself
+    rounded, and the cells that moved are returned as
     (index, d, -q), to be checked again. The rest, out of range or with
-    more than 17 significant digits, go through float().
+    more than 17 significant digits, go through float() one at a time,
+    each from its own bytes.
     """
     tokens = np.fromstring(chunk[:-1].translate(_TOKENS, b"."), np.int64, sep=",")
-    first = np.arange(exp.size) + np.cumsum(exp) - exp
+    q = -scale
+    if tokens.size > exp.size:  # an exponent is a token of its own
+        first = np.arange(exp.size) + np.cumsum(exp) - exp
+        tokens, q = tokens[first], q + tokens[first + exp] * exp
     # Integer parsing turns -0 into 0 and a value beyond the int64 range
     # into its limit, which fails d < 10**17.
-    d = np.abs(tokens[first]).view(_U64)
+    d = np.abs(tokens).view(_U64)
     # q + 28, where q = -28 and 15 stand for every q out of range.
-    i = np.clip(tokens[first + exp] * exp - scale, -28, 15) + 28
+    i = np.minimum(np.maximum(q, -28), 15) + 28
     x = d.astype(np.float64) * _TEN_UP[i] / _TEN_DOWN[i]
     fast = (x < 1e15) & (d < _U64(10 ** 17)) & (i > 0) & (i < 43)
     near = np.flatnonzero(fast & (x > 0.0) & ((d >= _U64(2 ** 53)) | (i < 6)))
@@ -876,15 +900,18 @@ def _parse_rows(chunk: bytes, exp: np.ndarray, scale: np.ndarray,
     np.negative(x, out=x, where=negative)
     slow = np.flatnonzero(~fast)
     if slow.size:
-        text = chunk.replace(b"\n", b",").split(b",")
-        x[slow] = [float(text[cell]) for cell in slow.tolist()]
-    moved = np.flatnonzero(step)
-    return x, (near[moved], d[moved], k[moved])
+        starts = np.where(slow > 0, ends[slow - 1] + 1, 0).tolist()
+        x[slow] = [float(chunk[a:b]) for a, b in zip(starts, ends[slow].tolist())]
+    again = np.flatnonzero((step != 0) & (k > _U64(22)))
+    return x, (near[again], d[again], k[again])
 
 
 def _nearest(d: np.ndarray, k: np.ndarray, x: np.ndarray) -> np.ndarray:
     """x, positive, stepped one ulp at a time to the doubles nearest
-    d / 10**k (see `_ulp_steps`)."""
+    d / 10**k (see `_ulp_steps`). `_read_fast` calls it only for cells
+    with 23 <= k <= 27, whose first step in `_parse_rows` moved them:
+    their guess divides by a rounded 10**k and may lie more than one
+    double from the nearest."""
     at = np.arange(x.size)
     while at.size:
         step = _ulp_steps(d, k, x[at])
@@ -953,8 +980,8 @@ def _read_table(path: Path, header: str) -> np.ndarray:
     row), as the package and `repr` write tables, `_read_fast` checks
     and parses them chunk by chunk, the cells as integers, and rounds
     them exactly: each value is the double float() reads from its cell,
-    bit for bit. Every other text, a table that ends in blank lines
-    included, goes through the line reader, which gives the same values
+    bit for bit. Blank lines after the last row are dropped first. Every
+    other text goes through the line reader, which gives the same values
     and names every error. A chunk that fails its check sends the read
     there after the chunks before it have been parsed.
     """

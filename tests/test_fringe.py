@@ -13,7 +13,7 @@ from voaleak import (
     center_wavelength,
     find_extrema_pair,
 )
-from voaleak.fringe import _local_maxima, _moving_average
+from voaleak.fringe import _local_extrema, _moving_average
 from helpers import synthetic_fringe
 
 # Fringe shapes used throughout: max at U^2 = 0.9025 (0.95 V) with the
@@ -251,35 +251,46 @@ class TestMovingAverage:
         assert s[4] == s[5] == s[6] == s[7]
 
 
-class TestLocalMaxima:
-    @pytest.mark.parametrize("x, want", [
-        ([0, 2, 1], [1]),
-        ([0, 1, 0, 3, 0], [1, 3]),
-        ([0, 2, 2, 2, 0], [2]),          # odd plateau: its middle sample
-        ([0, 2, 2, 2, 2, 0], [2]),       # even plateau: (left + right) // 2
-        ([2, 2, 1, 0], []),              # plateau at the left edge
-        ([0, 1, 2, 2], []),              # plateau at the right edge
-        ([0, 1, 2, 3, 4], []),           # monotone rising
-        ([4, 3, 2, 1, 0], []),           # monotone falling
-        ([1, 1, 1, 1], []),              # constant
-        ([0, 2, 2, 1, 1, 3, 3, 3, 0], [1, 6]),
-        ([], []),
-        ([5], []),
+class TestLocalExtrema:
+    """`_local_extrema`: its maxima are the peaks of x, its minima the
+    peaks of -x."""
+
+    @pytest.mark.parametrize("x, maxima, minima", [
+        ([0, 2, 1], [1], []),
+        ([2, 0, 1], [], [1]),
+        ([0, 1, 0, 3, 0], [1, 3], [2]),
+        ([0, 2, 2, 2, 0], [2], []),        # odd plateau: its middle sample
+        ([0, 2, 2, 2, 2, 0], [2], []),     # even plateau: (left + right) // 2
+        ([3, 1, 1, 1, 1, 3], [], [2]),     # and the same for a flat bottom
+        ([2, 2, 1, 0], [], []),            # plateau at the left edge
+        ([0, 1, 2, 2], [], []),            # plateau at the right edge
+        ([1, 1, 2, 0, 0], [2], []),        # bottoms at both edges
+        ([0, 1, 2, 3, 4], [], []),         # monotone rising
+        ([4, 3, 2, 1, 0], [], []),         # monotone falling
+        ([1, 1, 1, 1], [], []),            # constant
+        ([0, 2, 2, 1, 1, 3, 3, 3, 0], [1, 6], [3]),
+        ([], [], []),
+        ([5], [], []),
     ])
-    def test_hand_written_cases(self, x, want):
-        got = _local_maxima(np.asarray(x, dtype=float))
-        assert got.tolist() == want
+    def test_hand_written_cases(self, x, maxima, minima):
+        got = _local_extrema(np.asarray(x, dtype=float))
+        assert [half.tolist() for half in got] == [maxima, minima]
 
     def test_matches_scipy_find_peaks(self):
         signal = pytest.importorskip("scipy.signal")
+
+        def check(x):
+            maxima, minima = _local_extrema(x)
+            assert np.array_equal(maxima, signal.find_peaks(x)[0])
+            assert np.array_equal(minima, signal.find_peaks(-x)[0])
+
         rng = np.random.default_rng(5)
         for _ in range(5000):
             # few distinct levels, so plateaus of every length occur
-            x = rng.integers(0, 4, size=int(rng.integers(0, 40))).astype(float)
-            assert np.array_equal(_local_maxima(x), signal.find_peaks(x)[0])
+            check(rng.integers(0, 4, size=int(rng.integers(0, 40))).astype(float))
         for _ in range(200):
             u = np.linspace(0.0, 2.0, int(rng.integers(5, 400)))
             c2, phi0 = rng.uniform(1.0, 8.0), rng.uniform(0.0, 2.0 * math.pi)
             s = _moving_average(synthetic_fringe(c2, phi0, u)[1], 5)
-            for y in (s, -s):
-                assert np.array_equal(_local_maxima(y), signal.find_peaks(y)[0])
+            check(s)
+            check(-s)

@@ -1747,18 +1747,123 @@ class TestExactReader:
             load_trace(path, "iv")
         assert info.value.line == 8002
 
-    def test_trailing_blank_lines_take_no_parse(self, tmp_path, monkeypatch):
-        # A table that ends in a blank line is not in the fast grammar:
-        # it goes to the line reader without a chunk checked or parsed.
+    @pytest.mark.parametrize("blank", ["\n", "\n\n\n"])
+    def test_trailing_blank_lines_read_fast(self, tmp_path, monkeypatch, blank):
+        # The \n bytes after the last row are dropped before the check,
+        # so a table that ends in blank lines takes no line reader.
         table = run_scenario(ScenarioConfig(mode="passive_tha", mu_leak=0.0388,
                                             distance_max=400.0, step=0.05)).rows
         path = tmp_path / "rates.csv"
-        path.write_text(scenario._render(RESULT_HEADER, table) + "\n")
+        path.write_text(scenario._render(RESULT_HEADER, table) + blank)
         expected = read_table_reference(path, RESULT_HEADER)
-        monkeypatch.setattr(scenario, "_cells", None)
-        monkeypatch.setattr(np, "fromstring", None)
+        monkeypatch.setattr(np, "loadtxt", None)
         got = scenario._read_table(path, RESULT_HEADER)
-        assert got.tobytes() == expected.tobytes()
+        assert got.tobytes() == expected.tobytes() == table.tobytes()
+
+    @pytest.mark.parametrize("text", [
+        "0,1\n\n2,3\n", "0,1\n2,3\r\n", "0,1\r\n2,3\n\n", "0,1\n2,3"])
+    def test_other_breaks_take_the_line_reader(self, tmp_path, monkeypatch, text):
+        # A blank line between rows, a \r\n ending and a last row
+        # without its \n are outside the fast grammar.
+        path = tmp_path / "trace.csv"
+        path.write_text(f"{IV_HEADER}\n{text}", newline="")
+        calls = []
+        loadtxt = np.loadtxt
+
+        def spy(rows, **kwargs):
+            calls.append(rows)
+            return loadtxt(rows, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        got = scenario._read_table(path, IV_HEADER)
+        assert calls == [["0,1", "2,3"]]
+        assert got.tobytes() == read_table_reference(path, IV_HEADER).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_one_step_is_final_below_q_23(self, seed, tmp_path_factory):
+        # One step of _ulp_steps lands on the nearest double for every
+        # cell with |q| <= 22: no such cell reaches _nearest.
+        rng = np.random.default_rng(seed)
+        cells = [_one_step_cell(rng) for _ in range(7 * 200)]
+        path = tmp_path_factory.mktemp("one_step") / "table.csv"
+        path.write_text(RESULT_HEADER + "\n" + "".join(
+            ",".join(cells[k:k + 7]) + "\n" for k in range(0, len(cells), 7)))
+        expected = read_table_reference(path, RESULT_HEADER)
+        nearest = scenario._nearest
+
+        def spy(d, k, x):
+            assert (k > 22).all(), f"cells with k = {k[k <= 22]} reached _nearest"
+            return nearest(d, k, x)
+
+        for chunk in (48, 4096):
+            with mock.patch.object(np, "loadtxt", side_effect=AssertionError(
+                    "np.loadtxt called")), \
+                    mock.patch.object(scenario, "_READ_BYTES", chunk), \
+                    mock.patch.object(scenario, "_nearest", spy):
+                got = scenario._read_table(path, RESULT_HEADER)
+            assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_slow_cells_read_by_offset(self, data, tmp_path_factory):
+        # Cells out of the fast range go through float() from their own
+        # bytes: every row starts and ends with one, so each chunk and
+        # the file do too.
+        rows = data.draw(st.integers(1, 40))
+        cells = []
+        for _ in range(rows):
+            middle = data.draw(st.lists(st.one_of(_SLOW_CELLS, _FAST_CELLS),
+                                        min_size=5, max_size=5))
+            cells += [data.draw(_SLOW_CELLS), *middle, data.draw(_SLOW_CELLS)]
+        path = tmp_path_factory.mktemp("slow") / "table.csv"
+        path.write_text(RESULT_HEADER + "\n" + "".join(
+            ",".join(cells[k:k + 7]) + "\n" for k in range(0, len(cells), 7)))
+        expected = read_table_reference(path, RESULT_HEADER)
+        for chunk in (48, 700, 4096):
+            with mock.patch.object(np, "loadtxt", side_effect=AssertionError(
+                    "np.loadtxt called")), \
+                    mock.patch.object(scenario, "_READ_BYTES", chunk):
+                got = scenario._read_table(path, RESULT_HEADER)
+            assert got.tobytes() == expected.tobytes()
+
+
+def _one_step_cell(rng) -> str:
+    """A 17-digit decimal d * 10**q with -22 <= q <= 15, or a double at
+    or on either side of a power of two from 2**-60 to 2**48, written by
+    %.17g or by repr, either sign."""
+    if rng.random() < 0.5:
+        d, q = int(rng.integers(10 ** 16, 10 ** 17)), int(rng.integers(-22, 16))
+        text = _decimal_text(Decimal(d).scaleb(q), bool(rng.random() < 0.5))
+    else:
+        x = 2.0 ** int(rng.integers(-60, 49))
+        x = (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))[rng.integers(3)]
+        text = "%.17g" % x if rng.random() < 0.5 else repr(x)
+    return text if rng.random() < 0.5 else "-" + text
+
+
+@st.composite
+def _slow_cell(draw) -> str:
+    """A cell of magnitude 1e15 or more, one whose last digit lies below
+    1e-27, or one of 18 or more significant digits, either sign."""
+    kind = draw(st.sampled_from(["huge", "tiny", "long"]))
+    if kind == "huge":
+        d, q = draw(st.integers(1, 10 ** 17 - 1)), draw(st.integers(0, 300))
+        value = Decimal(d).scaleb(q)
+        if value < Decimal("1e15"):
+            value = value.scaleb(15 - value.adjusted())
+    elif kind == "tiny":
+        d, q = draw(st.integers(1, 10 ** 17 - 1)), draw(st.integers(-340, -28))
+        value = Decimal(d).scaleb(q)
+    else:
+        d, q = draw(st.integers(10 ** 17, 10 ** 25)), draw(st.integers(-40, 5))
+        value = Decimal(d).scaleb(q)
+    text = _decimal_text(value, draw(st.booleans()) or abs(value.adjusted()) > 40)
+    return draw(st.sampled_from([text, "-" + text]))
+
+
+_SLOW_CELLS = _slow_cell()
+_FAST_CELLS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
 
 
 class TestLoadConfig:
