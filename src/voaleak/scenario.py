@@ -792,18 +792,16 @@ def _read_fast(data: bytes, start: int, width: int) -> np.ndarray | None:
     The run of \\n bytes after the last row is dropped before the check,
     so a table that ends in blank lines reads as the same table without
     them. The rows go in chunks of about _READ_BYTES, each checked and
-    then parsed before the next, so no parse meets a cell it cannot
-    read. Only each chunk's values are kept, joined at the end (those of
-    a one-chunk table are the result), with the few cells left to check
-    again, if any: these are stepped together at the end until each is
-    the nearest double.
+    then parsed to its final values before the next, so no parse meets a
+    cell it cannot read. Only each chunk's values are kept, joined at the
+    end (those of a one-chunk table are the result).
     """
     stop = len(data.rstrip(b"\n")) + 1
     if stop > len(data):
         return None
     if stop <= start:
         return np.empty((0, width))
-    parts, again, done = [], [], 0
+    parts = []
     while start < stop:
         end = (data.rfind(b"\n", start, min(start + _READ_BYTES, stop)) + 1
                or data.find(b"\n", start + _READ_BYTES) + 1)
@@ -811,16 +809,9 @@ def _read_fast(data: bytes, start: int, width: int) -> np.ndarray | None:
         found = _cells(chunk, width)
         if found is None:
             return None
-        x, (at, d, k) = _parse_rows(chunk, *found)
-        parts.append(x)
-        if at.size:
-            again.append((at + done, d, k))
-        start, done = end, done + x.size
+        parts.append(_parse_rows(chunk, *found))
+        start = end
     values = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    if again:
-        at, d, k = (np.concatenate(column) for column in zip(*again))
-        v = values[at]
-        values[at] = np.copysign(_nearest(d, k, np.abs(v)), v)
     return values.reshape(-1, width)
 
 
@@ -860,26 +851,26 @@ def _cells(chunk: bytes, width: int) -> tuple[np.ndarray, ...] | None:
 
 
 def _parse_rows(chunk: bytes, exp: np.ndarray, scale: np.ndarray,
-                negative: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """The values of the cells of chunk, as `_cells` found them, and the
-    cells to check again.
+                negative: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The values of the cells of chunk, as `_cells` found them.
 
-    A cell d * 10**q of the writer's fast range, or zero, gets the guess
-    float(d) * 10**q or float(d) / 10**-q. That is the nearest double
-    when d < 2**53 and |q| <= 22 (Clinger, 1990): both operands are
-    exact, and one operation rounds. Any other such cell is stepped once
-    toward the nearest double. For |q| <= 22 that step is final: float(d)
-    is off by at most u * d, u = 2**-53, so the exact product or quotient
-    by at most u * v for v = d * 10**q, less than one spacing of the
-    doubles at v, and its rounding adds at most half a spacing. Where the
-    guess falls below a power of two 2**p <= v, the spacing there is
-    halved, but v lies so close to 2**p that the sum stays under 1.5
-    halved spacings. Within 1.5 spacings of v, the guess is at most one
-    double from the nearest. For 23 <= -q <= 27, 10**-q is itself
-    rounded, and the cells that moved are returned as
-    (index, d, -q), to be checked again. The rest, out of range or with
-    more than 17 significant digits, go through float() one at a time,
-    each from its own bytes.
+    Each cell takes one of three routes. A cell d * 10**q of the writer's
+    fast range, or zero, gets the guess float(d) * 10**q or float(d) /
+    10**-q. That is the nearest double when d < 2**53 and |q| <= 22
+    (Clinger, 1990): both operands are exact, and one operation rounds.
+    Any other such cell is stepped once toward the nearest double by
+    `_ulp_steps`, whose exact comparison with the two midpoints around
+    the guess certifies a guess it does not move. For |q| <= 22 the step
+    is final: float(d) is off by at most u * d, u = 2**-53, so the exact
+    product or quotient by at most u * v for v = d * 10**q, less than one
+    spacing of the doubles at v, and its rounding adds at most half a
+    spacing. Where the guess falls below a power of two 2**p <= v, the
+    spacing there is halved, but v lies so close to 2**p that the sum
+    stays under 1.5 halved spacings. Within 1.5 spacings of v, the guess
+    is at most one double from the nearest. For 23 <= -q <= 27, 10**-q
+    is itself rounded, so a cell the step moved is not certified; it goes
+    through float() from its own bytes, as does every cell out of range
+    or with more than 17 significant digits.
     """
     tokens = np.fromstring(chunk[:-1].translate(_TOKENS, b"."), np.int64, sep=",")
     q = -scale
@@ -897,27 +888,12 @@ def _parse_rows(chunk: bytes, exp: np.ndarray, scale: np.ndarray,
     d, k, guess = d[near], (28 - i[near]).view(_U64), x[near]
     step = _ulp_steps(d, k, guess)
     x[near] = (guess.view(np.int64) + step).view(np.float64)
+    fast[near[(step != 0) & (k > _U64(22))]] = False
     np.negative(x, out=x, where=negative)
     slow = np.flatnonzero(~fast)
     if slow.size:
         starts = np.where(slow > 0, ends[slow - 1] + 1, 0).tolist()
         x[slow] = [float(chunk[a:b]) for a, b in zip(starts, ends[slow].tolist())]
-    again = np.flatnonzero((step != 0) & (k > _U64(22)))
-    return x, (near[again], d[again], k[again])
-
-
-def _nearest(d: np.ndarray, k: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x, positive, stepped one ulp at a time to the doubles nearest
-    d / 10**k (see `_ulp_steps`). `_read_fast` calls it only for cells
-    with 23 <= k <= 27, whose first step in `_parse_rows` moved them:
-    their guess divides by a rounded 10**k and may lie more than one
-    double from the nearest."""
-    at = np.arange(x.size)
-    while at.size:
-        step = _ulp_steps(d, k, x[at])
-        x[at] = (x[at].view(np.int64) + step).view(np.float64)
-        moved = np.flatnonzero(step)
-        at, d, k = at[moved], d[moved], k[moved]
     return x
 
 
@@ -980,10 +956,12 @@ def _read_table(path: Path, header: str) -> np.ndarray:
     row), as the package and `repr` write tables, `_read_fast` checks
     and parses them chunk by chunk, the cells as integers, and rounds
     them exactly: each value is the double float() reads from its cell,
-    bit for bit. Blank lines after the last row are dropped first. Every
-    other text goes through the line reader, which gives the same values
-    and names every error. A chunk that fails its check sends the read
-    there after the chunks before it have been parsed.
+    bit for bit, by one rounding, one certified step or float() from
+    its own bytes, the one fallback (see `_parse_rows`). Blank lines
+    after the last row are dropped first. Every other text goes through
+    the line reader, which gives the same values and names every error.
+    A chunk that fails its check sends the read there after the chunks
+    before it have been parsed.
     """
     with open(path, "rb") as file:
         data = file.read()

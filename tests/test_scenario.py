@@ -1783,26 +1783,33 @@ class TestExactReader:
     @given(seed=st.integers(0, 2 ** 32 - 1))
     def test_one_step_is_final_below_q_23(self, seed, tmp_path_factory):
         # One step of _ulp_steps lands on the nearest double for every
-        # cell with |q| <= 22: no such cell reaches _nearest.
+        # cell with |q| <= 22: no such cell of the fast range reaches
+        # float(). Cells with 23 <= -q <= 27 that the step moved do.
         rng = np.random.default_rng(seed)
         cells = [_one_step_cell(rng) for _ in range(7 * 200)]
         path = tmp_path_factory.mktemp("one_step") / "table.csv"
         path.write_text(RESULT_HEADER + "\n" + "".join(
             ",".join(cells[k:k + 7]) + "\n" for k in range(0, len(cells), 7)))
         expected = read_table_reference(path, RESULT_HEADER)
-        nearest = scenario._nearest
+        exponents = []
 
-        def spy(d, k, x):
-            assert (k > 22).all(), f"cells with k = {k[k <= 22]} reached _nearest"
-            return nearest(d, k, x)
+        def spy(cell):
+            _, digits, q = Decimal(cell.decode()).as_tuple()
+            value = float(cell)
+            assert q < -22 or abs(value) >= 1e15 or len(digits) > 17, \
+                f"{cell!r} reached float()"
+            exponents.append(q)
+            return value
 
         for chunk in (48, 4096):
+            exponents.clear()
             with mock.patch.object(np, "loadtxt", side_effect=AssertionError(
                     "np.loadtxt called")), \
                     mock.patch.object(scenario, "_READ_BYTES", chunk), \
-                    mock.patch.object(scenario, "_nearest", spy):
+                    mock.patch.object(scenario, "float", spy, create=True):
                 got = scenario._read_table(path, RESULT_HEADER)
             assert got.tobytes() == expected.tobytes()
+            assert any(-27 <= q <= -23 for q in exponents)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -1829,15 +1836,20 @@ class TestExactReader:
 
 
 def _one_step_cell(rng) -> str:
-    """A 17-digit decimal d * 10**q with -22 <= q <= 15, or a double at
-    or on either side of a power of two from 2**-60 to 2**48, written by
-    %.17g or by repr, either sign."""
-    if rng.random() < 0.5:
+    """A 17-digit decimal d * 10**q with -22 <= q <= 15, a double at or
+    on either side of a power of two from 2**-60 to 2**48, or a double in
+    [1e-11, 1e-6), whose 17-digit text has 23 <= -q <= 27; the doubles
+    written by %.17g or by repr, either sign."""
+    kind = rng.integers(3)
+    if kind == 0:
         d, q = int(rng.integers(10 ** 16, 10 ** 17)), int(rng.integers(-22, 16))
         text = _decimal_text(Decimal(d).scaleb(q), bool(rng.random() < 0.5))
     else:
-        x = 2.0 ** int(rng.integers(-60, 49))
-        x = (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))[rng.integers(3)]
+        if kind == 1:
+            x = 2.0 ** int(rng.integers(-60, 49))
+            x = (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))[rng.integers(3)]
+        else:
+            x = 10.0 ** rng.uniform(-11.0, -6.0)
         text = "%.17g" % x if rng.random() < 0.5 else repr(x)
     return text if rng.random() < 0.5 else "-" + text
 
