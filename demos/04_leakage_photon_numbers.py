@@ -8,13 +8,13 @@ mu = -ln(1 - C dt). These mu values are what the security analysis
 consumes, whichever side of the encoder the attenuator sits on.
 """
 
-from voaleak import EmissionSpec, mean_photon_number
+from pathlib import Path
 
-DRIVE_TABLE = (
-    EmissionSpec(drive_voltage=1.4, count_rate=2.38e7, pulse_width=2e-10),
-    EmissionSpec(drive_voltage=1.4, count_rate=2.38e7, pulse_width=1.6e-9),
-    EmissionSpec(drive_voltage=2.0, count_rate=5.82e7, pulse_width=1.6e-9),
-)
+from voaleak import load_config, mean_photon_number
+
+# The measured emission table: drive voltage, count rate and gate width.
+DEVICE = Path(__file__).resolve().parent.parent / "configs" / "device.cfg"
+DRIVE_TABLE = load_config(DEVICE).emission
 
 
 def main():

@@ -17,11 +17,15 @@ from voaleak import (
     ChannelParams,
     ScenarioConfig,
     calibrated_intensity,
+    load_config,
+    mean_photon_number,
     observables_for_intensity,
     run_scenario,
 )
 
-LEVELS = (0.0048, 0.0388, 0.0977)
+# The leaks of the measured emission table, as demo 04 prints them.
+DEVICE = Path(__file__).resolve().parent.parent / "configs" / "device.cfg"
+LEVELS = tuple(map(mean_photon_number, load_config(DEVICE).emission))
 # Sweep rows are arrays in RESULT_HEADER column order.
 BASELINE, CONTAMINATED = (RESULT_HEADER.split(",").index(name)
                           for name in ("rate_baseline", "rate_contaminated"))
@@ -36,7 +40,7 @@ def main():
     for mu in (0.0, LEVELS[-1]):
         obs = observables_for_intensity(0.48, mu, ch)
         s_cal = calibrated_intensity(obs.gain, ch.eta_signal(), ch.y0)
-        tag = "clean" if mu == 0.0 else f"mu_EL={mu}"
+        tag = "clean" if mu == 0.0 else f"mu_EL={mu:.4f}"
         print(f"calibrated intensity ({tag:>10}): s = {s_cal:.4f}")
 
     sweeps = {}
@@ -74,7 +78,7 @@ exactly where metropolitan links live: at short distance.
     for mu in LEVELS:
         rows = sweeps[mu].rows
         ax.plot(rows[:, 0], rows[:, CONTAMINATED] / rows[:, BASELINE],
-                label=f"mu_EL = {mu}")
+                label=f"mu_EL = {mu:.4f}")
     ax.axhline(1.0, color="gray", lw=0.8)
     ax.set_xlabel("fiber length [km]")
     ax.set_ylabel("contaminated / baseline rate")

@@ -8,10 +8,15 @@ single-photon error rate e1, and from them a lower bound on the
 single-photon gain Q1. With omega = 0 the expressions reduce to the
 familiar vacuum+weak-decoy forms.
 
-The bounds are information-theoretically valid for any photon-number
-yield/error structure consistent with the observations; clamping to
-physical ranges is counted and reported so callers can see when the
-estimator ran out of information.
+In exact arithmetic the bounds are information-theoretically valid for
+any photon-number yield/error structure consistent with the
+observations; clamping to physical ranges is counted and reported so
+callers can see when the estimator ran out of information. In doubles
+they are not, at decoy gaps of about 1e-15 and below: the bounds cross
+the true values while clamp_events stays 0. On passive_tha.cfg at 0 km
+with omega = 0, nu = 1e-15 gives y1_lower = 0.7800000072, above the
+true Y1 of 0.7800000044, and nu = 1e-22 gives e1_upper = 0. ROADMAP
+item 3 tracks the fix.
 """
 
 from __future__ import annotations

@@ -6,7 +6,10 @@ statistics the click probability per gate is 1 - exp(-mu), so
 
     mu = -ln(1 - C(U) dt)
 
-where C(U) dt is the observed per-gate click probability.
+where C(U) dt is the observed per-gate click probability. The inversion
+counts every leaked photon as a click, so a configured count rate is
+taken as referred to the chip's output: as read by a measuring detector
+of efficiency 1 at the emission band.
 """
 
 from __future__ import annotations
@@ -47,7 +50,10 @@ def mean_photon_number(spec: EmissionSpec) -> float:
 
     The same mu serves both placements of the emitter: before the
     encoder it sets the coin imbalance, after it the parasitic
-    intensity that reaches the receiver.
+    intensity that reaches the receiver. Every leaked photon is taken
+    to click, so C(U) must be referred to the chip's output (a
+    measuring detector of efficiency 1); a detector of efficiency
+    eta < 1 implies the larger leak -ln(1 - C(U) dt) / eta.
 
     Args:
         spec: Emission count rate and gate width; the click probability

@@ -1,10 +1,11 @@
-"""Runtime dependencies, export lists, the reproducibility of the shipped data
-and the test configuration."""
+"""Runtime dependencies, the console script, export lists, the
+reproducibility of the shipped data and the test configuration."""
 
 import importlib
 import importlib.util
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,14 +15,20 @@ import voaleak
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _fresh_child(code: str) -> str:
-    """The stdout of code run in a new interpreter that imports this voaleak."""
+def _run_child(args: list[str]) -> subprocess.CompletedProcess:
+    """A new interpreter, run with args, that imports this voaleak."""
     env = dict(os.environ)
     src = str(Path(voaleak.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    child = subprocess.run([sys.executable, "-c", code], env=env,
-                           capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True)
+
+
+def _fresh_child(code: str) -> str:
+    """The stdout of code run in a new interpreter that imports this voaleak."""
+    child = _run_child(["-c", code])
+    child.check_returncode()
     return child.stdout.strip()
 
 
@@ -37,6 +44,26 @@ def test_cli_import_loads_no_dataclasses():
     # import; dataclasses would build and exec methods for each class.
     code = "import sys, voaleak.cli\nprint('dataclasses' in sys.modules)\n"
     assert _fresh_child(code) == "False"
+
+
+def test_console_script_runs_a_shipped_command():
+    # The [project.scripts] target, read from pyproject.toml as text
+    # (tomllib is new in Python 3.11), called as an installed voaleak
+    # calls it: sys.exit(target()) with the command line in sys.argv.
+    text = (ROOT / "pyproject.toml").read_text()
+    scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    module, target = re.fullmatch(
+        r'voaleak = "([\w.]+):(\w+)"', scripts.strip()).groups()
+    assert callable(getattr(importlib.import_module(module), target))
+    code = f"import sys\nfrom {module} import {target}\nsys.exit({target}())\n"
+    argv = ["-W", "error", "-c", code, "leakage",
+            "--config", str(ROOT / "configs" / "device.cfg")]
+    ok = _run_child(argv)
+    assert (ok.returncode, ok.stderr) == (0, "")
+    assert ok.stdout.startswith("drive_voltage_v,count_rate_hz,pulse_width_s,mu\n")
+    bad = _run_child(argv + ["--override", "emission.1.pulse_width=0"])
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert bad.stderr.startswith("error:config:") and bad.stderr.count("\n") == 1
 
 
 def test_export_lists_resolve():

@@ -1834,6 +1834,25 @@ class TestExactReader:
                 got = scenario._read_table(path, RESULT_HEADER)
             assert got.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("name", [
+        *sorted(path.name for path in DATA.glob("*.csv")), "edges.csv"])
+    def test_shipped_and_edge_cells(self, tmp_path, monkeypatch, name):
+        # Every cell of the shipped traces (repr and %.17g cells), and
+        # edge cells: out of the reader's integer range, or currents of
+        # data/iv_trace.csv with q = -27 and -26 that the reader's first
+        # step moves and so sends to float().
+        path = DATA / name
+        if name == "edges.csv":
+            path = tmp_path / name
+            path.write_text(f"{IV_HEADER}\n0,5e-324\n1,1e-300\n2,1e+300\n3,-0.0\n"
+                            "4,-0\n5,1.1644126739161805e-11\n6,1.0069056225673148e-10\n")
+        kind, header = ("fringe", FRINGE_HEADER) if "fringe" in name else ("iv", IV_HEADER)
+        monkeypatch.setattr(np, "loadtxt", None)
+        trace = load_trace(path, kind)
+        got = np.column_stack((trace.voltages,
+                               trace.counts if kind == "fringe" else trace.currents))
+        assert got.tobytes() == read_table_reference(path, header).tobytes()
+
 
 def _one_step_cell(rng) -> str:
     """A 17-digit decimal d * 10**q with -22 <= q <= 15, a double at or
