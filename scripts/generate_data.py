@@ -23,12 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from voaleak import FringeTrace, IvCurve, save_trace
+from voaleak.voa_physics import Boltzmann, elementary_charge
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
-
-# Exact SI values (2019 redefinition).
-ELEMENTARY_CHARGE = 1.602176634e-19  # C
-BOLTZMANN = 1.380649e-23  # J/K
 
 # Thermal phase is quadratic in heater voltage (Joule heating), so a
 # fringe is parameterized by its rad/V^2 coefficient and a zero-bias
@@ -55,8 +52,8 @@ def iv_points(temperature: float = 300.0) -> tuple[np.ndarray, np.ndarray]:
     # Continuous piecewise log-linear current: three transport regimes
     # with ideality 2.6 / 1.8 / 2.5, joined inside the gaps between
     # the fit windows so every window sees a single pure slope.
-    decades_per_volt = (ELEMENTARY_CHARGE
-                        / (math.log(10.0) * BOLTZMANN * temperature))
+    decades_per_volt = (elementary_charge
+                        / (math.log(10.0) * Boltzmann * temperature))
     betas = (2.6, 1.8, 2.5)
     joins = (0.475, 0.825)
     v = np.arange(0, 181) * 0.005

@@ -959,9 +959,11 @@ def _read_table(path: Path, header: str) -> np.ndarray:
     bit for bit, by one rounding, one certified step or float() from
     its own bytes, the one fallback (see `_parse_rows`). Blank lines
     after the last row are dropped first. Every other text goes through
-    the line reader, which gives the same values and names every error.
-    A chunk that fails its check sends the read there after the chunks
-    before it have been parsed.
+    the line reader, which splits it with str.splitlines(), strips each
+    line and reads each cell with float() under the cell rule of
+    `_cell`, so it gives the same values and names every error. A chunk
+    that fails its check sends the read there after the chunks before it
+    have been parsed.
     """
     with open(path, "rb") as file:
         data = file.read()
@@ -980,50 +982,33 @@ def _read_table(path: Path, header: str) -> np.ndarray:
                               line=num) from None
     if not lines or lines[0].strip() != header:
         raise TraceSchemaError(f"{path}: expected header {header!r}")
-    stripped = list(map(str.strip, lines[1:]))
-    rows = list(filter(None, stripped))
-    if not rows:
-        # loadtxt warns on an empty input; a header-only table is valid.
-        return np.empty((0, width))
-    try:
-        # One C-level parse of the whole table.
-        values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-        if values.shape[1] == width:
-            return values
-    except ValueError:
-        pass
-    # Rescan only on failure, to name the bad line: first a wrong field
-    # count on any line, then the first row the same parser rejects.
-    numbered = [(num, line) for num, line in enumerate(stripped, start=2) if line]
+    numbered = [(num, line) for num, line
+                in enumerate(map(str.strip, lines[1:]), start=2) if line]
+    # A wrong field count on any line is named before a bad cell.
     for num, line in numbered:
         if line.count(",") != width - 1:
             raise TraceParseError(
                 f"{path}:{num}: expected {width} comma-separated fields",
                 line=num)
-    # Rows parse independently, so the shortest failing prefix ends at
-    # the first bad row. Bisect for it: rows[:lo] parse and rows[:hi]
-    # fail, so only rows[lo:mid] need parsing at each step. The row
-    # found must then fail on its own.
-    lo, hi = 0, len(rows)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _parses(rows[lo:mid]):
-            lo = mid
-        else:
-            hi = mid
-    num, line = numbered[hi - 1]
-    if not _parses([line]):
-        raise TraceParseError(
-            f"{path}:{num}: non-numeric field in {line!r}", line=num)
-    raise TraceParseError(f"{path}: rows could not be parsed")
+    values = []
+    for num, line in numbered:
+        try:
+            values += map(_cell, line.split(","))
+        except ValueError:
+            raise TraceParseError(
+                f"{path}:{num}: non-numeric field in {line!r}", line=num) from None
+    return np.array(values, dtype=float).reshape(-1, width)
 
 
-def _parses(rows: list[str]) -> bool:
-    try:
-        np.loadtxt(rows, delimiter=",", comments=None)
-    except ValueError:
-        return False
-    return True
+def _cell(text: str) -> float:
+    """The value of one cell of the line reader: an ASCII float, with the
+    whitespace around it (any str.isspace() character) ignored. float()
+    alone would also take `_` between digits and non-ASCII digits, and
+    refuse padding such as `\x1f`."""
+    cell = text.strip()
+    if "_" in cell or not cell.isascii():
+        raise ValueError(f"non-numeric cell {text!r}")
+    return float(cell)
 
 
 def load_trace(path: Path | str, kind: str) -> FringeTrace | IvCurve:

@@ -420,6 +420,38 @@ def scalar_reference_sweep(config):
     return rows, privacy
 
 
+def passive_mu_max(config, distance: float) -> float:
+    """The largest leak mu at which the passive rate of config is still
+    positive at distance, by bisection on the scalar chain above.
+
+    The passive observables and bounds do not depend on the leak; mu
+    enters the rate only through `coin_imbalance_reference`. The rate is
+    positive at mu = 0 and zero at mu = 100, where Delta / Y1 is past
+    1/2. Bisection runs until the bracket spans 1e-12 of its upper end
+    and returns its lower end. No package rate, bound or observable
+    function is called.
+    """
+    c = config
+    obs = [_ref_observables(g, 0.0, c.channel, distance) for g in (c.s, c.nu, c.omega)]
+    q, e = [o[0] for o in obs], [o[1] for o in obs]
+    y1, e1, _ = _ref_bounds(c.s, c.nu, c.omega, q, e)
+
+    def rate(mu: float) -> float:
+        coin = coin_imbalance_reference(mu)
+        return _ref_gllp(c.s, q[0], e[0], y1, e1, coin, c.p_z, c.f_ec)[0]
+
+    lo, hi = 0.0, 100.0
+    if rate(lo) <= 0.0 or rate(hi) > 0.0:
+        raise ValueError("rate does not change sign for mu in [0, 100]")
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        if rate(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 # ============================================================
 # Reference table writer
 # ============================================================
@@ -439,15 +471,15 @@ def render_reference(header: str, rows) -> str:
 # ============================================================
 
 def read_table_reference(path, header: str) -> np.ndarray:
-    """The rows below the header line of a table, as the package read
-    them before one `np.loadtxt` call parsed them: line by line, each
-    cell through `float()`.
+    """The rows below the header line of a table, read line by line,
+    each cell through bare `float()`.
 
     `scenario._read_table` must return the same bytes, or raise
     TraceParseError naming the same line, or TraceSchemaError when the
-    first line, stripped, is not the header. The readers differ only in
-    the cell grammar README documents: `float()` also took `_` between
-    digits and non-ASCII digits, and refused `\x1f` as padding.
+    first line, stripped, is not the header. Its line reader differs
+    from this one only by the cell rule README documents (`_cell`):
+    bare `float()` also takes `_` between digits and non-ASCII digits,
+    and refuses `\x1f` as padding.
     """
     width = header.count(",") + 1
     lines = path.read_text(encoding="utf-8").splitlines()

@@ -55,6 +55,7 @@ from voaleak.scenario import (
 from helpers import (
     VERDICTS,
     parse_config_text_reference,
+    passive_mu_max,
     read_table_reference,
     render_reference,
     scalar_reference_sweep,
@@ -67,6 +68,24 @@ DATA = CONFIGS.parent / "data"
 BASELINE, CONTAMINATED, Q_S, E_S = (
     RESULT_HEADER.split(",").index(name)
     for name in ("rate_baseline", "rate_contaminated", "q_s", "e_s"))
+
+
+def _no_cell(text):
+    # In place of scenario._cell where the exact reader must read the
+    # table: the line reader reads every cell through _cell.
+    raise AssertionError(f"the line reader read the cell {text!r}")
+
+
+def _cell_spy(monkeypatch) -> list[str]:
+    """The cells the line reader reads from now on, in order."""
+    cells, cell = [], scenario._cell
+
+    def spy(text):
+        cells.append(text)
+        return cell(text)
+
+    monkeypatch.setattr(scenario, "_cell", spy)
+    return cells
 
 
 def _config_text():
@@ -283,6 +302,19 @@ class TestScenarioConfigValidation:
                 r"sweep\.distance_max \(must be >= sweep\.distance_min\)")):
             ScenarioConfig(mode="passive_tha", distance_min=2.0, distance_max=1.0)
 
+    @pytest.mark.parametrize("distance_min, distance_max, step", [
+        # The points 1e16, 1e16 + 2, ... coincide with their neighbours.
+        (1e16, 1e16 + 8, 2.0),
+        # distance_max + step overflows: the spacing there is taken as
+        # 2**972 (README), and 5e292 is less than twice that.
+        (sys.float_info.max - 5e293, sys.float_info.max, 5e292),
+    ])
+    def test_grid_points_must_be_distinct(self, distance_min, distance_max, step):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "sweep.step (too small for distinct grid points at these distances)")):
+            ScenarioConfig(mode="passive_tha", distance_min=distance_min,
+                           distance_max=distance_max, step=step)
+
     # NaN and +-inf are among the boundary cases of tests/test_boundaries.py.
     @pytest.mark.parametrize("window", [5.0, 4, -3])
     def test_smooth_window_must_be_an_odd_integer(self, window):
@@ -445,6 +477,32 @@ class TestScalarReference:
         # far below a double's epsilon moves the rate by more than 1e-12.
         cfg = replace(load_config(CONFIGS / "passive_tha.cfg"), mu_leak=mu)
         _reference_mismatch(cfg)
+
+
+class TestPassiveLeakFrontier:
+    """The largest leak each distance tolerates, found on the helpers'
+    scalar chain, where the package's rate changes sign."""
+
+    @pytest.mark.parametrize("distance, figure", [
+        (0.0, 0.1849), (25.0, 0.05166), (50.0, 0.01573), (100.0, 1.548e-3),
+        (200.0, 1.520e-5), (300.0, 3.950e-8)])
+    def test_rate_changes_sign_at_mu_max(self, distance, figure):
+        cfg = replace(load_config(CONFIGS / "passive_tha.cfg"),
+                      distance_min=distance, distance_max=distance)
+        mu_max = passive_mu_max(cfg, distance)
+        assert float(f"{mu_max:.4g}") == figure
+        below, above = (
+            run_scenario(replace(cfg, mu_leak=mu_max * factor)).rows[0, CONTAMINATED]
+            for factor in (1.0 - 1e-6, 1.0 + 1e-6))
+        assert below > 0.0 and above == 0.0
+
+    def test_shipped_leak_cutoff(self):
+        # The exact cutoff of the shipped leak is 12.143 km.
+        cfg = load_config(CONFIGS / "passive_tha.cfg")
+        before, after = (
+            run_scenario(replace(cfg, distance_min=d, distance_max=d)).rows[0, CONTAMINATED]
+            for d in (12.14, 12.15))
+        assert before > 0.0 and after == 0.0
 
 
 class TestTraceIO:
@@ -930,6 +988,8 @@ class TestCliErrorContract:
         ("sweep", "passive_tha.cfg", "sweep.distance_max=1e300"),
         ("sweep", "passive_tha.cfg", "sweep.distance_min=1e17 "
                                      "sweep.distance_max=100000000000000032 sweep.step=1"),
+        ("sweep", "passive_tha.cfg", "sweep.distance_min=1e16 "
+                                     "sweep.distance_max=10000000000000008 sweep.step=2"),
         ("sweep", "dual_source.cfg", "intensities.s=inf"),
         ("sweep", "dual_source.cfg", "leakage.count_rate=nan"),
         # Decoys too close for the Y1 prefactor to exist as a double.
@@ -1476,46 +1536,36 @@ class TestCellGrammar:
             read_results(path)
         assert info.value.line == 3
 
-    def test_rescan_ends_in_parse_error(self, tmp_path, monkeypatch):
-        # Should the whole-table parse of the line reader fail where no
-        # single line does, the reader still raises its own error, not
-        # numpy's. \r\n breaks keep the table out of the fast grammar.
-        loadtxt = np.loadtxt
-
-        def whole_table_fails(rows, **kwargs):
-            if not isinstance(rows, list) or len(rows) > 1:
-                raise ValueError("table")
-            return loadtxt(rows, **kwargs)
-
-        path = tmp_path / "trace.csv"
-        path.write_bytes(f"{IV_HEADER}\r\n0,1\r\n1,2\r\n".encode())
-        monkeypatch.setattr(np, "loadtxt", whole_table_fails)
-        with pytest.raises(TraceParseError) as info:
-            load_trace(path, "iv")
-        assert info.value.line is None
-
     @pytest.mark.parametrize("bad, line", [((8000,), 8002), ((0, 8000), 2),
                                            ((4000, 7999), 4002)])
-    def test_rescan_bisects_rows(self, tmp_path, monkeypatch, bad, line):
-        # Naming the first bad row of 8001 takes no parse of the file by
-        # its path: the bad cell fails the byte check, and the line reader
-        # runs the whole-table parse, about log2(8001) parses of halved
-        # spans and one of the row.
-        loadtxt = np.loadtxt
-        calls = []
-
-        def counted(rows, **kwargs):
-            calls.append(len(rows) if isinstance(rows, list) else "path")
-            return loadtxt(rows, **kwargs)
-
+    def test_first_bad_row_of_many(self, tmp_path, monkeypatch, bad, line):
+        # The bad cell fails the byte check, and the line reader names
+        # the first bad row of 8001 after reading every cell before it,
+        # and none after.
         rows = [f"{k},{'one' if k in bad else 1}" for k in range(8001)]
         path = tmp_path / "trace.csv"
         path.write_text("\n".join([IV_HEADER, *rows]) + "\n")
-        monkeypatch.setattr(np, "loadtxt", counted)
+        cells = _cell_spy(monkeypatch)
         with pytest.raises(TraceParseError) as info:
             load_trace(path, "iv")
         assert info.value.line == line
-        assert "path" not in calls and len(calls) <= 16
+        assert len(cells) == 2 * (line - 1) and cells[-1] == "one"
+
+    def test_cell_forms(self, tmp_path):
+        # A \r\n table takes the line reader: each cell reads as float()
+        # of the cell stripped, where float() alone refuses \x1f padding.
+        cells = ["\x1f1", " +1 ", "1E5", ".5", "5.", "inf", "nan", "-Infinity"]
+        path = tmp_path / "trace.csv"
+        path.write_bytes("".join(f"{line}\r\n" for line in [
+            IV_HEADER, *(f"{k},{cell}" for k, cell in enumerate(cells))]).encode())
+        want = [[k, float(cell.strip())] for k, cell in enumerate(cells)]
+        got = scenario._read_table(path, IV_HEADER)
+        assert got.tobytes() == np.array(want).tobytes()
+        for cell in ["0x10", "1e", ""]:
+            path.write_bytes(f"{IV_HEADER}\r\n0,1\r\n1,{cell}\r\n".encode())
+            with pytest.raises(TraceParseError) as info:
+                scenario._read_table(path, IV_HEADER)
+            assert info.value.line == 3
 
 
 def _dense_table(path: Path) -> np.ndarray:
@@ -1528,16 +1578,12 @@ def _dense_table(path: Path) -> np.ndarray:
 
 class TestChunkedRead:
     """A results or trace file as the package writes it reads without
-    numpy's float parser; every other input reads as the line reader
-    reads it."""
+    the line reader; every other input reads as the line reader reads
+    it."""
 
     def test_one_chunked_parse(self, tmp_path, monkeypatch):
         rows = _dense_table(tmp_path / "rates.csv")
-
-        def no_float_parser(*args, **kwargs):
-            raise AssertionError("np.loadtxt called")
-
-        monkeypatch.setattr(np, "loadtxt", no_float_parser)
+        monkeypatch.setattr(scenario, "_cell", _no_cell)
         assert read_results(tmp_path / "rates.csv").rows.tobytes() == rows.tobytes()
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
@@ -1600,10 +1646,10 @@ class TestChunkedRead:
 
     @pytest.mark.parametrize("body", ["", "\n\n", "\r\n \r\n\t\n"])
     def test_blank_body_takes_no_parse(self, tmp_path, monkeypatch, body):
-        # numpy warns on a table with no rows; no parse runs on one.
+        # A table with no rows reads no cell.
         path = tmp_path / "rates.csv"
         path.write_text(f"{RESULT_HEADER}\n{body}", newline="")
-        monkeypatch.setattr(np, "loadtxt", None)
+        monkeypatch.setattr(scenario, "_cell", _no_cell)
         assert read_results(path).rows.shape == (0, 7)
 
 
@@ -1667,7 +1713,7 @@ _TIES = ["9007199254740993", "-9007199254740995", "18014398509481990",
 class TestExactReader:
     """Tables as `_render` and `repr` write them, and cells only float()
     reads in one step, read bit for bit as float() reads each cell,
-    without numpy's float parser, in chunks of any size."""
+    without the line reader, in chunks of any size."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -1694,8 +1740,7 @@ class TestExactReader:
         path = tmp_path_factory.mktemp("exact") / "table.csv"
         path.write_text(text)
         expected = read_table_reference(path, RESULT_HEADER)
-        with mock.patch.object(np, "loadtxt", side_effect=AssertionError(
-                "np.loadtxt called")), \
+        with mock.patch.object(scenario, "_cell", _no_cell), \
                 mock.patch.object(scenario, "_READ_BYTES", chunk):
             got = scenario._read_table(path, RESULT_HEADER)
         assert got.dtype == np.float64 and got.shape == expected.shape
@@ -1706,7 +1751,7 @@ class TestExactReader:
         result = run_scenario(ScenarioConfig(mode="passive_tha", mu_leak=0.0388,
                                              distance_max=400.0, step=0.05))
         emit_results(result, tmp_path / "rates.csv")
-        monkeypatch.setattr(np, "loadtxt", None)
+        monkeypatch.setattr(scenario, "_cell", _no_cell)
         got = read_results(tmp_path / "rates.csv").rows
         assert got.tobytes() == result.rows.tobytes()
 
@@ -1730,22 +1775,18 @@ class TestExactReader:
         assert got.tolist() == [step]
 
     def test_bad_file_takes_no_parse(self, tmp_path, monkeypatch):
-        # A bad last row fails the byte check of its chunk, and the line
-        # reader names it, without a parse of the file by its path.
+        # A bad last row fails the byte check of its chunk, after the
+        # chunks before it were parsed, and the line reader names it from
+        # the bytes read once, reading every cell.
         path = tmp_path / "trace.csv"
         path.write_text(IV_HEADER + "\n" + "".join(
             f"{k},1.0000000000000001e-05\n" for k in range(8000)) + "8000,one\n")
-        loadtxt = np.loadtxt
-
-        def rows_only(rows, **kwargs):
-            assert isinstance(rows, list), "the file parsed by its path"
-            return loadtxt(rows, **kwargs)
-
         monkeypatch.setattr(scenario, "_READ_BYTES", 4096)
-        monkeypatch.setattr(np, "loadtxt", rows_only)
+        cells = _cell_spy(monkeypatch)
         with pytest.raises(TraceParseError) as info:
             load_trace(path, "iv")
         assert info.value.line == 8002
+        assert len(cells) == 2 * 8001
 
     @pytest.mark.parametrize("blank", ["\n", "\n\n\n"])
     def test_trailing_blank_lines_read_fast(self, tmp_path, monkeypatch, blank):
@@ -1756,7 +1797,7 @@ class TestExactReader:
         path = tmp_path / "rates.csv"
         path.write_text(scenario._render(RESULT_HEADER, table) + blank)
         expected = read_table_reference(path, RESULT_HEADER)
-        monkeypatch.setattr(np, "loadtxt", None)
+        monkeypatch.setattr(scenario, "_cell", _no_cell)
         got = scenario._read_table(path, RESULT_HEADER)
         assert got.tobytes() == expected.tobytes() == table.tobytes()
 
@@ -1767,16 +1808,9 @@ class TestExactReader:
         # without its \n are outside the fast grammar.
         path = tmp_path / "trace.csv"
         path.write_text(f"{IV_HEADER}\n{text}", newline="")
-        calls = []
-        loadtxt = np.loadtxt
-
-        def spy(rows, **kwargs):
-            calls.append(rows)
-            return loadtxt(rows, **kwargs)
-
-        monkeypatch.setattr(np, "loadtxt", spy)
+        cells = _cell_spy(monkeypatch)
         got = scenario._read_table(path, IV_HEADER)
-        assert calls == [["0,1", "2,3"]]
+        assert cells == ["0", "1", "2", "3"]
         assert got.tobytes() == read_table_reference(path, IV_HEADER).tobytes()
 
     @settings(max_examples=40, deadline=None)
@@ -1803,8 +1837,7 @@ class TestExactReader:
 
         for chunk in (48, 4096):
             exponents.clear()
-            with mock.patch.object(np, "loadtxt", side_effect=AssertionError(
-                    "np.loadtxt called")), \
+            with mock.patch.object(scenario, "_cell", _no_cell), \
                     mock.patch.object(scenario, "_READ_BYTES", chunk), \
                     mock.patch.object(scenario, "float", spy, create=True):
                 got = scenario._read_table(path, RESULT_HEADER)
@@ -1828,8 +1861,7 @@ class TestExactReader:
             ",".join(cells[k:k + 7]) + "\n" for k in range(0, len(cells), 7)))
         expected = read_table_reference(path, RESULT_HEADER)
         for chunk in (48, 700, 4096):
-            with mock.patch.object(np, "loadtxt", side_effect=AssertionError(
-                    "np.loadtxt called")), \
+            with mock.patch.object(scenario, "_cell", _no_cell), \
                     mock.patch.object(scenario, "_READ_BYTES", chunk):
                 got = scenario._read_table(path, RESULT_HEADER)
             assert got.tobytes() == expected.tobytes()
@@ -1847,7 +1879,7 @@ class TestExactReader:
             path.write_text(f"{IV_HEADER}\n0,5e-324\n1,1e-300\n2,1e+300\n3,-0.0\n"
                             "4,-0\n5,1.1644126739161805e-11\n6,1.0069056225673148e-10\n")
         kind, header = ("fringe", FRINGE_HEADER) if "fringe" in name else ("iv", IV_HEADER)
-        monkeypatch.setattr(np, "loadtxt", None)
+        monkeypatch.setattr(scenario, "_cell", _no_cell)
         trace = load_trace(path, kind)
         got = np.column_stack((trace.voltages,
                                trace.counts if kind == "fringe" else trace.currents))
