@@ -18,8 +18,9 @@ against its interval. An interval is declared once, as text such as
 "(0, 1]" that `interval` parses: a record's fields in its `_intervals`,
 each numeric config key in `scenario`'s per-mode table, and a channel
 key by the `ChannelParams` field it sets. `check_scan` is the one
-place where the two columns of a voltage scan are checked.
-`Record` is the base of the package's frozen records, `unchecked`
+place where the two columns of a voltage scan are converted, checked
+and stored. `Record` is the base of the package's frozen records,
+`ArrayRecord` that of the records whose fields are arrays, `unchecked`
 builds a record from the package's own results without checking them
 again, `replace` copies a record with some fields changed the same way,
 and `plain` hands a 0-d numpy result back as a Python number.
@@ -126,16 +127,17 @@ def interval(text: str) -> tuple[float, float, bool, bool]:
     return lo, hi, text[0] == "(", text[-1] == ")"
 
 
-def check_scan(trace: str, voltages, name: str, values
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """The voltages and the named sample column of a trace as float arrays.
+def check_scan(record, trace: str) -> None:
+    """Store a scan record's voltages and sample column as float arrays.
 
+    The sample column is the record's second field, after `voltages`.
     Raises DomainError unless both are non-empty, finite 1-D arrays of
     equal length and the voltages strictly increase. trace names the
     trace in the messages.
     """
-    v = np.asarray(voltages, dtype=float)
-    y = np.asarray(values, dtype=float)
+    name = record._fields[1]
+    v = np.asarray(record.voltages, dtype=float)
+    y = np.asarray(record.__dict__[name], dtype=float)
     if v.ndim != 1 or y.ndim != 1 or v.size != y.size:
         raise DomainError(f"voltages and {name} must be 1-D arrays of equal length")
     if v.size == 0:
@@ -144,7 +146,7 @@ def check_scan(trace: str, voltages, name: str, values
         raise DomainError(f"{trace} contains non-finite samples")
     if np.any(np.diff(v) <= 0.0):
         raise DomainError("voltages must be strictly increasing")
-    return v, y
+    record.__dict__.update({"voltages": v, name: y})
 
 
 class Record:
@@ -159,9 +161,10 @@ class Record:
     then run `__post_init__`, where a subclass checks its other rules.
     A field cannot be assigned or deleted afterwards. Two records are
     equal when they are of the same class and their fields are equal in
-    order, and the hash is that of the tuple of fields. A record whose
-    fields are arrays sets `__eq__` and `__hash__` back to `object`'s,
-    comparing by identity.
+    order, and the hash is that of the tuple of fields. So a record
+    holding arrays in fields declared as floats raises ValueError on
+    `==`, as a dataclass would; a record whose fields are always arrays
+    derives from `ArrayRecord`.
 
     The fields and intervals are read once per subclass, in
     `__init_subclass__`, so no method is generated for it.
@@ -236,6 +239,20 @@ class Record:
 
     def __hash__(self):
         return hash(self._values())
+
+
+class ArrayRecord(Record):
+    """Base of a record whose fields are arrays.
+
+    It compares and hashes by identity, because `==` on arrays has no
+    single truth value, and its length is that of its first field.
+    """
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __len__(self) -> int:
+        return len(self.__dict__[self._fields[0]])
 
 
 def unchecked(cls, values):

@@ -16,6 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
+    ArrayRecord,
     DomainError,
     InsufficientDataError,
     Record,
@@ -28,7 +29,7 @@ __all__ = ["FringeTrace", "ExtremaPair", "find_extrema_pair", "center_wavelength
 MIN_SAMPLES = 5
 
 
-class FringeTrace(Record):
+class FringeTrace(ArrayRecord):
     """A heater-voltage scan of detector count rate.
 
     Attributes:
@@ -39,18 +40,10 @@ class FringeTrace(Record):
     voltages: np.ndarray
     counts: np.ndarray
 
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
     def __post_init__(self):
-        v, c = check_scan("fringe trace", self.voltages, "counts", self.counts)
-        object.__setattr__(self, "voltages", v)
-        object.__setattr__(self, "counts", c)
-        if np.any(c < 0.0):
+        check_scan(self, "fringe trace")
+        if np.any(self.counts < 0.0):
             raise DomainError("count rates must be >= 0")
-
-    def __len__(self) -> int:
-        return int(self.voltages.size)
 
 
 class ExtremaPair(Record):

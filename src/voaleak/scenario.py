@@ -32,6 +32,7 @@ import numpy as np
 from .channel import ChannelParams, observables_for_intensity
 from .decoy import DecoyObservations, check_intensities, single_photon_bounds
 from .errors import (
+    ArrayRecord,
     ConfigurationError,
     DomainError,
     Record,
@@ -452,10 +453,7 @@ def load_config(
 # Results
 # ============================================================
 
-# The result tables below are arrays, so they compare and hash by
-# identity: a field-wise __eq__ would compare them with `==`, whose
-# truth value is ambiguous.
-class SweepResult(Record):
+class SweepResult(ArrayRecord):
     """Key-rate sweep over distance for one scenario.
 
     rows is a read-only (n, 7) float64 array, one row per distance, with
@@ -467,12 +465,6 @@ class SweepResult(Record):
     """
 
     rows: np.ndarray
-
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
 
 class WavelengthResult(Record):
@@ -489,7 +481,7 @@ class IvFitResult(Record):
     fits: tuple[IdealityFit, ...]
 
 
-class LeakageResult(Record):
+class LeakageResult(ArrayRecord):
     """Leaked mean photon number per driving configuration.
 
     rows is a read-only (n, 4) float64 array, one row per emission block,
@@ -497,9 +489,6 @@ class LeakageResult(Record):
     """
 
     rows: np.ndarray
-
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
 
 ScenarioResult = Union[SweepResult, WavelengthResult, IvFitResult, LeakageResult]
@@ -1011,6 +1000,10 @@ def _cell(text: str) -> float:
     return float(cell)
 
 
+# The trace kinds: the header and the record of each.
+_TRACES = {"fringe": (FRINGE_HEADER, FringeTrace), "iv": (IV_HEADER, IvCurve)}
+
+
 def load_trace(path: Path | str, kind: str) -> FringeTrace | IvCurve:
     """Load a two-column comma-separated trace file.
 
@@ -1029,29 +1022,25 @@ def load_trace(path: Path | str, kind: str) -> FringeTrace | IvCurve:
         TraceParseError: malformed data row or non-UTF-8 text (carries
             the line number).
     """
-    if kind not in ("fringe", "iv"):
+    if kind not in _TRACES:
         raise ConfigurationError(f"kind must be 'fringe' or 'iv', got {kind!r}")
+    header, record = _TRACES[kind]
     path = Path(path)
-    table = _read_table(path, FRINGE_HEADER if kind == "fringe" else IV_HEADER)
-    xs, ys = np.ascontiguousarray(table.T)
+    xs, ys = np.ascontiguousarray(_read_table(path, header).T)
     try:
-        if kind == "fringe":
-            return FringeTrace(xs, ys)
-        return IvCurve(xs, ys)
+        return record(xs, ys)
     except DomainError as exc:
         raise TraceSchemaError(f"{path}: {exc}") from exc
 
 
 def save_trace(trace: FringeTrace | IvCurve, path: Path | str) -> None:
     """Write a trace in the same two-column format load_trace reads."""
-    if isinstance(trace, FringeTrace):
-        header, xs, ys = FRINGE_HEADER, trace.voltages, trace.counts
-    elif isinstance(trace, IvCurve):
-        header, xs, ys = IV_HEADER, trace.voltages, trace.currents
-    else:
+    header = next((header for header, record in _TRACES.values()
+                   if isinstance(trace, record)), None)
+    if header is None:
         raise ConfigurationError(
             f"expected FringeTrace or IvCurve, got {type(trace).__name__}")
-    Path(path).write_text(_render(header, np.column_stack((xs, ys))))
+    Path(path).write_text(_render(header, np.column_stack(trace._values())))
 
 
 def sweep_to_text(result: SweepResult) -> str:

@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from .errors import (
+    ArrayRecord,
     DomainError,
     InsufficientDataError,
     Record,
@@ -92,7 +93,7 @@ class CarrierState(Record):
     _intervals = {"delta_n_e": "[0, inf)", "delta_n_h": "[0, inf)"}
 
 
-class IvCurve(Record):
+class IvCurve(ArrayRecord):
     """Measured I-V trace of the junction.
 
     Voltages must be strictly increasing. Currents may touch zero
@@ -106,16 +107,8 @@ class IvCurve(Record):
     voltages: np.ndarray
     currents: np.ndarray
 
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
     def __post_init__(self):
-        v, i = check_scan("I-V trace", self.voltages, "currents", self.currents)
-        object.__setattr__(self, "voltages", v)
-        object.__setattr__(self, "currents", i)
-
-    def __len__(self) -> int:
-        return int(self.voltages.size)
+        check_scan(self, "I-V trace")
 
 
 class IdealityFit(Record):
