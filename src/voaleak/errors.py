@@ -128,9 +128,8 @@ def interval(text: str) -> tuple[float, float, bool, bool]:
 
 
 def check_scan(record, trace: str) -> None:
-    """Store a scan record's voltages and sample column as float arrays.
+    """Store a scan record's voltages and samples (its second field) as floats.
 
-    The sample column is the record's second field, after `voltages`.
     Raises DomainError unless both are non-empty, finite 1-D arrays of
     equal length and the voltages strictly increase. trace names the
     trace in the messages.
@@ -242,11 +241,8 @@ class Record:
 
 
 class ArrayRecord(Record):
-    """Base of a record whose fields are arrays.
-
-    It compares and hashes by identity, because `==` on arrays has no
-    single truth value, and its length is that of its first field.
-    """
+    """A record of arrays, equal only to itself (`==` on arrays has no
+    single truth value) and as long as its first field."""
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__

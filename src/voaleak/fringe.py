@@ -136,8 +136,8 @@ def find_extrema_pair(
     maxima, minima = _local_extrema(s)
 
     if maxima.size == 0:
-        d = np.diff(s)
-        if np.all(d >= 0.0) or np.all(d <= 0.0):
+        # Without an interior maximum, monotone means no interior minimum.
+        if minima.size == 0:
             raise InsufficientDataError(
                 "trace is monotone; no interference fringe found")
         raise InsufficientDataError(

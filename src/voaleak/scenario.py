@@ -181,7 +181,7 @@ class ScenarioConfig(Record):
     emission: tuple[EmissionSpec, ...] = ()
     reference_trace: Path | None = None
     unknown_trace: Path | None = None
-    lambda_ref_nm: float = 0.0
+    lambda_ref_nm: float | None = None
     smooth_window: int = 5
     iv_trace: Path | None = None
     temperature: float = 300.0
@@ -255,10 +255,12 @@ def _name(bad: dict[str, str], key: str, reason) -> None:
 
 
 def _out_of_range(bad: dict[str, str], values: dict, rows) -> None:
-    # Names in bad each row's key, if not yet there, whose value is outside.
+    # Names in bad each row's key, if not yet there, left out (None) or outside.
     for key, field, (lo, hi, lo_open, hi_open) in rows:
         try:
-            if key not in bad:
+            if values[field] is None:
+                _name(bad, key, "required")
+            elif key not in bad:
                 check_range(key, values[field], lo, hi, lo_open, hi_open)
         except DomainError as exc:
             bad[key] = str(exc)

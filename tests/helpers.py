@@ -420,6 +420,29 @@ def scalar_reference_sweep(config):
     return rows, privacy
 
 
+def _ref_passive_rate(c, distance: float):
+    # The passive rate of config c at distance, as a function of the coin
+    # imbalance: the observables and bounds do not depend on the leak.
+    obs = [_ref_observables(g, 0.0, c.channel, distance) for g in (c.s, c.nu, c.omega)]
+    q, e = [o[0] for o in obs], [o[1] for o in obs]
+    y1, e1, _ = _ref_bounds(c.s, c.nu, c.omega, q, e)
+    return lambda coin: _ref_gllp(c.s, q[0], e[0], y1, e1, coin, c.p_z, c.f_ec)[0]
+
+
+def _last_positive(rate, lo: float, hi: float) -> float:
+    # Bisection of a rate positive at lo and zero at hi, until the bracket
+    # spans 1e-12 of its upper end; returns its lower end.
+    if rate(lo) <= 0.0 or rate(hi) > 0.0:
+        raise ValueError(f"rate does not change sign on [{lo:g}, {hi:g}]")
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        if rate(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def passive_mu_max(config, distance: float) -> float:
     """The largest leak mu at which the passive rate of config is still
     positive at distance, by bisection on the scalar chain above.
@@ -431,25 +454,22 @@ def passive_mu_max(config, distance: float) -> float:
     and returns its lower end. No package rate, bound or observable
     function is called.
     """
-    c = config
-    obs = [_ref_observables(g, 0.0, c.channel, distance) for g in (c.s, c.nu, c.omega)]
-    q, e = [o[0] for o in obs], [o[1] for o in obs]
-    y1, e1, _ = _ref_bounds(c.s, c.nu, c.omega, q, e)
+    rate = _ref_passive_rate(config, distance)
+    return _last_positive(lambda mu: rate(coin_imbalance_reference(mu)), 0.0, 100.0)
 
-    def rate(mu: float) -> float:
-        coin = coin_imbalance_reference(mu)
-        return _ref_gllp(c.s, q[0], e[0], y1, e1, coin, c.p_z, c.f_ec)[0]
 
-    lo, hi = 0.0, 100.0
-    if rate(lo) <= 0.0 or rate(hi) > 0.0:
-        raise ValueError("rate does not change sign for mu in [0, 100]")
-    while hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        if rate(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def passive_cutoff(config) -> float:
+    """The exact cutoff [km] of config's leak: the largest distance at
+    which the passive rate at config.mu_leak is still positive.
+
+    Bisection in distance on the scalar chain above, between the ends of
+    config's sweep grid, with the bracket and result of `passive_mu_max`.
+    Count rates are taken as referred to the chip's output (efficiency
+    1), as README states. No package function is called.
+    """
+    coin = coin_imbalance_reference(config.mu_leak)
+    return _last_positive(lambda d: _ref_passive_rate(config, d)(coin),
+                          config.distance_min, config.distance_max)
 
 
 # ============================================================

@@ -37,6 +37,7 @@ from helpers import (
     decoy_observations,
     effective_single_photon,
     exact_statistics_cutoff,
+    passive_cutoff,
     random_channel,
     random_decoy_run,
     shockley_curve,
@@ -132,12 +133,16 @@ def test_passive_cutoff_leak_free(passive_sweeps):
 def test_passive_cutoff_worst_case(passive_sweeps):
     # The two-decoy estimate can never outrange a perfect single-photon
     # estimator, and on the 1 km grid it should lose less than one step.
+    # The grid cutoff lies at or below the exact cutoff of the same sweep.
     results, _ = passive_sweeps
     cutoff = last_positive_km(results[0.0977].rows, CONTAMINATED)
+    exact = passive_cutoff(ScenarioConfig(mode="passive_tha", mu_leak=0.0977,
+                                          distance_max=400.0))
     bound = exact_statistics_cutoff(REFERENCE_DELTA)
-    check(bound - 1.0 < cutoff <= bound,
-          f"worst-case leak range cutoff {cutoff:.0f} km within one 1 km "
-          f"step below the exact-statistics bound {bound:.2f} km")
+    check(bound - 1.0 < cutoff <= exact <= bound,
+          f"worst-case leak range cutoff {cutoff:.0f} km <= exact cutoff "
+          f"{exact:.3f} km <= exact-statistics bound {bound:.2f} km, "
+          f"within one 1 km step")
 
 
 def test_passive_curves_strictly_ordered(passive_sweeps):

@@ -290,13 +290,13 @@ REPRS = {
         f"ScenarioConfig(mode='passive_tha', channel={CHANNEL}, s=0.48, nu=0.02, "
         "omega=0.001, p_z=1.0, q_proto=0.5, f_ec=1.2, mu_leak=0.09774514191987614, "
         "distance_min=0.0, distance_max=400.0, step=1.0, emission=(), "
-        "reference_trace=None, unknown_trace=None, lambda_ref_nm=0.0, "
+        "reference_trace=None, unknown_trace=None, lambda_ref_nm=None, "
         f"smooth_window=5, iv_trace=None, temperature=300.0, {TAIL}"),
     "dual_source.cfg": (
         f"ScenarioConfig(mode='dual_source', channel={CHANNEL}, s=0.48, nu=0.02, "
         "omega=0.001, p_z=1.0, q_proto=0.5, f_ec=1.2, mu_leak=0.09774514191987614, "
         "distance_min=0.0, distance_max=60.0, step=1.0, emission=(), "
-        "reference_trace=None, unknown_trace=None, lambda_ref_nm=0.0, "
+        "reference_trace=None, unknown_trace=None, lambda_ref_nm=None, "
         f"smooth_window=5, iv_trace=None, temperature=300.0, {TAIL}"),
     "fringe.cfg": (
         f"ScenarioConfig(mode='fringe', channel={CHANNEL}, s=0.48, nu=0.02, "
@@ -310,7 +310,7 @@ REPRS = {
         f"ScenarioConfig(mode='iv_fit', channel={CHANNEL}, s=0.48, nu=0.02, "
         "omega=0.001, p_z=1.0, q_proto=0.5, f_ec=1.2, mu_leak=0.0, "
         "distance_min=0.0, distance_max=0.0, step=1.0, emission=(), "
-        "reference_trace=None, unknown_trace=None, lambda_ref_nm=0.0, "
+        "reference_trace=None, unknown_trace=None, lambda_ref_nm=None, "
         "smooth_window=5, iv_trace=PosixPath('configs/../data/iv_trace.csv'), "
         f"temperature=300.0, {TAIL}"),
     "device.cfg": (
@@ -320,7 +320,7 @@ REPRS = {
         "EmissionSpec(drive_voltage=1.4, count_rate=23800000.0, pulse_width=2e-10), "
         "EmissionSpec(drive_voltage=1.4, count_rate=23800000.0, pulse_width=1.6e-09), "
         "EmissionSpec(drive_voltage=2.0, count_rate=58200000.0, pulse_width=1.6e-09)), "
-        "reference_trace=None, unknown_trace=None, lambda_ref_nm=0.0, "
+        "reference_trace=None, unknown_trace=None, lambda_ref_nm=None, "
         f"smooth_window=5, iv_trace=None, temperature=300.0, {TAIL}"),
 }
 

@@ -95,6 +95,14 @@ class TestFindExtremaPair:
         with pytest.raises(InsufficientDataError, match="scan boundary"):
             find_extrema_pair(FringeTrace(u, counts))
 
+    def test_boundary_minimum(self):
+        # The maximum is interior, but the trace falls from it to the end
+        # on both sides: no minimum lies inside the scan.
+        trace = FringeTrace(np.arange(5.0), np.array([0.0, 1.0, 2.0, 1.0, 0.0]))
+        with pytest.raises(InsufficientDataError,
+                           match="no interior minimum adjacent to the maximum"):
+            find_extrema_pair(trace, smooth_window=1)
+
     def test_too_few_samples(self):
         t = FringeTrace(np.array([0.0, 0.1, 0.2, 0.3]), np.array([1.0, 3.0, 1.0, 3.0]))
         with pytest.raises(InsufficientDataError):

@@ -49,12 +49,14 @@ from voaleak.scenario import (
     apply_overrides,
     config_from_mapping,
     parse_config_text,
+    result_to_text,
     sweep_distances,
     sweep_to_text,
 )
 from helpers import (
     VERDICTS,
     parse_config_text_reference,
+    passive_cutoff,
     passive_mu_max,
     read_table_reference,
     render_reference,
@@ -279,6 +281,24 @@ class TestScenarioConfigValidation:
         with pytest.raises(ConfigurationError, match="reference_trace"):
             ScenarioConfig(mode="fringe", lambda_ref_nm=1550.0)
 
+    def test_fringe_mode_requires_reference_wavelength(self):
+        # Left out, the key is named as required; given, 0 and nan are
+        # outside its interval.
+        traces = {"reference_trace": Path("r.csv"), "unknown_trace": Path("u.csv")}
+        with pytest.raises(ConfigurationError) as info:
+            ScenarioConfig(mode="fringe", **traces)
+        assert str(info.value) == ("invalid configuration fields: "
+                                   "fringe.lambda_ref_nm (required)")
+        for value in (0.0, math.nan):
+            with pytest.raises(ConfigurationError, match=re.escape(
+                    f"fringe.lambda_ref_nm must be finite and > 0, got {value!r}")):
+                ScenarioConfig(mode="fringe", lambda_ref_nm=value, **traces)
+
+    def test_iv_fit_mode_requires_a_window(self):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "ivfit.windows (at least one lo:hi window)")):
+            ScenarioConfig(mode="iv_fit", iv_trace=Path("iv.csv"), windows=())
+
     def test_device_mode_requires_emission(self):
         with pytest.raises(ConfigurationError, match="emission"):
             ScenarioConfig(mode="device")
@@ -303,7 +323,9 @@ class TestScenarioConfigValidation:
             ScenarioConfig(mode="passive_tha", distance_min=2.0, distance_max=1.0)
 
     @pytest.mark.parametrize("distance_min, distance_max, step", [
-        # The points 1e16, 1e16 + 2, ... coincide with their neighbours.
+        # The points 1e16, 1e16 + 2, ..., 1e16 + 8 are five distinct
+        # doubles, but a step of 2 is not more than 2 ulp(max + step) = 4,
+        # so points could coincide and the rule rejects it (README).
         (1e16, 1e16 + 8, 2.0),
         # distance_max + step overflows: the spacing there is taken as
         # 2**972 (README), and 5e292 is less than twice that.
@@ -504,6 +526,41 @@ class TestPassiveLeakFrontier:
             for d in (12.14, 12.15))
         assert before > 0.0 and after == 0.0
 
+    def test_shipped_exact_cutoff(self):
+        cutoff = passive_cutoff(load_config(CONFIGS / "passive_tha.cfg"))
+        assert f"{cutoff:.3f}" == "12.143"
+
+    @pytest.mark.parametrize("block, figure", [(1, 75.64), (2, 30.91), (3, 12.14)])
+    def test_device_budget(self, block, figure):
+        # The package's rate is positive 10 m before the exact cutoff and
+        # zero 10 m past it.
+        cfg = _device_leak(block)
+        cutoff = passive_cutoff(cfg)
+        assert round(cutoff, 2) == figure
+        before, after = (
+            run_scenario(replace(cfg, distance_min=d, distance_max=d)).rows[0, CONTAMINATED]
+            for d in (cutoff - 0.01, cutoff + 0.01))
+        assert before > 0.0 and after == 0.0
+
+    def test_device_budget_of_the_gate(self):
+        long_gate, short_gate = (passive_cutoff(_device_leak(block)) for block in (2, 1))
+        gain = short_gate - long_gate
+        VERDICTS.append(f"INFO device budget: the 1.4 V drive reaches {short_gate:.2f} km "
+                        f"with a 0.2 ns gate and {long_gate:.2f} km with a 1.6 ns gate; "
+                        f"the shorter gate buys {gain:.1f} km")
+        assert 44.5 < gain < 45.0
+
+
+def _device_leak(block: int) -> ScenarioConfig:
+    # passive_tha.cfg with emission block N of device.cfg as its leak, set
+    # through the overrides a user gives on the command line. Count rates
+    # are referred to the chip's output (efficiency 1), as README states.
+    spec = load_config(CONFIGS / "device.cfg").emission[block - 1]
+    return load_config(CONFIGS / "passive_tha.cfg", [
+        f"leakage.drive_voltage={spec.drive_voltage!r}",
+        f"leakage.count_rate={spec.count_rate!r}",
+        f"leakage.pulse_width={spec.pulse_width!r}"])
+
 
 class TestTraceIO:
     def test_fringe_round_trip(self, tmp_path):
@@ -555,8 +612,21 @@ class TestTraceIO:
         with pytest.raises(ConfigurationError, match="kind"):
             load_trace(tmp_path / "t.csv", "spectrum")
 
+    def test_save_refuses_a_non_trace(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="expected FringeTrace or IvCurve"):
+            save_trace(object(), tmp_path / "t.csv")
+
 
 class TestResultsIO:
+    def test_result_to_text_of_a_sweep(self):
+        # cli.main writes a sweep with sweep_to_text itself.
+        result = run_scenario(ScenarioConfig(mode="passive_tha", distance_max=3.0))
+        assert result_to_text(result) == sweep_to_text(result)
+
+    def test_result_to_text_refuses_other_types(self):
+        with pytest.raises(TypeError, match="unknown result type object"):
+            result_to_text(object())
+
     def test_round_trip_bit_exact(self, tmp_path):
         cfg = ScenarioConfig(mode="passive_tha", mu_leak=0.0388,
                              distance_max=3.0)
@@ -1069,6 +1139,16 @@ class TestCliErrorContract:
         cfg.write_text(f"mode = passive_tha\nleakage.mu = {mu}\n")
         assert main(["sweep", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error:config:")
+
+    def test_missing_reference_wavelength_is_named_required(self, tmp_path, capsys):
+        cfg = tmp_path / "fringe.cfg"
+        cfg.write_text("mode = fringe\nfringe.reference_trace = r.csv\n"
+                       "fringe.unknown_trace = u.csv\n")
+        assert main(["wavelength", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error:config: invalid configuration fields: "
+                                "fringe.lambda_ref_nm (required)\n")
 
     def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"
