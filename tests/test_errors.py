@@ -280,6 +280,13 @@ def test_array_results_compare_by_identity(cls):
     assert first in [second, first] and second not in [first]
 
 
+@pytest.mark.parametrize("cls", [SweepResult, LeakageResult, FringeTrace, IvCurve])
+def test_array_record_length_is_its_row_count(cls):
+    arrays = ((np.zeros((3, 2)),) if cls in (SweepResult, LeakageResult)
+              else (np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])))
+    assert len(cls(*arrays)) == 3
+
+
 # repr of the records the shipped configs give, as the dataclass repr
 # printed them; the trace paths are relative to base_dir "configs".
 CHANNEL = ("ChannelParams(distance=0.0, alpha_sig=0.2, alpha_par=0.8, "
