@@ -40,13 +40,17 @@ def _y1_prefactor(s, nu, om):
 def check_intensities(s, nu, omega) -> None:
     """Raise DomainError unless s, nu, omega suit the two-decoy bounds.
 
-    They must be finite with 709 >= s > nu > omega >= 0 (so that e^s is
-    a double) and nu + omega < s, and give a finite, positive Y1
-    prefactor, which decoys too close to tell apart in doubles do not.
+    They must be numbers, finite with 709 >= s > nu > omega >= 0 (so
+    that e^s is a double) and nu + omega < s, and give a finite, positive
+    Y1 prefactor, which decoys too close to tell apart in doubles do not.
     """
     # The comparisons come first: they reject NaN and +-inf and keep
-    # nu < 709, so nu ** 2 cannot overflow.
-    if not (709.0 >= s > nu > omega >= 0.0 and nu + omega < s):
+    # nu < 709, so nu ** 2 cannot overflow. A non-number fails to compare.
+    try:
+        ordered = 709.0 >= s > nu > omega >= 0.0 and nu + omega < s
+    except TypeError:
+        ordered = False
+    if not ordered:
         raise DomainError(
             "s, nu, omega must satisfy 709 >= s > nu > omega >= 0 and "
             f"nu + omega < s, got s={s!r}, nu={nu!r}, omega={omega!r}")

@@ -16,14 +16,14 @@ them checks its own arguments and raises DomainError. `check_range` is
 the one place where an input, a float or a numpy array, is checked
 against its interval. An interval is declared once, as text such as
 "(0, 1]" that `interval` parses: a record's fields in its `_intervals`,
-each numeric config key in `scenario`'s per-mode table, and a channel
-key by the `ChannelParams` field it sets. `check_scan` is the one
-place where the two columns of a voltage scan are converted, checked
-and stored. `Record` is the base of the package's frozen records,
-`ArrayRecord` that of the records whose fields are arrays, `unchecked`
-builds a record from the package's own results without checking them
-again, `replace` copies a record with some fields changed the same way,
-and `plain` hands a 0-d numpy result back as a Python number.
+each config key in `scenario`'s per-mode table, and a channel key by
+the `ChannelParams` field it sets. `check_scan` is the one place where
+the two columns of a voltage scan are converted, checked and stored.
+`Record` is the base of the package's frozen records, `ArrayRecord`
+that of the records whose fields are arrays, `unchecked` builds a
+record from the package's own results without checking them again,
+`replace` copies a record with some fields changed the same way, and
+`plain` hands a 0-d numpy result back as a Python number.
 """
 
 import math
@@ -81,9 +81,9 @@ def check_range(name: str, value, lo: float, hi: float = math.inf,
 
     Each end is closed unless its `*_open` flag is set. NaN, +-inf and
     an int too large for a double are always rejected, so an infinite
-    end reads as "finite and beyond the other end". A numpy array
-    passes when every element does, and the message quotes an element
-    that fails.
+    end reads as "finite and beyond the other end". A non-number, such
+    as the text "1", is rejected like NaN. A numpy array passes when
+    every element does, and the message quotes an element that fails.
     """
     # A float skips the isinstance test, a third of a scalar check's cost.
     if value.__class__ is not float and isinstance(value, np.ndarray):
@@ -99,7 +99,7 @@ def check_range(name: str, value, lo: float, hi: float = math.inf,
         return
     try:
         finite = math.isfinite(value)
-    except OverflowError:  # an int beyond the largest double
+    except (OverflowError, TypeError):  # an int beyond a double, a non-number
         finite = False
     if (finite
             and (lo < value if lo_open else lo <= value)

@@ -72,8 +72,6 @@ __all__ = [
     "read_results",
 ]
 
-MODES = ("passive_tha", "dual_source", "fringe", "iv_fit", "device")
-
 FRINGE_HEADER = "heater_voltage_v,count_rate_hz"
 IV_HEADER = "voltage_v,current_a"
 RESULT_HEADER = ("distance_km,rate_baseline,rate_contaminated,"
@@ -112,29 +110,25 @@ _SWEEP_KEYS = (
     _key("intensities.omega", "omega"),
     _key("conventions.f_ec", "f_ec", "[1, inf)"),
 )
-# The numeric config keys of each mode: the key, the ScenarioConfig field
-# it sets, the type its text parses as and the field's interval (None for
-# a rule that is not an interval), which _RANGES holds for ScenarioConfig.
-# A key left out keeps the field's default.
+# The config keys of each mode, in the order a message names them: the key,
+# the ScenarioConfig field it sets, the type its text parses as (Path for a
+# trace file) and its interval, if any. A field defaulting to None is required.
 _KEYS = {
     "passive_tha": (*_SWEEP_KEYS, _key("conventions.p_z", "p_z", "(0, 1]")),
     "dual_source": (*_SWEEP_KEYS, _key("conventions.q_proto", "q_proto", "(0, 1]")),
     "fringe": (_key("fringe.lambda_ref_nm", "lambda_ref_nm", "(0, inf)"),
-               _key("fringe.smooth_window", "smooth_window", "[1, inf)", int)),
-    "iv_fit": (_key("ivfit.temperature", "temperature", "(0, inf)"),),
+               _key("fringe.smooth_window", "smooth_window", "[1, inf)", int),
+               _key("fringe.reference_trace", "reference_trace", kind=Path),
+               _key("fringe.unknown_trace", "unknown_trace", kind=Path)),
+    "iv_fit": (_key("ivfit.temperature", "temperature", "(0, inf)"),
+               _key("ivfit.trace", "iv_trace", kind=Path)),
     "device": (),
 }
-_RANGES = {mode: tuple((key, field, bounds)
-                       for key, field, _, bounds in rows if bounds)
-           for mode, rows in _KEYS.items()}
-# The trace files each mode requires: the key and the field it sets.
-_PATHS = {"fringe": (("fringe.reference_trace", "reference_trace"),
-                     ("fringe.unknown_trace", "unknown_trace")),
-          "iv_fit": (("ivfit.trace", "iv_trace"),)}
+MODES = tuple(_KEYS)
 # The channel keys of the sweep modes, one per ChannelParams field but the
-# distance: the key, the field it sets and the interval the record declares.
-_CHANNEL_RANGES = tuple(
-    ("conventions.e0" if name == "e0" else f"channel.{name}", name, tuple(bounds))
+# distance, as rows of _KEYS with the interval the record declares.
+_CHANNEL_KEYS = tuple(
+    ("conventions.e0" if name == "e0" else f"channel.{name}", name, float, tuple(bounds))
     for name, *bounds in ChannelParams._ranges if name != "distance")
 # The keys the grid rule and `check_intensities` read.
 _GRID_KEYS = ("sweep.distance_min", "sweep.distance_max", "sweep.step")
@@ -159,11 +153,11 @@ class ScenarioConfig(Record):
             Fringe-mode inputs.
         iv_trace, temperature, windows: I-V fit mode inputs.
 
-    Only the fields the mode reads are checked: the intervals in `_KEYS`,
-    in a sweep mode each channel key against the interval `ChannelParams`
-    declares for its field, then the rules below, each skipped where a
-    key it reads is bad already. One ConfigurationError names every bad
-    key once, by its config key: `channel.y0` say, not `y0`.
+    Only the fields the mode reads are checked: by the rows of `_KEYS`
+    (and `_CHANNEL_KEYS` in a sweep mode), a None value as required and
+    any other against the row's interval; then by the rules below, each
+    skipped where a key it reads is bad already. One ConfigurationError
+    names every bad key once, by its config key: `channel.y0`, not `y0`.
     """
 
     mode: str
@@ -197,12 +191,9 @@ class ScenarioConfig(Record):
         if self.mode not in MODES:
             raise ConfigurationError(
                 f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
-        _out_of_range(bad, self.__dict__, _RANGES[self.mode])
-        for key, field in _PATHS.get(self.mode, ()):
-            if self.__dict__[field] is None:
-                _name(bad, key, "required")
+        _out_of_range(bad, self.__dict__, _KEYS[self.mode])
         if self.mode in ("passive_tha", "dual_source"):
-            _out_of_range(bad, self.channel.__dict__, _CHANNEL_RANGES)
+            _out_of_range(bad, self.channel.__dict__, _CHANNEL_KEYS)
             if bad.keys().isdisjoint(_GRID_KEYS):
                 self._check_grid(bad)
             try:
@@ -255,15 +246,16 @@ def _name(bad: dict[str, str], key: str, reason) -> None:
 
 
 def _out_of_range(bad: dict[str, str], values: dict, rows) -> None:
-    # Names in bad each row's key, if not yet there, left out (None) or outside.
-    for key, field, (lo, hi, lo_open, hi_open) in rows:
-        try:
-            if values[field] is None:
-                _name(bad, key, "required")
-            elif key not in bad:
+    # Names in bad each key not yet there whose value is None or out of its interval.
+    for key, field, _, bounds in rows:
+        if values[field] is None:
+            _name(bad, key, "required")
+        elif bounds and key not in bad:
+            lo, hi, lo_open, hi_open = bounds
+            try:
                 check_range(key, values[field], lo, hi, lo_open, hi_open)
-        except DomainError as exc:
-            bad[key] = str(exc)
+            except DomainError as exc:
+                bad[key] = str(exc)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -309,23 +301,25 @@ def apply_overrides(data: dict[str, str], overrides: Sequence[str]) -> None:
         data[key] = value.strip()
 
 
-def _take_number(data: dict, key: str, bad: dict, kind=float) -> float | None:
-    # None for a value that does not parse, which bad names.
+def _take(data: dict, key: str, bad: dict, kind=float, base_dir: Path | str = "."):
+    # The value of key popped from data, read as kind; None where bad names it.
     raw = data.pop(key)
     try:
-        return kind(raw)
+        if kind is not Path:
+            return kind(raw)
+        if raw and "\0" not in raw:
+            return Path(base_dir) / raw  # an absolute path stays as it is
     except ValueError:
-        expected = "a number" if kind is float else "an integer"
-        bad[key] = f"{key}: expected {expected}, got {raw!r}"
-        return None
+        pass
+    expected = {float: "a number", int: "an integer", Path: "a file path"}[kind]
+    bad[key] = f"{key}: expected {expected}, got {raw!r}"
+    return None
 
 
-def _take_path(data: dict, key: str, base_dir: Path | str, bad: dict) -> Path | None:
-    raw = data.pop(key)
-    if not raw or "\0" in raw:
-        bad[key] = f"{key}: expected a file path, got {raw!r}"
-        return None
-    return Path(base_dir) / raw  # an absolute path stays as it is
+def _take_rows(data: dict, rows, bad: dict, base_dir: Path | str) -> dict:
+    # The fields of the rows whose keys data holds, but those bad names.
+    return {field: value for key, field, kind, _ in rows if key in data
+            and (value := _take(data, key, bad, kind, base_dir)) is not None}
 
 
 def _parse_windows(raw: str, bad: dict) -> tuple[tuple[float, float], ...] | None:
@@ -349,8 +343,8 @@ def _take_emission_spec(data: dict, prefix: str, bad: dict) -> EmissionSpec | No
                             prefix + "drive_voltage")
     if rate not in data or width not in data:
         raise ConfigurationError(f"{rate} and {width} must be given together")
-    values = (_take_number(data, voltage, bad) if voltage in data else 0.0,
-              _take_number(data, rate, bad), _take_number(data, width, bad))
+    values = (_take(data, voltage, bad) if voltage in data else 0.0,
+              _take(data, rate, bad), _take(data, width, bad))
     try:
         if None not in values:
             return EmissionSpec(*values)
@@ -387,9 +381,9 @@ def config_from_mapping(
     Relative trace paths are resolved against base_dir. Only the keys
     the mode reads are taken; any other key is an error, so typos and
     settings meant for another mode cannot silently fall back to
-    defaults or be ignored. The numeric keys and trace paths of each
-    mode and the fields they set are declared once, in `_KEYS` and
-    `_PATHS`; a key the mapping leaves out keeps the field's default.
+    defaults or be ignored. Each mode's keys and the fields they set
+    are declared once, as rows of `_KEYS` (and `_CHANNEL_KEYS` in a
+    sweep mode); a key the mapping leaves out keeps the field's default.
     Each value that cannot be taken is named by its key, and the config
     is checked once, so one ConfigurationError names every bad value.
     An error in the shape of the mapping raises at once: the mode, the
@@ -403,19 +397,11 @@ def config_from_mapping(
 
     # bad names each value that cannot be taken; its field is left out.
     bad: dict[str, str] = {}
-    fields = {field: value for key, field, kind, _ in _KEYS.get(mode, ())
-              if key in data
-              and (value := _take_number(data, key, bad, kind)) is not None}
-    for key, field in _PATHS.get(mode, ()):
-        if key in data:
-            fields[field] = _take_path(data, key, base_dir, bad)
+    fields = _take_rows(data, _KEYS.get(mode, ()), bad, base_dir)
     if mode in ("passive_tha", "dual_source"):
-        channel = {name: value for key, name, _ in _CHANNEL_RANGES
-                   if key in data
-                   and (value := _take_number(data, key, bad)) is not None}
         # Unchecked: _check checks each channel value by its key.
-        fields["channel"] = unchecked(ChannelParams,
-                                      {**ChannelParams._defaults, **channel})
+        fields["channel"] = unchecked(ChannelParams, {
+            **ChannelParams._defaults, **_take_rows(data, _CHANNEL_KEYS, bad, base_dir)})
         if "leakage.count_rate" in data or "leakage.pulse_width" in data:
             if "mu_leak" in fields or "leakage.mu" in bad:
                 raise ConfigurationError("give either leakage.mu or "

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import voaleak
-from voaleak.scenario import MODES, config_from_mapping
+from voaleak.leakage import EmissionSpec
+from voaleak.scenario import _CHANNEL_KEYS, _KEYS, MODES, config_from_mapping
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -108,6 +109,21 @@ COMPANIONS = {"leakage.drive_voltage": {"leakage.count_rate": "1e7",
 
 def test_config_key_table_covers_every_mode():
     assert {mode for modes, _, _ in CONFIG_KEY_ROWS for mode in modes} == set(MODES)
+
+
+def package_config_keys():
+    """(mode, key) of each key the package reads; N stands for an emission block."""
+    keys = {(mode, key) for mode, rows in _KEYS.items() for key, *_ in rows}
+    for mode in ("passive_tha", "dual_source"):
+        keys |= {(mode, key) for key, *_ in _CHANNEL_KEYS}
+        keys |= {(mode, f"leakage.{name}") for name in EmissionSpec._fields}
+    keys |= {("device", f"emission.N.{name}") for name in EmissionSpec._fields}
+    return keys | {("iv_fit", "ivfit.windows")}
+
+
+def test_config_key_table_lists_every_key_read():
+    listed = {(mode, key) for modes, key, _ in CONFIG_KEY_ROWS for mode in modes}
+    assert listed == package_config_keys()
 
 
 @pytest.mark.parametrize("modes, key, default", CONFIG_KEY_ROWS,

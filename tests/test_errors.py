@@ -11,6 +11,7 @@ import pytest
 from voaleak import (
     CarrierState,
     ChannelParams,
+    ConfigurationError,
     DecoyObservations,
     DomainError,
     EmissionSpec,
@@ -233,6 +234,25 @@ def test_record_rejects_bad_arguments(args, kwargs):
 def test_scenario_config_needs_its_mode():
     with pytest.raises(TypeError, match="'mode'"):
         ScenarioConfig(step=1.0)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: ScenarioConfig(mode="passive_tha", step="1"), ConfigurationError,
+     "invalid configuration fields: sweep.step must be finite and > 0, got '1'"),
+    (lambda: ChannelParams(y0="0"), DomainError, "y0 must lie in [0, 1), got '0'"),
+    (lambda: EmissionSpec(1.0, "5", 1e-9), DomainError,
+     "count_rate must be finite and >= 0, got '5'"),
+    (lambda: ScenarioConfig(mode="passive_tha", nu="x"), ConfigurationError,
+     "invalid configuration fields: intensities (s, nu, omega must satisfy "
+     "709 >= s > nu > omega >= 0 and nu + omega < s, got s=0.48, nu='x', "
+     "omega=0.001)"),
+], ids=["config-step", "channel-y0", "emission-count-rate", "config-nu"])
+def test_a_non_number_is_named_by_its_key(build, error, message):
+    # Given through the Python API, where no config text parses it first.
+    with pytest.raises(VoaleakError) as info:
+        build()
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("record", [

@@ -294,6 +294,27 @@ class TestScenarioConfigValidation:
                     f"fringe.lambda_ref_nm must be finite and > 0, got {value!r}")):
                 ScenarioConfig(mode="fringe", lambda_ref_nm=value, **traces)
 
+    def test_names_keep_their_order_across_numeric_and_trace_keys(self):
+        with pytest.raises(ConfigurationError) as info:
+            ScenarioConfig(mode="fringe")
+        assert str(info.value) == (
+            "invalid configuration fields: fringe.lambda_ref_nm (required); "
+            "fringe.reference_trace (required); fringe.unknown_trace (required)")
+        with pytest.raises(ConfigurationError) as info:
+            ScenarioConfig(mode="iv_fit", temperature=-1.0)
+        assert str(info.value) == (
+            "invalid configuration fields: ivfit.temperature must be finite "
+            "and > 0, got -1.0; ivfit.trace (required)")
+        with pytest.raises(ConfigurationError) as info:
+            config_from_mapping({"mode": "fringe", "fringe.reference_trace": "",
+                                 "fringe.smooth_window": "x",
+                                 "fringe.lambda_ref_nm": "0"})
+        assert str(info.value) == (
+            "invalid configuration fields: fringe.smooth_window: expected an "
+            "integer, got 'x'; fringe.reference_trace: expected a file path, "
+            "got ''; fringe.lambda_ref_nm must be finite and > 0, got 0.0; "
+            "fringe.unknown_trace (required)")
+
     def test_iv_fit_mode_requires_a_window(self):
         with pytest.raises(ConfigurationError, match=re.escape(
                 "ivfit.windows (at least one lo:hi window)")):
