@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, Record, check_range, plain
+from .errors import DomainError, Record, check_range, plain, unchecked
 
 __all__ = [
     "ChannelParams",
@@ -181,5 +181,5 @@ def observables_for_intensity(gamma, mu_el, ch: ChannelParams) -> Observables:
     if ch.y0 == 0.0 and not q.min() > 0.0:
         raise DomainError("gain is zero; QBER undefined")
     e = _error_gain(-np.expm1(-sig), -np.expm1(-par), ch.y0, ch.e_d, ch.e0) / q
-    return Observables(gain=plain(q), qber=plain(np.minimum(e, 1.0)))
+    return unchecked(Observables, {"gain": plain(q), "qber": plain(np.minimum(e, 1.0))})
 

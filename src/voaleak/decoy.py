@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, Record, plain, unchecked
+from .errors import _REAL_TYPES, DomainError, Record, plain, unchecked
 
 __all__ = ["DecoyObservations", "SinglePhotonBounds", "single_photon_bounds"]
 
@@ -45,11 +45,10 @@ def check_intensities(s, nu, omega) -> None:
     Y1 prefactor, which decoys too close to tell apart in doubles do not.
     """
     # The comparisons come first: they reject NaN and +-inf and keep
-    # nu < 709, so nu ** 2 cannot overflow. A non-number fails to compare.
-    try:
-        ordered = 709.0 >= s > nu > omega >= 0.0 and nu + omega < s
-    except TypeError:
-        ordered = False
+    # nu < 709, so nu ** 2 cannot overflow. A non-number (see `check_range`) fails.
+    ordered = (isinstance(s, _REAL_TYPES) and isinstance(nu, _REAL_TYPES)
+               and isinstance(omega, _REAL_TYPES)
+               and 709.0 >= s > nu > omega >= 0.0 and nu + omega < s)
     if not ordered:
         raise DomainError(
             "s, nu, omega must satisfy 709 >= s > nu > omega >= 0 and "

@@ -19,11 +19,12 @@ against its interval. An interval is declared once, as text such as
 each config key in `scenario`'s per-mode table, and a channel key by
 the `ChannelParams` field it sets. `check_scan` is the one place where
 the two columns of a voltage scan are converted, checked and stored.
-`Record` is the base of the package's frozen records, `ArrayRecord`
-that of the records whose fields are arrays, `unchecked` builds a
-record from the package's own results without checking them again,
-`replace` copies a record with some fields changed the same way, and
-`plain` hands a 0-d numpy result back as a Python number.
+`Record` is the base of the package's frozen records, which bind their
+arguments and defaults in one step, `ArrayRecord` that of the records
+whose fields are arrays, `unchecked` builds a record from the package's
+own results without checks, taking each left-out field's default,
+`replace` copies a record with some fields changed through `unchecked`,
+and `plain` hands a 0-d numpy result back as a Python number.
 """
 
 import math
@@ -75,18 +76,30 @@ class TraceSchemaError(VoaleakError):
     category = "schema"
 
 
+# The scalar types check_range and check_intensities take as numbers.
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
+
 def check_range(name: str, value, lo: float, hi: float = math.inf,
                 lo_open: bool = False, hi_open: bool = False) -> None:
     """Raise DomainError unless value is finite and lies between lo and hi.
 
     Each end is closed unless its `*_open` flag is set. NaN, +-inf and
     an int too large for a double are always rejected, so an infinite
-    end reads as "finite and beyond the other end". A non-number, such
-    as the text "1", is rejected like NaN. A numpy array passes when
-    every element does, and the message quotes an element that fails.
+    end reads as "finite and beyond the other end". Only an int (a bool
+    too), a float, a numpy integer or floating scalar, or a numpy array
+    of an integer or floating dtype is a number; anything else, such as
+    the text "1", a Decimal or an array of text, is rejected like NaN.
+    An array passes when every element does, and the message quotes an
+    element that fails.
     """
-    # A float skips the isinstance test, a third of a scalar check's cost.
-    if value.__class__ is not float and isinstance(value, np.ndarray):
+    # A float skips the isinstance tests, a third of a scalar check's cost.
+    if value.__class__ is float or isinstance(value, _REAL_TYPES):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int beyond a double
+            finite = False
+    elif isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
         # Checked through a NaN it holds, or else its least and greatest
         # elements. Python's min and max over a list cost less than two
         # numpy reductions on the few-element arrays a sweep passes, and
@@ -97,9 +110,7 @@ def check_range(name: str, value, lo: float, hi: float = math.inf,
             for end in (min(values), max(values)) if nan is None else (nan,):
                 check_range(name, end, lo, hi, lo_open=lo_open, hi_open=hi_open)
         return
-    try:
-        finite = math.isfinite(value)
-    except (OverflowError, TypeError):  # an int beyond a double, a non-number
+    else:
         finite = False
     if (finite
             and (lo < value if lo_open else lo <= value)
@@ -154,10 +165,12 @@ class Record:
     A subclass lists its fields as annotations, in order, each with an
     optional default in the class body; the defaults stay readable as
     class attributes. A class-level `_intervals` maps some fields to
-    interval texts such as "(0, 1]" (see `interval`). Its instances take
-    the fields by position or by keyword, fill in the defaults, check
-    each field of `_intervals`, in its order, with `check_range` and
-    then run `__post_init__`, where a subclass checks its other rules.
+    interval texts such as "(0, 1]" (see `interval`). Its instances bind
+    the defaults, positional values and keywords into one dict; arguments
+    that do not give each field once raise one TypeError naming the
+    missing, unexpected and repeated fields. Each field of `_intervals`
+    is then checked in order with `check_range`, and `__post_init__`,
+    where a subclass checks its other rules, runs last.
     A field cannot be assigned or deleted afterwards. Two records are
     equal when they are of the same class and their fields are equal in
     order, and the hash is that of the tuple of fields. So a record
@@ -181,37 +194,21 @@ class Record:
                             for name, text in cls._intervals.items())
 
     def __init__(self, *args, **kwargs):
-        # One frozenset test for the keywords and, only where a field is
-        # left out, one dict display for the defaults keep this shared
-        # __init__ about as fast as a generated one.
+        # The defaults, the positional values and the keywords bind in one
+        # dict, and one test of it catches every fault in the arguments.
         fields = self._fields
-        if kwargs and not kwargs.keys() <= self._field_set:
-            unknown = ", ".join(map(repr, sorted(kwargs.keys() - self._field_set)))
-            raise TypeError(f"{type(self).__name__}() got unexpected "
-                            f"arguments: {unknown}")
-        if args:
-            if len(args) > len(fields):
-                raise TypeError(f"{type(self).__name__}() takes at most "
-                                f"{len(fields)} positional arguments, "
-                                f"got {len(args)}")
-            named = dict(zip(fields, args))
-            if kwargs:
-                if not named.keys().isdisjoint(kwargs):
-                    twice = ", ".join(map(repr, named.keys() & kwargs.keys()))
-                    raise TypeError(f"{type(self).__name__}() got multiple "
-                                    f"values for {twice}")
-                named.update(kwargs)
-            kwargs = named
-        if len(kwargs) < len(fields):
-            kwargs = {**self._defaults, **kwargs}
-            if len(kwargs) < len(fields):
-                missing = ", ".join(repr(name) for name in fields
-                                    if name not in kwargs)
-                raise TypeError(f"{type(self).__name__}() missing "
-                                f"arguments: {missing}")
-        self.__dict__.update(kwargs)
+        named = dict(zip(fields, args))
+        values = {**self._defaults, **named, **kwargs}
+        if (len(args) > len(fields) or values.keys() != self._field_set
+                or not named.keys().isdisjoint(kwargs)):
+            raise TypeError(
+                f"{type(self).__name__}() takes {len(fields)} fields, got {len(args)} "
+                f"by position; missing {[n for n in fields if n not in values]}, "
+                f"unexpected {sorted(values.keys() - self._field_set)}, "
+                f"given twice {sorted(named.keys() & kwargs.keys())}")
+        self.__dict__.update(values)
         for name, lo, hi, lo_open, hi_open in self._ranges:
-            check_range(name, kwargs[name], lo, hi, lo_open, hi_open)
+            check_range(name, values[name], lo, hi, lo_open, hi_open)
         self.__post_init__()
 
     def __post_init__(self):
@@ -256,11 +253,12 @@ def unchecked(cls, values):
 
     For records the package fills with its own results, which lie in
     range by construction (clamped bounds, gains of checked inputs).
-    values maps every field to its value; it is read, not kept. A record
-    built from a caller's values goes through its constructor and is
-    checked as usual.
+    values maps fields to values, a field it leaves out takes its default
+    as in the constructor, and it is read, not kept. A record built from a
+    caller's values goes through its constructor and is checked as usual.
     """
     record = object.__new__(cls)
+    record.__dict__.update(cls._defaults)
     record.__dict__.update(values)
     return record
 
@@ -273,9 +271,7 @@ def replace(record, **changes):
     a checked record whose changed fields the package has checked
     already.
     """
-    record = unchecked(type(record), record.__dict__)
-    record.__dict__.update(changes)
-    return record
+    return unchecked(type(record), {**record.__dict__, **changes})
 
 
 def plain(value):

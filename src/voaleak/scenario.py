@@ -400,8 +400,8 @@ def config_from_mapping(
     fields = _take_rows(data, _KEYS.get(mode, ()), bad, base_dir)
     if mode in ("passive_tha", "dual_source"):
         # Unchecked: _check checks each channel value by its key.
-        fields["channel"] = unchecked(ChannelParams, {
-            **ChannelParams._defaults, **_take_rows(data, _CHANNEL_KEYS, bad, base_dir)})
+        fields["channel"] = unchecked(
+            ChannelParams, _take_rows(data, _CHANNEL_KEYS, bad, base_dir))
         if "leakage.count_rate" in data or "leakage.pulse_width" in data:
             if "mu_leak" in fields or "leakage.mu" in bad:
                 raise ConfigurationError("give either leakage.mu or "
@@ -413,8 +413,7 @@ def config_from_mapping(
             fields["windows"] = windows
     elif mode == "device":
         fields["emission"] = _take_emission(data, bad)
-    config = unchecked(ScenarioConfig, {**ScenarioConfig._defaults, "mode": mode,
-                                        **fields})
+    config = unchecked(ScenarioConfig, {"mode": mode, **fields})
     config._check(bad)
     if data:
         raise ConfigurationError(
@@ -509,39 +508,35 @@ def _sweep(config: ScenarioConfig) -> SweepResult:
     # setting, so dual-mode observables are contaminated; they are
     # computed even at zero leak, so that path is always exercised.
     #
-    # Each layer runs once over the grid. The intensities s, nu, omega
-    # lie on the leading axis of the observables; the zero-leak and the
-    # leaky case lie on the next axis in dual mode, and on the leading
-    # axis of the key rates in passive mode.
-    dual = config.mode == "dual_source"
+    # Each layer runs once over the grid, in one layout for both modes:
+    # intensity (s, nu, omega), leak, distance. The channel's leak axis is
+    # (0, mu_leak) in dual mode and 0.0 in passive mode, which the passive
+    # key rate spreads over (0, mu_leak). The rows report the observables
+    # and bounds at the last leak.
     s, nu, omega = config.s, config.nu, config.omega
     grid = sweep_distances(config)
     # ScenarioConfig checked the channel, and its sweep checks keep every
     # grid point finite and >= 0, so the channel is not checked again.
     ch = replace(config.channel, distance=grid)
-    intensities = np.array((s, nu, omega))[:, None]
     leaks = np.array((0.0, config.mu_leak))[:, None]
-    if dual:
-        obs = observables_for_intensity(intensities[..., None], leaks, ch)
-    else:
-        obs = observables_for_intensity(intensities, 0.0, ch)
+    dual = config.mode == "dual_source"
+    obs = observables_for_intensity(np.array((s, nu, omega))[:, None, None],
+                                    leaks if dual else 0.0, ch)
     # Gains and QBERs of checked inputs lie in range by construction.
     (q_s, q_nu, q_omega), (e_s, e_nu, e_omega) = obs.gain, obs.qber
     decoy = unchecked(DecoyObservations, {
         "s": s, "nu": nu, "omega": omega, "q_s": q_s, "q_nu": q_nu,
         "q_omega": q_omega, "e_s": e_s, "e_nu": e_nu, "e_omega": e_omega})
     bounds = single_photon_bounds(decoy)
-    columns = (decoy.q_s, decoy.e_s, bounds.y1_lower, bounds.e1_upper)
     if dual:
         base, leak = dual_source_key_rate(decoy, bounds, config.q_proto, config.f_ec)
-        # The rows report the contaminated observables and bounds.
-        columns = [column[1] for column in columns]
     else:
         base, leak = gllp_key_rate(decoy, bounds, leaks, config.p_z, config.f_ec)
     # Transposed and copied, the seven columns give C-contiguous rows.
-    table = np.array((grid, base, leak, *columns)).T.copy()
+    table = np.array((grid, base, leak, q_s[-1], e_s[-1], bounds.y1_lower[-1],
+                      bounds.e1_upper[-1])).T.copy()
     table.flags.writeable = False
-    return SweepResult(table)
+    return unchecked(SweepResult, {"rows": table})
 
 
 def _run_fringe(config: ScenarioConfig) -> WavelengthResult:

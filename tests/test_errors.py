@@ -3,6 +3,8 @@ malformed voltage scans; and the frozen-record contract."""
 
 import math
 import os
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ from voaleak import (
 )
 from voaleak.errors import check_range, interval, replace, unchecked
 from voaleak.scenario import config_from_mapping, parse_config_text, run_scenario
+from voaleak.security import coin_imbalance
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -219,15 +222,15 @@ def test_record_binds_by_position_keyword_and_default():
     assert ChannelParams.alpha_sig == ChannelParams().alpha_sig == 0.2
 
 
-@pytest.mark.parametrize("args, kwargs", [
-    ((1.0,), {}),
-    ((), {"u_max": 1.0}),
-    ((1.0, 2.0), {"u_mid": 1.5}),
-    ((1.0, 2.0), {"u_max": 1.0}),
-    ((1.0, 2.0, 3.0), {}),
+@pytest.mark.parametrize("args, kwargs, match", [
+    ((1.0,), {}, r"missing \['u_min'\]"),
+    ((), {"u_max": 1.0}, r"missing \['u_min'\]"),
+    ((1.0, 2.0), {"u_mid": 1.5}, r"unexpected \['u_mid'\]"),
+    ((1.0, 2.0), {"u_max": 1.0}, r"given twice \['u_max'\]"),
+    ((1.0, 2.0, 3.0), {}, "takes 2 fields, got 3 by position"),
 ], ids=["missing", "missing-keyword", "unknown", "repeated", "too-many"])
-def test_record_rejects_bad_arguments(args, kwargs):
-    with pytest.raises(TypeError):
+def test_record_rejects_bad_arguments(args, kwargs, match):
+    with pytest.raises(TypeError, match=match):
         ExtremaPair(*args, **kwargs)
 
 
@@ -246,7 +249,31 @@ def test_scenario_config_needs_its_mode():
      "invalid configuration fields: intensities (s, nu, omega must satisfy "
      "709 >= s > nu > omega >= 0 and nu + omega < s, got s=0.48, nu='x', "
      "omega=0.001)"),
-], ids=["config-step", "channel-y0", "emission-count-rate", "config-nu"])
+    # Numbers of other types, which arithmetic on floats does not take.
+    (lambda: ScenarioConfig(mode="passive_tha", s=Decimal("0.5")), ConfigurationError,
+     "invalid configuration fields: intensities.s must lie in (0, 100], "
+     "got Decimal('0.5')"),
+    (lambda: ScenarioConfig(mode="passive_tha", step=Decimal("1")), ConfigurationError,
+     "invalid configuration fields: sweep.step must be finite and > 0, "
+     "got Decimal('1')"),
+    (lambda: ScenarioConfig(mode="passive_tha", s=Fraction(12, 25)), ConfigurationError,
+     "invalid configuration fields: intensities.s must lie in (0, 100], "
+     "got Fraction(12, 25)"),
+    (lambda: ScenarioConfig(mode="passive_tha", nu=Fraction(1, 50)), ConfigurationError,
+     "invalid configuration fields: intensities (s, nu, omega must satisfy "
+     "709 >= s > nu > omega >= 0 and nu + omega < s, got s=0.48, "
+     "nu=Fraction(1, 50), omega=0.001)"),
+    # Arrays whose elements are not numbers.
+    (lambda: ChannelParams(y0=np.array(["0"])), DomainError,
+     "y0 must lie in [0, 1), got array(['0'], dtype='<U1')"),
+    (lambda: ChannelParams(y0=np.array([None])), DomainError,
+     "y0 must lie in [0, 1), got array([None], dtype=object)"),
+    (lambda: coin_imbalance(Decimal("0.1")), DomainError,
+     "mu must be finite and >= 0, got Decimal('0.1')"),
+], ids=["config-step", "channel-y0", "emission-count-rate", "config-nu",
+        "config-s-decimal", "config-step-decimal", "config-s-fraction",
+        "config-nu-fraction", "channel-y0-text-array", "channel-y0-object-array",
+        "coin-imbalance-decimal"])
 def test_a_non_number_is_named_by_its_key(build, error, message):
     # Given through the Python API, where no config text parses it first.
     with pytest.raises(VoaleakError) as info:

@@ -1,6 +1,8 @@
 """Runtime dependencies, the console script, export lists, the
 reproducibility of the shipped data and the test configuration."""
 
+import ast
+import contextlib
 import importlib
 import importlib.util
 import os
@@ -9,6 +11,9 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
+
+import pytest
 
 import voaleak
 
@@ -127,17 +132,44 @@ def test_generate_data_rebuilds_data_byte_for_byte(tmp_path, monkeypatch):
         assert (tmp_path / name).read_bytes() == (ROOT / "data" / name).read_bytes()
 
 
+def _tracer_wrapped() -> tuple:
+    """perfbench/tracer.py's WRAPPED, read from its text without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    value, = (node.value for node in tree.body if isinstance(node, ast.Assign)
+              and [target.id for target in node.targets] == ["WRAPPED"])
+    return ast.literal_eval(value)
+
+
 def test_tracer_wrapped_names_resolve():
     # perfbench/tracer.py wraps these names with getattr; a refactor that
     # drops one breaks the traced benchmark run.
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
     import voaleak.cli  # noqa: F401  (imports every wrapped module)
-    missing = [(module, attr) for module, attr, _ in tracer.WRAPPED
+    wrapped = _tracer_wrapped()
+    missing = [(module, attr) for module, attr, _ in wrapped
                if not hasattr(sys.modules[module], attr)]
-    assert missing == []
+    assert wrapped and missing == []
+
+
+@pytest.mark.parametrize("name, unused", [
+    ("passive_tha.cfg", "dual_source_key_rate"),
+    ("dual_source.cfg", "gllp_key_rate"),
+])
+def test_a_sweep_calls_each_layer_through_a_scenario_global(name, unused):
+    # The tracer times a layer only where scenario calls it by the module
+    # global it wraps; a call through another name would go unseen.
+    from voaleak import scenario
+    layers = ("replace", "observables_for_intensity", "single_photon_bounds",
+              "gllp_key_rate", "dual_source_key_rate")
+    assert {("voaleak.scenario", layer) for layer in layers} <= {
+        (module, attr) for module, attr, _ in _tracer_wrapped()}
+    config = scenario.load_config(ROOT / "configs" / name)
+    with contextlib.ExitStack() as stack:
+        spies = {layer: stack.enter_context(mock.patch.object(
+            scenario, layer, wraps=getattr(scenario, layer))) for layer in layers}
+        result = scenario.run_scenario(config)
+    assert len(result) == len(scenario.sweep_distances(config))
+    calls = {layer: spy.call_count for layer, spy in spies.items()}
+    assert calls == {**dict.fromkeys(layers, 1), unused: 0}
 
 
 def test_failing_property_gets_a_failure_report(tmp_path):
