@@ -77,7 +77,7 @@ class TraceSchemaError(VoaleakError):
 
 
 # The scalar types check_range and check_intensities take as numbers.
-_REAL_TYPES = (int, float, np.integer, np.floating)
+_REAL_TYPES = (int, float, np.integer)
 
 
 def check_range(name: str, value, lo: float, hi: float = math.inf,
@@ -86,10 +86,10 @@ def check_range(name: str, value, lo: float, hi: float = math.inf,
 
     Each end is closed unless its `*_open` flag is set. NaN, +-inf and
     an int too large for a double are always rejected, so an infinite
-    end reads as "finite and beyond the other end". Only an int (a bool
-    too), a float, a numpy integer or floating scalar, or a numpy array
-    of an integer or floating dtype is a number; anything else, such as
-    the text "1", a Decimal or an array of text, is rejected like NaN.
+    end reads as "finite and beyond the other end". A number is an int (a
+    bool too), a float (a numpy float64 too), a numpy integer, or an array
+    of an integer dtype or float64, so floats stay float64; anything else,
+    such as the text "1", a Decimal or a numpy float32, is rejected like NaN.
     An array passes when every element does, and the message quotes an
     element that fails.
     """
@@ -99,7 +99,8 @@ def check_range(name: str, value, lo: float, hi: float = math.inf,
             finite = math.isfinite(value)
         except OverflowError:  # an int beyond a double
             finite = False
-    elif isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+    elif isinstance(value, np.ndarray) and (value.dtype.kind in "iu"
+                                            or value.dtype == np.float64):
         # Checked through a NaN it holds, or else its least and greatest
         # elements. Python's min and max over a list cost less than two
         # numpy reductions on the few-element arrays a sweep passes, and

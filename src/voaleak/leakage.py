@@ -31,13 +31,17 @@ __all__ = ["EmissionSpec", "mean_photon_number"]
 class EmissionSpec(Record):
     """One driving configuration of the emitting device.
 
+    Each field is a config key of a block, `leakage.` in the sweep modes
+    or `emission.N.` in device mode; one with a default may be left out.
+
     Attributes:
-        drive_voltage: Forward bias on the junction [V], >= 0.
+        drive_voltage: Forward bias on the junction [V], >= 0; a label,
+            0 if left out.
         count_rate: Detected emission count rate C(U) [s^-1], >= 0.
         pulse_width: Receiver gate / pulse width dt [s], > 0.
     """
 
-    drive_voltage: float
+    drive_voltage: float = 0.0
     count_rate: float
     pulse_width: float
 

@@ -110,6 +110,7 @@ _SWEEP_KEYS = (
     _key("intensities.omega", "omega"),
     _key("conventions.f_ec", "f_ec", "[1, inf)"),
 )
+_SWEEP_MODES = ("passive_tha", "dual_source")  # each reads _SWEEP_KEYS
 # The config keys of each mode, in the order a message names them: the key,
 # the ScenarioConfig field it sets, the type its text parses as (Path for a
 # trace file) and its interval, if any. A field defaulting to None is required.
@@ -192,7 +193,7 @@ class ScenarioConfig(Record):
             raise ConfigurationError(
                 f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
         _out_of_range(bad, self.__dict__, _KEYS[self.mode])
-        if self.mode in ("passive_tha", "dual_source"):
+        if self.mode in _SWEEP_MODES:
             _out_of_range(bad, self.channel.__dict__, _CHANNEL_KEYS)
             if bad.keys().isdisjoint(_GRID_KEYS):
                 self._check_grid(bad)
@@ -336,18 +337,20 @@ def _parse_windows(raw: str, bad: dict) -> tuple[tuple[float, float], ...] | Non
     return tuple(out)
 
 
+_EMISSION_REQUIRED = [n for n in EmissionSpec._fields if n not in EmissionSpec._defaults]
+
+
 def _take_emission_spec(data: dict, prefix: str, bad: dict) -> EmissionSpec | None:
-    # The block under "leakage." or "emission.N."; its drive voltage only
-    # labels it (0 if left out). None where bad names a value or the block.
-    rate, width, voltage = (prefix + "count_rate", prefix + "pulse_width",
-                            prefix + "drive_voltage")
-    if rate not in data or width not in data:
-        raise ConfigurationError(f"{rate} and {width} must be given together")
-    values = (_take(data, voltage, bad) if voltage in data else 0.0,
-              _take(data, rate, bad), _take(data, width, bad))
+    # The block under "leakage." or "emission.N.", a key prefix + name for
+    # each EmissionSpec field. None where bad names a value or the block.
+    required = [prefix + name for name in _EMISSION_REQUIRED]
+    if not all(key in data for key in required):
+        raise ConfigurationError(f"{' and '.join(required)} must be given together")
+    values = {name: _take(data, prefix + name, bad)
+              for name in EmissionSpec._fields if prefix + name in data}
     try:
-        if None not in values:
-            return EmissionSpec(*values)
+        if None not in values.values():
+            return EmissionSpec(**values)
     except DomainError as exc:
         bad[prefix[:-1]] = f"{prefix[:-1]}: {exc}"
     return None
@@ -387,8 +390,8 @@ def config_from_mapping(
     Each value that cannot be taken is named by its key, and the config
     is checked once, so one ConfigurationError names every bad value.
     An error in the shape of the mapping raises at once: the mode, the
-    emission numbering, leakage.mu beside a count rate, a count rate or
-    pulse width alone, or an unrecognized key.
+    emission numbering, leakage.mu beside a leakage block, a block that
+    lacks an EmissionSpec field without a default, or an unrecognized key.
     """
     data = dict(data)
     if "mode" not in data:
@@ -398,14 +401,14 @@ def config_from_mapping(
     # bad names each value that cannot be taken; its field is left out.
     bad: dict[str, str] = {}
     fields = _take_rows(data, _KEYS.get(mode, ()), bad, base_dir)
-    if mode in ("passive_tha", "dual_source"):
+    if mode in _SWEEP_MODES:
         # Unchecked: _check checks each channel value by its key.
         fields["channel"] = unchecked(
             ChannelParams, _take_rows(data, _CHANNEL_KEYS, bad, base_dir))
-        if "leakage.count_rate" in data or "leakage.pulse_width" in data:
+        if any("leakage." + name in data for name in EmissionSpec._fields):
             if "mu_leak" in fields or "leakage.mu" in bad:
-                raise ConfigurationError("give either leakage.mu or "
-                                         "leakage.count_rate/pulse_width, not both")
+                raise ConfigurationError("give either leakage.mu or leakage."
+                                         f"{'/'.join(_EMISSION_REQUIRED)}, not both")
             if spec := _take_emission_spec(data, "leakage.", bad):
                 fields["mu_leak"] = mean_photon_number(spec)
     elif mode == "iv_fit" and "ivfit.windows" in data:
@@ -540,13 +543,11 @@ def _sweep(config: ScenarioConfig) -> SweepResult:
 
 
 def _run_fringe(config: ScenarioConfig) -> WavelengthResult:
-    reference = find_extrema_pair(
-        load_trace(config.reference_trace, "fringe"), config.smooth_window)
-    unknown = find_extrema_pair(
-        load_trace(config.unknown_trace, "fringe"), config.smooth_window)
+    reference, unknown = (
+        find_extrema_pair(load_trace(path, "fringe"), config.smooth_window)
+        for path in (config.reference_trace, config.unknown_trace))
     wl = center_wavelength(config.lambda_ref_nm, reference, unknown)
-    return WavelengthResult(wavelength_nm=wl, reference=reference,
-                            unknown=unknown)
+    return WavelengthResult(wavelength_nm=wl, reference=reference, unknown=unknown)
 
 
 def _run_iv_fit(config: ScenarioConfig) -> IvFitResult:
@@ -565,20 +566,18 @@ def _run_device(config: ScenarioConfig) -> LeakageResult:
     return LeakageResult(table)
 
 
+_RUNS = {**dict.fromkeys(_SWEEP_MODES, _sweep), "fringe": _run_fringe,
+         "iv_fit": _run_iv_fit, "device": _run_device}
+
+
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
-    """Evaluate one validated scenario.
+    """Evaluate one validated scenario by its mode's function in `_RUNS`.
 
     Sweep modes return a SweepResult; fringe, iv_fit and device modes
     return their respective result records. Deterministic: identical
     configs yield identical results.
     """
-    if config.mode in ("passive_tha", "dual_source"):
-        return _sweep(config)
-    if config.mode == "fringe":
-        return _run_fringe(config)
-    if config.mode == "iv_fit":
-        return _run_iv_fit(config)
-    return _run_device(config)
+    return _RUNS[config.mode](config)
 
 
 # ============================================================

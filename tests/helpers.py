@@ -256,6 +256,17 @@ def basis_fidelity(mu: float, angles: tuple[float, ...]) -> float:
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
+def fidelity_imbalance(mu: float, r: float = 1.0) -> float:
+    """The fidelity-optimal coin imbalance (1 - F) / 2 of a leak whose
+    encoder turns every angle of `PROTOCOL_ANGLES` by r times.
+
+    r is the encoder's phase at the leak's wavelength over its phase at
+    1550 nm; r = 1 is the BB84 angles of the closed form of
+    `coin_imbalance`, and at r = 2 the imbalance is (1 - e^(-mu)) / 2.
+    """
+    return (1.0 - basis_fidelity(mu, tuple(r * a for a in PROTOCOL_ANGLES))) / 2.0
+
+
 def decoy_observations(
     ch: ChannelParams, s: float, nu: float, omega: float, mu_el: float
 ) -> DecoyObservations:

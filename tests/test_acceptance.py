@@ -7,6 +7,7 @@ nothing is skipped or weakened.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,25 +25,32 @@ from voaleak import (
     coin_imbalance,
     fit_ideality,
     gllp_key_rate,
+    load_config,
     mean_photon_number,
     observables_for_intensity,
     phase_error_with_tha,
     run_scenario,
     single_photon_bounds,
 )
+from voaleak.errors import replace
 from helpers import (
     VERDICTS,
+    _last_positive,
+    _ref_passive_rate,
     brute_force_error_gain,
     brute_force_gain,
+    coin_imbalance_reference,
     decoy_observations,
     effective_single_photon,
     exact_statistics_cutoff,
+    fidelity_imbalance,
     passive_cutoff,
     random_channel,
     random_decoy_run,
     shockley_curve,
 )
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DRIVE_TABLE = (
     (EmissionSpec(1.4, 2.38e7, 2e-10), 0.0048),
     (EmissionSpec(1.4, 2.38e7, 1.6e-9), 0.0388),
@@ -276,3 +284,51 @@ def test_zero_imbalance_leaves_phase_error_unchanged():
     grid = np.linspace(0.0, 0.5, 101)
     ok = all(phase_error_with_tha(float(e), 0.0) == float(e) for e in grid)
     check(ok, "zero imbalance: phase error passes through unchanged")
+
+
+def test_coin_imbalance_of_a_scaled_encoder():
+    # ROADMAP item 13, at the shipped leak: the encoder turns the leak's
+    # angles by r times its 1550 nm angles. Delta_fid is the
+    # fidelity-optimal imbalance, U the exact-statistics cutoff at it.
+    mu = load_config(CONFIGS / "passive_tha.cfg").mu_leak
+    ratios = (1107 / 1550, 1.0, 1550 / 1107, 1.6, 2.0)
+    deltas = [fidelity_imbalance(mu, r) for r in ratios]
+    cutoffs = [exact_statistics_cutoff(delta) for delta in deltas]
+    VERDICTS.append(
+        f"INFO coin imbalance of an encoder scaled by r, at mu = {mu:.6f}: "
+        + "; ".join(f"r = {r:.3f}: Delta_fid = {delta:.6f}, U = {u:.2f} km"
+                    for r, delta, u in zip(ratios, deltas, cutoffs))
+        + f"; pinned coin_imbalance {coin_imbalance(mu):.6f}")
+    assert cutoffs == pytest.approx([43.33, 29.71, 16.02, 10.79, 3.01], abs=0.01)
+
+
+def test_range_loss_ledger():
+    # ROADMAP item 11, the rows that need no LP and no finite-size model:
+    # the cutoff of the shipped passive config as each assumption changes.
+    # "closed form" is the package's two-decoy chain, "true" the channel's
+    # own Y1 and e1.
+    config = load_config(CONFIGS / "passive_tha.cfg")
+    mu = config.mu_leak
+
+    def closed_form(coin):
+        return _last_positive(lambda d: _ref_passive_rate(config, d)(coin),
+                              config.distance_min, config.distance_max)
+
+    doubled = -math.expm1(-mu) / 2.0  # the coin of an r = 2 encoder
+    ledger = (
+        ("no leak, closed form",
+         passive_cutoff(replace(config, mu_leak=0.0)), 322.006),
+        ("the leak, closed form (the package)", passive_cutoff(config), 12.143),
+        ("the leak, true Y1 and e1",
+         exact_statistics_cutoff(coin_imbalance_reference(mu)), 12.307),
+        ("fidelity-optimal coin (r = 1), true Y1 and e1",
+         exact_statistics_cutoff(fidelity_imbalance(mu)), 29.710),
+        ("mu / 0.8 for eta_meas = 0.8, closed form",
+         passive_cutoff(replace(config, mu_leak=mu / 0.8)), 7.795),
+        ("r = 2 coin (1 - e^-mu)/2, closed form", closed_form(doubled), 2.888),
+        ("r = 2 coin, true Y1 and e1", exact_statistics_cutoff(doubled), 3.013),
+    )
+    VERDICTS.append(f"INFO range-loss ledger at mu = {mu:.6f}: " + "; ".join(
+        f"{label} {km:.3f} km" for label, km, _ in ledger))
+    for label, km, figure in ledger:
+        assert km == pytest.approx(figure, abs=1e-3), label

@@ -28,7 +28,7 @@ from voaleak import (
 )
 from voaleak.errors import check_range, interval, replace, unchecked
 from voaleak.scenario import config_from_mapping, parse_config_text, run_scenario
-from voaleak.security import coin_imbalance
+from voaleak.security import binary_entropy, coin_imbalance
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -270,10 +270,26 @@ def test_scenario_config_needs_its_mode():
      "y0 must lie in [0, 1), got array([None], dtype=object)"),
     (lambda: coin_imbalance(Decimal("0.1")), DomainError,
      "mu must be finite and >= 0, got Decimal('0.1')"),
+    # numpy floats other than float64, which would run the chain in
+    # their own precision; numpy's repr of a scalar differs by version.
+    (lambda: run_scenario(ScenarioConfig(mode="passive_tha", s=np.longdouble("0.48"))),
+     ConfigurationError, "invalid configuration fields: intensities.s must lie in "
+     f"(0, 100], got {np.longdouble('0.48')!r}"),
+    (lambda: ScenarioConfig(mode="passive_tha", distance_max=np.float16(20.0)),
+     ConfigurationError, "invalid configuration fields: sweep.distance_max must "
+     f"be finite and >= 0, got {np.float16(20.0)!r}"),
+    (lambda: binary_entropy(np.longdouble(0.1)), DomainError,
+     f"binary_entropy argument must lie in [0, 1], got {np.longdouble(0.1)!r}"),
+    (lambda: coin_imbalance(np.float32(0.1)), DomainError,
+     f"mu must be finite and >= 0, got {np.float32(0.1)!r}"),
+    (lambda: ChannelParams(distance=np.zeros(2, np.float32)), DomainError,
+     "distance must be finite and >= 0, got array([0., 0.], dtype=float32)"),
 ], ids=["config-step", "channel-y0", "emission-count-rate", "config-nu",
         "config-s-decimal", "config-step-decimal", "config-s-fraction",
         "config-nu-fraction", "channel-y0-text-array", "channel-y0-object-array",
-        "coin-imbalance-decimal"])
+        "coin-imbalance-decimal", "config-s-longdouble", "config-distance-max-float16",
+        "binary-entropy-longdouble", "coin-imbalance-float32",
+        "channel-distance-float32-array"])
 def test_a_non_number_is_named_by_its_key(build, error, message):
     # Given through the Python API, where no config text parses it first.
     with pytest.raises(VoaleakError) as info:

@@ -36,6 +36,10 @@ class TestEmissionSpec:
         with pytest.raises(DomainError):
             EmissionSpec(drive_voltage=-0.1, count_rate=1e6, pulse_width=1e-9)
 
+    def test_drive_voltage_defaults_to_zero(self):
+        # It only labels the configuration, so a block may leave it out.
+        assert EmissionSpec(count_rate=5.82e7, pulse_width=1.6e-9).drive_voltage == 0.0
+
 
 class TestMeanPhotonNumber:
     @pytest.mark.parametrize("drive,rate,width,target", DRIVE_TABLE)

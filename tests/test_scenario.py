@@ -213,10 +213,15 @@ class TestConfigFromMapping:
             config_from_mapping({"mode": "passive_tha", "leakage.mu": mu,
                                  "leakage.count_rate": "1e7"})
 
-    def test_count_rate_needs_pulse_width(self):
-        with pytest.raises(ConfigurationError, match="together"):
-            config_from_mapping({"mode": "passive_tha",
-                                 "leakage.count_rate": "1e7"})
+    # The drive voltage only labels a block, which still needs both of
+    # EmissionSpec's fields without a default.
+    @pytest.mark.parametrize("key, value", [("leakage.count_rate", "1e7"),
+                                            ("leakage.drive_voltage", "2")])
+    def test_count_rate_needs_pulse_width(self, key, value):
+        with pytest.raises(ConfigurationError) as info:
+            config_from_mapping({"mode": "passive_tha", key: value})
+        assert str(info.value) == (
+            "leakage.count_rate and leakage.pulse_width must be given together")
 
     def test_emission_numbering_must_be_contiguous(self):
         with pytest.raises(ConfigurationError, match="1..N"):

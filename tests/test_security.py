@@ -25,6 +25,7 @@ from helpers import (
     basis_fidelity,
     coin_imbalance_reference,
     decoy_observations,
+    fidelity_imbalance,
     h2,
     random_channel,
 )
@@ -112,6 +113,30 @@ class TestCoinImbalance:
         for mu in mus:
             optimal = (1.0 - basis_fidelity(float(mu), PROTOCOL_ANGLES)) / 2.0
             assert coin_imbalance(float(mu)) >= optimal, mu
+
+    # The encoder turns the leak's angles by r times its 1550 nm angles:
+    # r = 1107/1550 for a free-carrier modulator, about 1.40 where the
+    # index change is flat in wavelength. The pinned bound is an upper
+    # bound up to r = 1.5 (smallest margin 4.8e-4, at mu = 0.5).
+    @settings(max_examples=200, deadline=None)
+    @given(mu=st.floats(0.0048, 0.5), r=st.floats(0.0, 1.5))
+    def test_bounds_fidelity_optimal_imbalance_of_a_scaled_encoder(self, mu, r):
+        assert coin_imbalance(mu) >= fidelity_imbalance(mu, r)
+
+    def test_undercuts_the_imbalance_of_a_doubled_encoder(self):
+        # At r = 2 and the shipped leak the pinned bound lies below the
+        # fidelity-optimal imbalance: it assumes the BB84 angles.
+        mu = 0.097745
+        assert coin_imbalance(mu) == pytest.approx(0.029794, abs=1e-6)
+        assert fidelity_imbalance(mu, 2.0) == pytest.approx(0.046560, abs=1e-6)
+        assert coin_imbalance(mu) < fidelity_imbalance(mu, 2.0)
+
+    @pytest.mark.parametrize("mu", [1e-3, 0.01, 0.1, 1.0])
+    def test_doubled_encoder_closed_form(self, mu):
+        # At r = 2 each basis leaks an even/odd cat pair in its own mode,
+        # and only the even parts overlap: F = e^(-mu).
+        assert fidelity_imbalance(mu, 2.0) == pytest.approx(
+            -math.expm1(-mu) / 2.0, rel=1e-12, abs=0.0)
 
 
 class TestPhaseErrorInflation:
