@@ -23,6 +23,7 @@ from typing import Sequence
 
 from .errors import ConfigurationError, VoaleakError
 from .scenario import (
+    _SWEEP_MODES,
     SweepResult,
     load_config,
     result_to_text,
@@ -32,7 +33,7 @@ from .scenario import (
 
 # Each subcommand: the scenario modes it accepts and its help line.
 _COMMANDS = {
-    "sweep": (("passive_tha", "dual_source"), "run a key-rate vs distance sweep"),
+    "sweep": (_SWEEP_MODES, "run a key-rate vs distance sweep"),
     "wavelength": (("fringe",), "estimate the emission center wavelength from fringes"),
     "ivfit": (("iv_fit",), "fit diode ideality factors from an I-V trace"),
     "leakage": (("device",), "convert drive configurations to leaked photon numbers"),

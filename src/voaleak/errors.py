@@ -76,8 +76,16 @@ class TraceSchemaError(VoaleakError):
     category = "schema"
 
 
+# int (a bool too) and numpy's integer types, but not np.timedelta64.
+_INT_TYPES = (int, *{np.dtype(code).type for code in np.typecodes["AllInteger"]})
 # The scalar types check_range and check_intensities take as numbers.
-_REAL_TYPES = (int, float, np.integer)
+_REAL_TYPES = (float, *_INT_TYPES)
+
+
+def _real_array(value) -> bool:
+    # Whether value is an array of numbers: of an integer dtype or float64.
+    return isinstance(value, np.ndarray) and (value.dtype.kind in "iu"
+                                              or value.dtype == np.float64)
 
 
 def check_range(name: str, value, lo: float, hi: float = math.inf,
@@ -87,11 +95,11 @@ def check_range(name: str, value, lo: float, hi: float = math.inf,
     Each end is closed unless its `*_open` flag is set. NaN, +-inf and
     an int too large for a double are always rejected, so an infinite
     end reads as "finite and beyond the other end". A number is an int (a
-    bool too), a float (a numpy float64 too), a numpy integer, or an array
-    of an integer dtype or float64, so floats stay float64; anything else,
-    such as the text "1", a Decimal or a numpy float32, is rejected like NaN.
-    An array passes when every element does, and the message quotes an
-    element that fails.
+    Python bool too), a float (a numpy float64 too), a numpy integer, or an
+    array of an integer dtype or float64, so floats stay float64; anything
+    else is rejected like NaN: text, a Decimal or Fraction, a numpy float32,
+    timedelta64 or bool_, a bool array. An array passes when every element
+    does, and the message quotes an element that fails.
     """
     # A float skips the isinstance tests, a third of a scalar check's cost.
     if value.__class__ is float or isinstance(value, _REAL_TYPES):
@@ -99,8 +107,7 @@ def check_range(name: str, value, lo: float, hi: float = math.inf,
             finite = math.isfinite(value)
         except OverflowError:  # an int beyond a double
             finite = False
-    elif isinstance(value, np.ndarray) and (value.dtype.kind in "iu"
-                                            or value.dtype == np.float64):
+    elif _real_array(value):
         # Checked through a NaN it holds, or else its least and greatest
         # elements. Python's min and max over a list cost less than two
         # numpy reductions on the few-element arrays a sweep passes, and
@@ -143,12 +150,14 @@ def check_scan(record, trace: str) -> None:
     """Store a scan record's voltages and samples (its second field) as floats.
 
     Raises DomainError unless both are non-empty, finite 1-D arrays of
-    equal length and the voltages strictly increase. trace names the
-    trace in the messages.
+    integers or float64 (not copied) of equal length and the voltages
+    strictly increase. trace names the trace in the messages.
     """
     name = record._fields[1]
-    v = np.asarray(record.voltages, dtype=float)
-    y = np.asarray(record.__dict__[name], dtype=float)
+    v, y = np.asarray(record.voltages), np.asarray(record.__dict__[name])
+    if not (_real_array(v) and _real_array(y)):
+        raise DomainError(f"voltages and {name} must hold integers or float64")
+    v, y = v.astype(float, copy=False), y.astype(float, copy=False)
     if v.ndim != 1 or y.ndim != 1 or v.size != y.size:
         raise DomainError(f"voltages and {name} must be 1-D arrays of equal length")
     if v.size == 0:

@@ -10,12 +10,11 @@ a reference laser scan on the same interferometer.
 
 from __future__ import annotations
 
-from numbers import Integral
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
+    _INT_TYPES,
     ArrayRecord,
     DomainError,
     InsufficientDataError,
@@ -121,7 +120,7 @@ def find_extrema_pair(
     if len(trace) < MIN_SAMPLES:
         raise InsufficientDataError(
             f"need at least {MIN_SAMPLES} samples, got {len(trace)}")
-    if (not isinstance(smooth_window, Integral) or smooth_window < 1
+    if (not isinstance(smooth_window, _INT_TYPES) or smooth_window < 1
             or smooth_window % 2 == 0):
         raise DomainError(
             f"smooth_window must be an odd integer >= 1, got {smooth_window!r}")
@@ -129,7 +128,7 @@ def find_extrema_pair(
     u = trace.voltages
     try:
         with np.errstate(over="raise"):
-            s = _moving_average(trace.counts, smooth_window)
+            s = _moving_average(trace.counts, int(smooth_window))
     except FloatingPointError:
         raise DomainError("count rates overflow a double when smoothed") from None
 

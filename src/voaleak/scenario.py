@@ -22,8 +22,8 @@ configs produce byte-identical output files.
 from __future__ import annotations
 
 import math
+import re
 import sys
-from numbers import Integral
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
@@ -32,6 +32,8 @@ import numpy as np
 from .channel import ChannelParams, observables_for_intensity
 from .decoy import DecoyObservations, check_intensities, single_photon_bounds
 from .errors import (
+    _INT_TYPES,
+    _REAL_TYPES,
     ArrayRecord,
     ConfigurationError,
     DomainError,
@@ -98,6 +100,12 @@ def _key(key: str, field: str, text: str | None = None, kind=float) -> tuple:
     return key, field, kind, text and interval(text)
 
 
+def _windows(raw: str) -> tuple[tuple[float, float], ...]:
+    # The lo:hi pairs of an ivfit.windows value; any other text raises ValueError.
+    return tuple((float(lo), float(hi))
+                 for lo, hi in (part.split(":") for part in raw.split(",")))
+
+
 _SWEEP_KEYS = (
     _key("sweep.step", "step", "(0, inf)"),
     _key("sweep.distance_min", "distance_min", "[0, inf)"),
@@ -112,8 +120,8 @@ _SWEEP_KEYS = (
 )
 _SWEEP_MODES = ("passive_tha", "dual_source")  # each reads _SWEEP_KEYS
 # The config keys of each mode, in the order a message names them: the key,
-# the ScenarioConfig field it sets, the type its text parses as (Path for a
-# trace file) and its interval, if any. A field defaulting to None is required.
+# the ScenarioConfig field it sets, the kind its text is read as (see `_take`)
+# and its interval, if any. A field defaulting to None is required.
 _KEYS = {
     "passive_tha": (*_SWEEP_KEYS, _key("conventions.p_z", "p_z", "(0, 1]")),
     "dual_source": (*_SWEEP_KEYS, _key("conventions.q_proto", "q_proto", "(0, 1]")),
@@ -122,7 +130,8 @@ _KEYS = {
                _key("fringe.reference_trace", "reference_trace", kind=Path),
                _key("fringe.unknown_trace", "unknown_trace", kind=Path)),
     "iv_fit": (_key("ivfit.temperature", "temperature", "(0, inf)"),
-               _key("ivfit.trace", "iv_trace", kind=Path)),
+               _key("ivfit.trace", "iv_trace", kind=Path),
+               _key("ivfit.windows", "windows", kind=_windows)),
     "device": (),
 }
 MODES = tuple(_KEYS)
@@ -203,12 +212,13 @@ class ScenarioConfig(Record):
             except DomainError as exc:
                 _name(bad, "intensities", exc)
         elif self.mode == "fringe":
-            if not (isinstance(self.smooth_window, Integral) and self.smooth_window % 2):
+            if not (isinstance(window := self.smooth_window, _INT_TYPES) and window % 2):
                 _name(bad, "fringe.smooth_window", "must be an odd integer")
         elif self.mode == "iv_fit":
             if not self.windows:
                 _name(bad, "ivfit.windows", "at least one lo:hi window")
-            if not all(-math.inf < lo < hi < math.inf for lo, hi in self.windows):
+            if not all(isinstance(lo, _REAL_TYPES) and isinstance(hi, _REAL_TYPES)
+                       and -math.inf < lo < hi < math.inf for lo, hi in self.windows):
                 _name(bad, "ivfit.windows", "each lo:hi must be finite with lo < hi")
         elif not (bad or self.emission):
             _name(bad, "emission", "at least one emission.N.* block")
@@ -303,7 +313,7 @@ def apply_overrides(data: dict[str, str], overrides: Sequence[str]) -> None:
 
 
 def _take(data: dict, key: str, bad: dict, kind=float, base_dir: Path | str = "."):
-    # The value of key popped from data, read as kind; None where bad names it.
+    # key popped from data, as kind (float, int, _windows or Path); None if bad names it.
     raw = data.pop(key)
     try:
         if kind is not Path:
@@ -312,7 +322,8 @@ def _take(data: dict, key: str, bad: dict, kind=float, base_dir: Path | str = ".
             return Path(base_dir) / raw  # an absolute path stays as it is
     except ValueError:
         pass
-    expected = {float: "a number", int: "an integer", Path: "a file path"}[kind]
+    expected = {float: "a number", int: "an integer", Path: "a file path",
+                _windows: "lo:hi pairs"}[kind]
     bad[key] = f"{key}: expected {expected}, got {raw!r}"
     return None
 
@@ -321,20 +332,6 @@ def _take_rows(data: dict, rows, bad: dict, base_dir: Path | str) -> dict:
     # The fields of the rows whose keys data holds, but those bad names.
     return {field: value for key, field, kind, _ in rows if key in data
             and (value := _take(data, key, bad, kind, base_dir)) is not None}
-
-
-def _parse_windows(raw: str, bad: dict) -> tuple[tuple[float, float], ...] | None:
-    out = []
-    for part in map(str.strip, raw.split(",")):
-        lo, sep, hi = part.partition(":")
-        try:  # without a ":", hi is "", which float() refuses
-            out.append((float(lo), float(hi)))
-        except ValueError:
-            problem = (f"non-numeric window edge in {part!r}" if sep
-                       else f"expected lo:hi entries, got {part!r}")
-            bad["ivfit.windows"] = f"ivfit.windows: {problem}"
-            return None
-    return tuple(out)
 
 
 _EMISSION_REQUIRED = [n for n in EmissionSpec._fields if n not in EmissionSpec._defaults]
@@ -360,15 +357,12 @@ def _take_emission(data: dict, bad: dict) -> tuple[EmissionSpec | None, ...]:
     indices = set()
     for key in data:
         if key.startswith("emission."):
-            parts = key.split(".")
-            # isdecimal, not isdigit: int() rejects digits such as "²". A
-            # number is written as str gives it: not "01", not "٣".
-            if (len(parts) != 3 or not parts[1].isdecimal()
-                    or parts[1] != str(int(parts[1]))):
+            # N as str(int(N)) writes it, from 1: not "0", "01", "²" nor "٣".
+            if not (match := re.fullmatch(r"emission\.([1-9][0-9]*)\.[^.]*", key)):
                 raise ConfigurationError(
                     f"emission keys must look like emission.N.field, got {key!r}")
-            indices.add(int(parts[1]))
-    if indices and (min(indices) != 1 or max(indices) != len(indices)):
+            indices.add(int(match[1]))
+    if len(indices) != max(indices, default=0):
         raise ConfigurationError(
             "emission blocks must be numbered 1..N without gaps, got "
             f"{sorted(indices)}")
@@ -384,9 +378,9 @@ def config_from_mapping(
     Relative trace paths are resolved against base_dir. Only the keys
     the mode reads are taken; any other key is an error, so typos and
     settings meant for another mode cannot silently fall back to
-    defaults or be ignored. Each mode's keys and the fields they set
-    are declared once, as rows of `_KEYS` (and `_CHANNEL_KEYS` in a
-    sweep mode); a key the mapping leaves out keeps the field's default.
+    defaults or be ignored. Each key and the field it sets is a row of
+    `_KEYS` (or `_CHANNEL_KEYS`), but for the emission blocks, read from
+    `EmissionSpec`'s fields; a key left out keeps the field's default.
     Each value that cannot be taken is named by its key, and the config
     is checked once, so one ConfigurationError names every bad value.
     An error in the shape of the mapping raises at once: the mode, the
@@ -411,9 +405,6 @@ def config_from_mapping(
                                          f"{'/'.join(_EMISSION_REQUIRED)}, not both")
             if spec := _take_emission_spec(data, "leakage.", bad):
                 fields["mu_leak"] = mean_photon_number(spec)
-    elif mode == "iv_fit" and "ivfit.windows" in data:
-        if windows := _parse_windows(data.pop("ivfit.windows"), bad):
-            fields["windows"] = windows
     elif mode == "device":
         fields["emission"] = _take_emission(data, bad)
     config = unchecked(ScenarioConfig, {"mode": mode, **fields})

@@ -118,7 +118,7 @@ def package_config_keys():
         keys |= {(mode, key) for key, *_ in _CHANNEL_KEYS}
         keys |= {(mode, f"leakage.{name}") for name in EmissionSpec._fields}
     keys |= {("device", f"emission.N.{name}") for name in EmissionSpec._fields}
-    return keys | {("iv_fit", "ivfit.windows")}
+    return keys
 
 
 def test_config_key_table_lists_every_key_read():

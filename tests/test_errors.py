@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from voaleak import (
     CarrierState,
@@ -25,12 +26,28 @@ from voaleak import (
     SinglePhotonBounds,
     SweepResult,
     VoaleakError,
+    attenuation_db,
+    attenuation_from_counts,
+    bandgap_wavelength,
+    calibrated_intensity,
+    center_wavelength,
+    dual_source_key_rate,
+    find_extrema_pair,
+    fit_ideality,
+    gllp_key_rate,
+    load_trace,
+    observables_for_intensity,
+    phase_error_with_tha,
+    plasma_dispersion_general,
+    single_photon_bounds,
 )
+from voaleak.decoy import check_intensities
 from voaleak.errors import check_range, interval, replace, unchecked
 from voaleak.scenario import config_from_mapping, parse_config_text, run_scenario
 from voaleak.security import binary_entropy, coin_imbalance
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+DATA = CONFIGS.parent / "data"
 
 INF = math.inf
 NAN = math.nan
@@ -284,18 +301,62 @@ def test_scenario_config_needs_its_mode():
      f"mu must be finite and >= 0, got {np.float32(0.1)!r}"),
     (lambda: ChannelParams(distance=np.zeros(2, np.float32)), DomainError,
      "distance must be finite and >= 0, got array([0., 0.], dtype=float32)"),
+    # A numpy timedelta64 subclasses np.integer, but is no number.
+    (lambda: check_intensities(np.timedelta64(1), 0.02, 0.001), DomainError,
+     "s, nu, omega must satisfy 709 >= s > nu > omega >= 0 and nu + omega < s, "
+     f"got s={np.timedelta64(1)!r}, nu=0.02, omega=0.001"),
+    (lambda: ScenarioConfig(mode="passive_tha", s=np.timedelta64(1)), ConfigurationError,
+     "invalid configuration fields: intensities.s must lie in (0, 100], "
+     f"got {np.timedelta64(1)!r}"),
+    (lambda: CarrierState(np.timedelta64(1), 0), DomainError,
+     f"delta_n_e must be finite and >= 0, got {np.timedelta64(1)!r}"),
+    (lambda: fit_ideality(IvCurve(**IV), np.timedelta64(0), 0.3), DomainError,
+     f"v_lo must be finite, got {np.timedelta64(0)!r}"),
+    (lambda: find_extrema_pair(FringeTrace(np.arange(7), np.ones(7)), np.timedelta64(5)),
+     DomainError, "smooth_window must be an odd integer >= 1, "
+     f"got {np.timedelta64(5)!r}"),
+    (lambda: ScenarioConfig(mode="iv_fit", iv_trace="x", windows=(("0", "1"),)),
+     ConfigurationError, "invalid configuration fields: ivfit.windows "
+     "(each lo:hi must be finite with lo < hi)"),
 ], ids=["config-step", "channel-y0", "emission-count-rate", "config-nu",
         "config-s-decimal", "config-step-decimal", "config-s-fraction",
         "config-nu-fraction", "channel-y0-text-array", "channel-y0-object-array",
         "coin-imbalance-decimal", "config-s-longdouble", "config-distance-max-float16",
         "binary-entropy-longdouble", "coin-imbalance-float32",
-        "channel-distance-float32-array"])
+        "channel-distance-float32-array", "intensities-timedelta64",
+        "config-s-timedelta64", "carrier-state-timedelta64",
+        "fit-ideality-timedelta64", "smooth-window-timedelta64", "config-window-text"])
 def test_a_non_number_is_named_by_its_key(build, error, message):
     # Given through the Python API, where no config text parses it first.
     with pytest.raises(VoaleakError) as info:
         build()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+# A scan column is converted only from integers or float64: text, Decimal,
+# object, complex, float32 and timedelta64 columns are refused.
+@pytest.mark.parametrize("record", list(RECORDS), ids=lambda r: r.__name__)
+@pytest.mark.parametrize("voltages, samples", [
+    (["a", "1", "2"], [1, 2, 3]),
+    ([object(), 1, 2], [1, 2, 3]),
+    ([0, 1j], [1, 2]),
+    ([Decimal(0), Decimal(1)], [1, 2]),
+    ([0.0, 1.0], np.array([1, 2], np.float32)),
+    (np.array([0, 1], "m8[s]"), [1.0, 2.0]),
+], ids=["text", "object", "complex", "decimal", "float32", "timedelta64"])
+def test_a_trace_of_non_numbers_is_refused(record, voltages, samples):
+    with pytest.raises(DomainError) as info:
+        record(voltages, samples)
+    column = RECORDS[record]["column"]
+    assert str(info.value) == f"voltages and {column} must hold integers or float64"
+
+
+def test_a_float64_trace_is_stored_as_given():
+    voltages, counts = np.array([0.0, 0.5, 1.0]), np.array([1.0, 2.0, 3.0])
+    trace = FringeTrace(voltages, counts)
+    assert trace.voltages is voltages and trace.counts is counts
+    assert IvCurve([0, 1, 2], [1, 2, 3]).voltages.dtype == np.float64
 
 
 @pytest.mark.parametrize("record", [
@@ -451,3 +512,124 @@ def test_constructor_checks_and_unchecked_paths_do_not(cls, fields, bad):
     assert getattr(built, name) is value
     assert getattr(copied, name) is value
     assert getattr(good, name) is not value
+
+
+# ============================================================
+# Numbers enter once: one non-float64 value in one numeric argument
+# ============================================================
+
+# Values that are not float64 numbers. A Python bool is an int, and
+# passes where its 0 or 1 lies in range; every other kind is refused.
+NON_FLOATS = st.one_of(
+    st.decimals(), st.fractions(), st.text(max_size=4), st.none(),
+    st.complex_numbers(), st.booleans(),
+    st.floats(width=32).map(np.float32), st.floats(width=16).map(np.float16),
+    st.floats().map(np.longdouble), st.integers(-2 ** 62, 2 ** 62).map(np.timedelta64),
+    st.integers(-2 ** 40, 2 ** 40).map(lambda n: np.datetime64(n, "s")),
+    st.booleans().map(np.bool_),
+    st.lists(st.floats(), min_size=1, max_size=4).map(lambda xs: np.array(xs, object)),
+    st.lists(st.text(max_size=3), min_size=1, max_size=4).map(np.array))
+
+
+def _run(**fields):
+    return run_scenario(ScenarioConfig(**fields))
+
+
+def _run_window(lo, hi, **fields):
+    return _run(windows=((lo, hi),), **fields)
+
+
+DECOY = dict(s=0.48, nu=0.02, omega=0.001, q_s=0.01, q_nu=5e-4, q_omega=2e-5,
+             e_s=0.01, e_nu=0.03, e_omega=0.5)
+OBS = DecoyObservations(**DECOY)
+# Each public callable and record with a numeric argument, with valid
+# arguments: (name, callable, arguments). Every int, float or list among
+# the arguments is a numeric argument; a list is a scan column.
+CALLS = [
+    ("ChannelParams", ChannelParams, vars(ChannelParams())),
+    ("CarrierState", CarrierState, dict(delta_n_e=1e17, delta_n_h=1e17)),
+    ("EmissionSpec", EmissionSpec,
+     dict(drive_voltage=2.0, count_rate=5.82e7, pulse_width=1.6e-9)),
+    ("DecoyObservations", DecoyObservations, DECOY),
+    ("SinglePhotonBounds", SinglePhotonBounds,
+     dict(y1_lower=0.5, e1_upper=0.1, q1_lower=0.15, y0_lower=1e-6, clamp_events=0)),
+    ("ExtremaPair", ExtremaPair, dict(u_max=1.0, u_min=2.0)),
+    ("ScenarioConfig-passive_tha", _run,
+     dict(mode="passive_tha", s=0.48, nu=0.02, omega=0.001, p_z=1.0, f_ec=1.2,
+          mu_leak=0.01, distance_min=0.0, distance_max=2.0, step=1.0)),
+    ("ScenarioConfig-dual_source", _run, dict(mode="dual_source", q_proto=0.5)),
+    ("ScenarioConfig-fringe", _run,
+     dict(mode="fringe", reference_trace=DATA / "fringe_reference.csv",
+          unknown_trace=DATA / "fringe_voa.csv", lambda_ref_nm=1550.82, smooth_window=5)),
+    ("ScenarioConfig-iv_fit", _run_window,
+     dict(mode="iv_fit", iv_trace=DATA / "iv_trace.csv", temperature=300.0,
+          lo=0.0, hi=0.45)),
+    ("FringeTrace", FringeTrace, dict(voltages=[0.0, 0.5, 1.0], counts=[1.0, 2.0, 3.0])),
+    ("IvCurve", IvCurve, dict(voltages=[0.0, 0.5, 1.0], currents=[0.0, 1e-6, 1e-3])),
+    ("observables_for_intensity", observables_for_intensity,
+     dict(gamma=0.48, mu_el=0.01, ch=ChannelParams())),
+    ("binary_entropy", binary_entropy, dict(x=0.1)),
+    ("coin_imbalance", coin_imbalance, dict(mu=0.1)),
+    ("phase_error_with_tha", phase_error_with_tha, dict(e_x=0.02, delta_prime=0.1)),
+    ("gllp_key_rate", gllp_key_rate,
+     dict(obs=OBS, bounds=single_photon_bounds(OBS), mu_eve=0.1, p_z=1.0, f_ec=1.2)),
+    ("dual_source_key_rate", dual_source_key_rate,
+     dict(obs=OBS, bounds=single_photon_bounds(OBS), q_proto=0.5, f_ec=1.2)),
+    ("calibrated_intensity", calibrated_intensity,
+     dict(q_observed=0.01, eta=0.1, y0=1e-6)),
+    ("plasma_dispersion_general", plasma_dispersion_general,
+     dict(carriers=CarrierState(1e17, 1e17), wavelength=1550.0)),
+    ("attenuation_db", attenuation_db, dict(delta_alpha=1.0, length=0.1)),
+    ("attenuation_from_counts", attenuation_from_counts,
+     dict(counts_on=1e5, counts_off=2e5)),
+    ("bandgap_wavelength", bandgap_wavelength, dict(e_g=1.12)),
+    ("fit_ideality", fit_ideality,
+     dict(iv=load_trace(DATA / "iv_trace.csv", "iv"), v_lo=0.0, v_hi=0.45,
+          temperature=300.0)),
+    ("find_extrema_pair", find_extrema_pair,
+     dict(trace=load_trace(DATA / "fringe_reference.csv", "fringe"), smooth_window=5)),
+    ("center_wavelength", center_wavelength,
+     dict(lambda_ref=1550.82, reference=ExtremaPair(0.95, 1.6),
+          unknown=ExtremaPair(0.66, 1.26))),
+]
+ARGUMENTS = [(name, call, fields, arg) for name, call, fields in CALLS
+             for arg, value in fields.items() if isinstance(value, (int, float, list))]
+
+
+def _with(fields, arg, value):
+    # The arguments with value in arg: a scalar in the middle of a scan
+    # column, an array in place of it.
+    column = fields[arg]
+    if isinstance(column, list) and not isinstance(value, np.ndarray):
+        value = [*column[:1], value, *column[2:]]
+    return {**fields, arg: value}
+
+
+@pytest.mark.parametrize("name, call, fields", CALLS, ids=[c[0] for c in CALLS])
+def test_each_baseline_call_returns(name, call, fields):
+    call(**fields)
+
+
+@pytest.mark.parametrize("call, fields, arg", [a[1:] for a in ARGUMENTS],
+                         ids=[f"{a[0]}.{a[3]}" for a in ARGUMENTS])
+@settings(max_examples=20, deadline=None)
+@given(value=NON_FLOATS)
+@example(value=Decimal("0.5"))
+@example(value=Fraction(1, 2))
+@example(value="0.5")
+@example(value=None)
+@example(value=0.5 + 0j)
+@example(value=True)
+@example(value=np.float32(0.5))
+@example(value=np.float16(0.5))
+@example(value=np.longdouble(0.5))
+@example(value=np.timedelta64(1))
+@example(value=np.datetime64(1, "s"))
+@example(value=np.bool_(True))
+@example(value=np.array([0.5], object))
+@example(value=np.array(["0.5"]))
+def test_a_non_float_argument_returns_or_raises_a_voaleak_error(call, fields, arg, value):
+    try:
+        call(**_with(fields, arg, value))
+    except VoaleakError:
+        pass

@@ -124,6 +124,15 @@ class TestFindExtremaPair:
         assert (find_extrema_pair(trace, smooth_window=np.int64(5))
                 == find_extrema_pair(trace, smooth_window=5))
 
+    # Read as a Python int: an unsigned window's edge indices would wrap
+    # below zero, and sliding_window_view takes no bool.
+    @pytest.mark.parametrize("window, plain", [(np.uint8(5), 5), (np.uint64(5), 5),
+                                               (True, 1)])
+    def test_unsigned_and_bool_windows_read_as_ints(self, window, plain):
+        trace = FringeTrace(*synthetic_fringe(REF_C2, REF_PHI0))
+        assert (find_extrema_pair(trace, smooth_window=window)
+                == find_extrema_pair(trace, smooth_window=plain))
+
     def test_count_rates_whose_window_sums_overflow(self):
         u, counts = synthetic_fringe(REF_C2, REF_PHI0)
         trace = FringeTrace(u, counts * (1e308 / counts.max()))

@@ -233,9 +233,9 @@ class TestConfigFromMapping:
                 "emission.3.pulse_width": "1e-9",
             })
 
-    # A block number is read only as str(int(n)) writes it, and an error
+    # A block number n >= 1 is read only as str(int(n)) writes it, and an error
     # quotes the key as the config wrote it.
-    @pytest.mark.parametrize("number", ["01", "00", "\u0661"])
+    @pytest.mark.parametrize("number", ["0", "01", "00", "\u0661"])
     def test_emission_number_is_written_plainly(self, number):
         key = f"emission.{number}.count_rate"
         with pytest.raises(ConfigurationError) as info:
@@ -244,17 +244,21 @@ class TestConfigFromMapping:
         assert str(info.value) == (
             f"emission keys must look like emission.N.field, got {key!r}")
 
-    def test_windows_parsing(self):
+    # float() ignores the whitespace around each edge.
+    @pytest.mark.parametrize("text", ["0.0:0.45, 0.5:0.8", " 0 : 0.45 ,0.5:0.8"])
+    def test_windows_parsing(self, text):
         cfg = config_from_mapping({
-            "mode": "iv_fit", "ivfit.trace": "t.csv",
-            "ivfit.windows": "0.0:0.45, 0.5:0.8",
+            "mode": "iv_fit", "ivfit.trace": "t.csv", "ivfit.windows": text,
         })
         assert cfg.windows == ((0.0, 0.45), (0.5, 0.8))
 
-    def test_windows_malformed(self):
-        with pytest.raises(ConfigurationError, match="lo:hi"):
+    @pytest.mark.parametrize("text", ["0.0-0.45", "a:b", "0:1:2", "", "0:1,"])
+    def test_windows_malformed(self, text):
+        with pytest.raises(ConfigurationError) as info:
             config_from_mapping({"mode": "iv_fit", "ivfit.trace": "t.csv",
-                                 "ivfit.windows": "0.0-0.45"})
+                                 "ivfit.windows": text})
+        assert str(info.value) == ("invalid configuration fields: ivfit.windows: "
+                                   f"expected lo:hi pairs, got {text!r}")
 
     def test_relative_paths_resolve_against_base_dir(self, tmp_path):
         cfg = config_from_mapping(
@@ -1270,7 +1274,7 @@ class TestCliErrorContract:
          "sweep.step: expected a number, got 'x'; "
          "leakage.count_rate: expected a number, got 'x'"),
         ("ivfit.cfg", {"ivfit.windows": "a:b", "ivfit.temperature": "-1"},
-         "ivfit.windows: non-numeric window edge in 'a:b'; "
+         "ivfit.windows: expected lo:hi pairs, got 'a:b'; "
          "ivfit.temperature must be finite and > 0, got -1.0"),
         ("ivfit.cfg", {"ivfit.trace": "", "ivfit.temperature": "-1"},
          "ivfit.trace: expected a file path, got ''; "
