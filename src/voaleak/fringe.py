@@ -90,6 +90,12 @@ def _local_extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return middle[rise[:-1] > rise[1:]], middle[rise[:-1] < rise[1:]]
 
 
+def check_smooth_window(window) -> None:
+    """Raise DomainError unless the smoothing window is an odd integer >= 1."""
+    if not (isinstance(window, _INT_TYPES) and window >= 1 and window % 2):
+        raise DomainError(f"smooth_window must be an odd integer >= 1, got {window!r}")
+
+
 def find_extrema_pair(
     trace: FringeTrace,
     smooth_window: int = 5,
@@ -120,10 +126,7 @@ def find_extrema_pair(
     if len(trace) < MIN_SAMPLES:
         raise InsufficientDataError(
             f"need at least {MIN_SAMPLES} samples, got {len(trace)}")
-    if (not isinstance(smooth_window, _INT_TYPES) or smooth_window < 1
-            or smooth_window % 2 == 0):
-        raise DomainError(
-            f"smooth_window must be an odd integer >= 1, got {smooth_window!r}")
+    check_smooth_window(smooth_window)
 
     u = trace.voltages
     try:

@@ -32,8 +32,6 @@ import numpy as np
 from .channel import ChannelParams, observables_for_intensity
 from .decoy import DecoyObservations, check_intensities, single_photon_bounds
 from .errors import (
-    _INT_TYPES,
-    _REAL_TYPES,
     ArrayRecord,
     ConfigurationError,
     DomainError,
@@ -45,10 +43,12 @@ from .errors import (
     replace,
     unchecked,
 )
-from .fringe import ExtremaPair, FringeTrace, center_wavelength, find_extrema_pair
+from .fringe import (ExtremaPair, FringeTrace, center_wavelength, check_smooth_window,
+                     find_extrema_pair)
 from .leakage import EmissionSpec, mean_photon_number
 from .security import dual_source_key_rate, gllp_key_rate
-from .voa_physics import DEFAULT_FIT_WINDOWS, IdealityFit, IvCurve, fit_ideality
+from .voa_physics import (DEFAULT_FIT_WINDOWS, IdealityFit, IvCurve, check_fit_window,
+                          fit_ideality)
 
 __all__ = [
     "MODES",
@@ -126,7 +126,7 @@ _KEYS = {
     "passive_tha": (*_SWEEP_KEYS, _key("conventions.p_z", "p_z", "(0, 1]")),
     "dual_source": (*_SWEEP_KEYS, _key("conventions.q_proto", "q_proto", "(0, 1]")),
     "fringe": (_key("fringe.lambda_ref_nm", "lambda_ref_nm", "(0, inf)"),
-               _key("fringe.smooth_window", "smooth_window", "[1, inf)", int),
+               _key("fringe.smooth_window", "smooth_window", kind=int),
                _key("fringe.reference_trace", "reference_trace", kind=Path),
                _key("fringe.unknown_trace", "unknown_trace", kind=Path)),
     "iv_fit": (_key("ivfit.temperature", "temperature", "(0, inf)"),
@@ -195,9 +195,8 @@ class ScenarioConfig(Record):
         self._check({})
 
     def _check(self, bad: dict[str, str]) -> None:
-        # bad maps each key whose value `config_from_mapping` could not take
-        # to its message. A rule that reads a key in bad is skipped, and
-        # `_name` adds a message only for a key not yet named in bad.
+        # bad maps each key `config_from_mapping` could not take to its message.
+        # A key's value rule that a layer applies too is the layer's, via `_rule`.
         if self.mode not in MODES:
             raise ConfigurationError(
                 f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
@@ -206,20 +205,15 @@ class ScenarioConfig(Record):
             _out_of_range(bad, self.channel.__dict__, _CHANNEL_KEYS)
             if bad.keys().isdisjoint(_GRID_KEYS):
                 self._check_grid(bad)
-            try:
-                if bad.keys().isdisjoint(_INTENSITY_KEYS):
-                    check_intensities(self.s, self.nu, self.omega)
-            except DomainError as exc:
-                _name(bad, "intensities", exc)
+            if bad.keys().isdisjoint(_INTENSITY_KEYS):
+                _rule(bad, "intensities", check_intensities, self.s, self.nu, self.omega)
         elif self.mode == "fringe":
-            if not (isinstance(window := self.smooth_window, _INT_TYPES) and window % 2):
-                _name(bad, "fringe.smooth_window", "must be an odd integer")
+            _rule(bad, "fringe.smooth_window", check_smooth_window, self.smooth_window)
         elif self.mode == "iv_fit":
             if not self.windows:
                 _name(bad, "ivfit.windows", "at least one lo:hi window")
-            if not all(isinstance(lo, _REAL_TYPES) and isinstance(hi, _REAL_TYPES)
-                       and -math.inf < lo < hi < math.inf for lo, hi in self.windows):
-                _name(bad, "ivfit.windows", "each lo:hi must be finite with lo < hi")
+            for lo, hi in self.windows:
+                _rule(bad, "ivfit.windows", check_fit_window, lo, hi)
         elif not (bad or self.emission):
             _name(bad, "emission", "at least one emission.N.* block")
         if bad:
@@ -254,6 +248,14 @@ class ScenarioConfig(Record):
 def _name(bad: dict[str, str], key: str, reason) -> None:
     # A rule's message "key (reason)", unless bad names the key already.
     bad.setdefault(key, f"{key} ({reason})")
+
+
+def _rule(bad: dict[str, str], key: str, check, *values) -> None:
+    # Names key by the reason check(*values) gives for a DomainError, if any.
+    try:
+        check(*values)
+    except DomainError as exc:
+        _name(bad, key, exc)
 
 
 def _out_of_range(bad: dict[str, str], values: dict, rows) -> None:

@@ -274,6 +274,12 @@ def bandgap_wavelength(e_g: float) -> float:
 # Ideality factor
 # ============================================================
 
+def check_fit_window(v_lo, v_hi) -> None:
+    """Raise DomainError unless v_lo and v_hi are finite with v_lo < v_hi."""
+    check_range("v_lo", v_lo, -math.inf)
+    check_range("v_hi", v_hi, v_lo, lo_open=True)
+
+
 def fit_ideality(
     iv: IvCurve, v_lo: float, v_hi: float, temperature: float = 300.0
 ) -> IdealityFit:
@@ -300,8 +306,7 @@ def fit_ideality(
             or a temperature that makes slope * k * T zero or infinite.
         InsufficientDataError: fewer than 3 samples in the window.
     """
-    check_range("v_lo", v_lo, -math.inf)
-    check_range("v_hi", v_hi, v_lo, lo_open=True)
+    check_fit_window(v_lo, v_hi)
     check_range("temperature", temperature, 0.0, lo_open=True)
 
     mask = (iv.voltages >= v_lo) & (iv.voltages <= v_hi)

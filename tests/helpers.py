@@ -431,12 +431,19 @@ def scalar_reference_sweep(config):
     return rows, privacy
 
 
-def _ref_passive_rate(c, distance: float):
+def ref_gains(c, distance: float) -> tuple[list[float], list[float]]:
+    """The gains and error rates of config c at s, nu and omega, at
+    distance and without the leak, on the scalar chain."""
+    obs = [_ref_observables(g, 0.0, c.channel, distance) for g in (c.s, c.nu, c.omega)]
+    return [o[0] for o in obs], [o[1] for o in obs]
+
+
+def _ref_passive_rate(c, distance: float, bounds=_ref_bounds):
     # The passive rate of config c at distance, as a function of the coin
     # imbalance: the observables and bounds do not depend on the leak.
-    obs = [_ref_observables(g, 0.0, c.channel, distance) for g in (c.s, c.nu, c.omega)]
-    q, e = [o[0] for o in obs], [o[1] for o in obs]
-    y1, e1, _ = _ref_bounds(c.s, c.nu, c.omega, q, e)
+    # bounds(s, nu, omega, q, e) gives Y1_L and e1_U first.
+    q, e = ref_gains(c, distance)
+    y1, e1, *_ = bounds(c.s, c.nu, c.omega, q, e)
     return lambda coin: _ref_gllp(c.s, q[0], e[0], y1, e1, coin, c.p_z, c.f_ec)[0]
 
 
@@ -469,18 +476,88 @@ def passive_mu_max(config, distance: float) -> float:
     return _last_positive(lambda mu: rate(coin_imbalance_reference(mu)), 0.0, 100.0)
 
 
-def passive_cutoff(config) -> float:
+def passive_cutoff(config, bounds=_ref_bounds) -> float:
     """The exact cutoff [km] of config's leak: the largest distance at
     which the passive rate at config.mu_leak is still positive.
 
     Bisection in distance on the scalar chain above, between the ends of
     config's sweep grid, with the bracket and result of `passive_mu_max`.
     Count rates are taken as referred to the chip's output (efficiency
-    1), as README states. No package function is called.
+    1), as README states. The single-photon bounds are the closed form's,
+    or those of bounds, such as `lp_bounds`. No package function is called.
     """
     coin = coin_imbalance_reference(config.mu_leak)
-    return _last_positive(lambda d: _ref_passive_rate(config, d)(coin),
+    return _last_positive(lambda d: _ref_passive_rate(config, d, bounds)(coin),
                           config.distance_min, config.distance_max)
+
+
+# ============================================================
+# Adversarial LP over the photon-number yields
+# ============================================================
+
+# The photon numbers the LP resolves; those above are the Poisson tail.
+LP_PHOTONS = 12
+
+
+def lp_rows(s: float, nu: float, omega: float, q, e) -> list[tuple]:
+    """The LP's constraints, one per observation: (weights, observation,
+    tail), for the gain Q = sum P(n) Y_n and the error gain E Q =
+    sum P(n) Z_n at each intensity. The sum over n <= 12 must lie between
+    observation - tail and observation, where tail is the Poisson weight
+    of the photon numbers past 12, whose yields are free in [0, 1]."""
+    rows = []
+    for g, q_g, e_g in zip((s, nu, omega), q, e):
+        weights = poisson_weights(g, 4 * LP_PHOTONS)
+        tail = math.fsum(weights[LP_PHOTONS + 1:])
+        rows += [(weights[:LP_PHOTONS + 1], q_g, tail),
+                 (weights[:LP_PHOTONS + 1], e_g * q_g, tail)]
+    return rows
+
+
+def lp_vertices(s: float, nu: float, omega: float, q, e) -> tuple:
+    """The vertices (Y, Z) at which HiGHS minimises Y_1 and maximises Z_1
+    over every yield vector that meets the observations q and e at s, nu
+    and omega: Y_0..Y_12 and Z_n = e_n Y_n with 0 <= Z_n <= Y_n <= 1,
+    under `lp_rows`. The slack lets the tail differ between intensities,
+    so the LP is looser than the true infimum, by at most the tail.
+
+    Each row is divided by its observation, and Y_n and Z_n are solved for
+    as multiples of Q_s / P_s(n), so that HiGHS's absolute tolerances
+    (here 1e-10) read as relative ones. Needs scipy.
+    """
+    from scipy.optimize import linprog
+
+    n, rows = LP_PHOTONS + 1, lp_rows(s, nu, omega, q, e)
+    unit = np.tile(q[0] / np.array(rows[0][0]), 2)  # Y_n, Z_n = x_n * unit_n
+    a_rows = np.zeros((len(rows), 2 * n))
+    for k, (weights, observed, _) in enumerate(rows):
+        a_rows[k, n * (k % 2):n * (k % 2 + 1)] = np.array(weights) / observed
+    a_rows *= unit
+    lower = [1.0 - tail / observed for _, observed, tail in rows]
+    ordered = np.hstack([-np.eye(n), np.eye(n)]) * unit  # Z_n - Y_n <= 0
+    a_ub = np.vstack([a_rows, -a_rows, ordered])
+    b_ub = np.concatenate([np.ones(len(rows)), -np.array(lower), np.zeros(n)])
+    options = {"primal_feasibility_tolerance": 1e-10,
+               "dual_feasibility_tolerance": 1e-10}
+    vertices = []
+    for column, sign in ((1, 1.0), (n + 1, -1.0)):
+        cost = np.zeros(2 * n)
+        cost[column] = sign
+        result = linprog(cost, A_ub=a_ub, b_ub=b_ub,
+                         bounds=[(0.0, 1.0 / u) for u in unit],
+                         method="highs", options=options)
+        if result.status != 0:
+            raise RuntimeError(result.message)
+        x = (result.x * unit).tolist()
+        vertices.append((x[:n], x[n:]))
+    return tuple(vertices)
+
+
+def lp_bounds(s: float, nu: float, omega: float, q, e) -> tuple[float, float]:
+    """The LP's Y1_L, the least Y_1, and e1_U = min(Z1_U / Y1_L, 1/2),
+    with Z1_U the greatest Z_1, in the shape of `_ref_bounds`."""
+    (y_low, _), (_, z_high) = lp_vertices(s, nu, omega, q, e)
+    return y_low[1], min(z_high[1] / y_low[1], 0.5)
 
 
 # ============================================================

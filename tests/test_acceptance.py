@@ -5,6 +5,7 @@ the end of the run) and then asserts. Failures stay plain red;
 nothing is skipped or weakened.
 """
 
+import importlib.util
 import math
 import time
 from pathlib import Path
@@ -44,6 +45,7 @@ from helpers import (
     effective_single_photon,
     exact_statistics_cutoff,
     fidelity_imbalance,
+    lp_bounds,
     passive_cutoff,
     random_channel,
     random_decoy_run,
@@ -303,10 +305,11 @@ def test_coin_imbalance_of_a_scaled_encoder():
 
 
 def test_range_loss_ledger():
-    # ROADMAP item 11, the rows that need no LP and no finite-size model:
-    # the cutoff of the shipped passive config as each assumption changes.
-    # "closed form" is the package's two-decoy chain, "true" the channel's
-    # own Y1 and e1.
+    # ROADMAP item 11, but its finite-size row: the cutoff of the shipped
+    # passive config as each assumption changes. "closed form" is the
+    # package's two-decoy chain, "true" the channel's own Y1 and e1, "LP"
+    # the tightest Y1 and e1 that s, nu and omega allow, a row that needs
+    # scipy and is left out without it.
     config = load_config(CONFIGS / "passive_tha.cfg")
     mu = config.mu_leak
 
@@ -328,6 +331,9 @@ def test_range_loss_ledger():
         ("r = 2 coin (1 - e^-mu)/2, closed form", closed_form(doubled), 2.888),
         ("r = 2 coin, true Y1 and e1", exact_statistics_cutoff(doubled), 3.013),
     )
+    if importlib.util.find_spec("scipy") is not None:
+        ledger += (("the leak, tightest Y1 and e1 from s, nu, omega (LP)",
+                    passive_cutoff(config, lp_bounds), 12.182),)
     VERDICTS.append(f"INFO range-loss ledger at mu = {mu:.6f}: " + "; ".join(
         f"{label} {km:.3f} km" for label, km, _ in ledger))
     for label, km, figure in ledger:

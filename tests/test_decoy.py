@@ -1,6 +1,8 @@
 """Two-decoy lower/upper bounds on single-photon statistics."""
 
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +12,18 @@ from voaleak import (
     ChannelParams,
     DecoyObservations,
     DomainError,
+    load_config,
+    run_scenario,
     single_photon_bounds,
 )
+from voaleak.errors import replace
 from helpers import (
     decoy_observations,
     effective_single_photon,
+    lp_rows,
+    lp_vertices,
     random_decoy_run,
+    ref_gains,
 )
 
 
@@ -190,3 +198,44 @@ class TestClampPolicy:
         assert 0 <= b.clamp_events <= 3
         if b.y1_lower == 0.0:
             assert b.e1_upper == 0.5 and b.clamp_events >= 1
+
+
+def _exact_violation(vertex, rows) -> Fraction:
+    # The worst violation of the LP's constraints by a vertex (Y, Z), in
+    # exact arithmetic on its floats: each observation's by its share of
+    # the observation, and 0 <= Z_n <= Y_n <= 1 by its share of Y_1.
+    y, z = ([Fraction(v) for v in half] for half in vertex)
+    worst = Fraction(0)
+    for k, (weights, observed, tail) in enumerate(rows):
+        total = sum(Fraction(w) * v for w, v in zip(weights, (y, z)[k % 2]))
+        observed, tail = Fraction(observed), Fraction(tail)
+        worst = max(worst, (total - observed) / observed,
+                    (observed - tail - total) / observed)
+    for y_n, z_n in zip(y, z):
+        worst = max(worst, -z_n / y[1], (z_n - y_n) / y[1], (y_n - 1) / y[1])
+    return worst
+
+
+class TestAdversarialLP:
+    """ROADMAP item 11's oracle: no yield vector that meets the
+    observations has a smaller Y_1 than the package's Y1_L, or an error
+    rate e_1 beyond its e1_U. HiGHS finds the extreme vectors; each is
+    checked in exact arithmetic, to the 1e-9 that HiGHS works to, so this
+    oracle cannot judge ROADMAP item 3's tiny decoy gaps."""
+
+    def test_package_bounds_never_beat_the_lp(self):
+        pytest.importorskip("scipy.optimize")
+        config = replace(load_config(Path(__file__).resolve().parent.parent
+                                     / "configs" / "passive_tha.cfg"),
+                         distance_min=0.0, distance_max=300.0, step=10.0)
+        rows = run_scenario(config).rows.tolist()
+        assert len(rows) == 31
+        s, nu, omega = config.s, config.nu, config.omega
+        for distance, *_, y1_lower, e1_upper in rows:
+            q, e = ref_gains(config, distance)
+            low, high = lp_vertices(s, nu, omega, q, e)
+            for vertex in (low, high):
+                assert _exact_violation(vertex, lp_rows(s, nu, omega, q, e)) <= 1e-9
+            y1, z1 = low[0][1], high[1][1]
+            assert y1_lower <= y1 * (1.0 + 1e-7), distance
+            assert e1_upper >= min(z1 / y1, 0.5) * (1.0 - 1e-7), distance

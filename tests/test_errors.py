@@ -317,7 +317,14 @@ def test_scenario_config_needs_its_mode():
      f"got {np.timedelta64(5)!r}"),
     (lambda: ScenarioConfig(mode="iv_fit", iv_trace="x", windows=(("0", "1"),)),
      ConfigurationError, "invalid configuration fields: ivfit.windows "
-     "(each lo:hi must be finite with lo < hi)"),
+     "(v_lo must be finite, got '0')"),
+    # Ints beyond a double, which no config text gives.
+    (lambda: ScenarioConfig(mode="iv_fit", iv_trace="x", windows=((0, 10**400),)),
+     ConfigurationError, "invalid configuration fields: ivfit.windows "
+     f"(v_hi must be finite and > 0, got {10**400!r})"),
+    (lambda: ScenarioConfig(mode="iv_fit", iv_trace="x", windows=((-10**400, 0),)),
+     ConfigurationError, "invalid configuration fields: ivfit.windows "
+     f"(v_lo must be finite, got {-10**400!r})"),
 ], ids=["config-step", "channel-y0", "emission-count-rate", "config-nu",
         "config-s-decimal", "config-step-decimal", "config-s-fraction",
         "config-nu-fraction", "channel-y0-text-array", "channel-y0-object-array",
@@ -325,7 +332,8 @@ def test_scenario_config_needs_its_mode():
         "binary-entropy-longdouble", "coin-imbalance-float32",
         "channel-distance-float32-array", "intensities-timedelta64",
         "config-s-timedelta64", "carrier-state-timedelta64",
-        "fit-ideality-timedelta64", "smooth-window-timedelta64", "config-window-text"])
+        "fit-ideality-timedelta64", "smooth-window-timedelta64", "config-window-text",
+        "config-window-huge-hi", "config-window-huge-lo"])
 def test_a_non_number_is_named_by_its_key(build, error, message):
     # Given through the Python API, where no config text parses it first.
     with pytest.raises(VoaleakError) as info:

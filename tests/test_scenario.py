@@ -15,14 +15,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import voaleak.scenario as scenario
 from voaleak import (
     ConfigurationError,
     DecoyObservations,
+    DomainError,
     FringeTrace,
+    InsufficientDataError,
     IvCurve,
     ScenarioConfig,
     SweepResult,
@@ -30,6 +32,8 @@ from voaleak import (
     TraceSchemaError,
     dual_source_key_rate,
     emit_results,
+    find_extrema_pair,
+    fit_ideality,
     gllp_key_rate,
     load_config,
     load_trace,
@@ -55,12 +59,14 @@ from voaleak.scenario import (
 )
 from helpers import (
     VERDICTS,
+    _ref_passive_rate,
     parse_config_text_reference,
     passive_cutoff,
     passive_mu_max,
     read_table_reference,
     render_reference,
     scalar_reference_sweep,
+    shockley_curve,
     synthetic_fringe,
 )
 
@@ -386,6 +392,55 @@ class TestScenarioConfigValidation:
             ScenarioConfig(mode="dual_source", q_proto=0.0)
 
 
+# Smoothing windows and fit-window edges of every kind: Python ints within
+# and beyond a double, floats with signed zeros, infinities and nan, numpy
+# integer and float scalars, bools, text and Decimals.
+_RULE_VALUES = st.one_of(
+    st.integers(-9, 9), st.integers(-10**400, 10**400), st.floats(0.0, 1.0),
+    st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.sampled_from([np.int8, np.uint8, np.int64, np.uint64]).flatmap(
+        lambda t: st.integers(np.iinfo(t).min, np.iinfo(t).max).map(t)),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.booleans(), st.text(max_size=3), st.decimals())
+_IV = IvCurve(*shockley_curve(2.0))
+_FRINGE = FringeTrace(*synthetic_fringe(3.0, 0.4))
+
+
+def _refuses(error, build) -> bool:
+    # Whether build() raises error. Too few samples for the window is not
+    # a refusal of it, and any other error fails the test.
+    try:
+        build()
+    except error:
+        return True
+    except InsufficientDataError:
+        pass
+    return False
+
+
+class TestConfigRulesAreTheLayers:
+    """ScenarioConfig refuses a smoothing window or a fit window exactly
+    when the layer that reads it raises DomainError for it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(window=st.tuples(_RULE_VALUES, _RULE_VALUES))
+    @example(window=(0, 10**400))
+    def test_fit_window(self, window):
+        # The trace's currents are positive and its fit slope too, so the
+        # window is fit_ideality's only source of a DomainError.
+        assert _refuses(ConfigurationError, lambda: ScenarioConfig(
+            mode="iv_fit", iv_trace=Path("iv.csv"), windows=(window,))) == \
+            _refuses(DomainError, lambda: fit_ideality(_IV, *window))
+
+    @settings(max_examples=300, deadline=None)
+    @given(window=_RULE_VALUES)
+    def test_smoothing_window(self, window):
+        assert _refuses(ConfigurationError, lambda: ScenarioConfig(
+            mode="fringe", reference_trace=Path("r.csv"), unknown_trace=Path("u.csv"),
+            lambda_ref_nm=1550.0, smooth_window=window)) == \
+            _refuses(DomainError, lambda: find_extrema_pair(_FRINGE, window))
+
+
 class TestSweepDistances:
     def test_single_point(self):
         cfg = ScenarioConfig(mode="passive_tha", distance_min=7.0,
@@ -545,6 +600,27 @@ class TestPassiveLeakFrontier:
         assert float(f"{mu_max:.4g}") == figure
         below, above = (
             run_scenario(replace(cfg, mu_leak=mu_max * factor)).rows[0, CONTAMINATED]
+            for factor in (1.0 - 1e-6, 1.0 + 1e-6))
+        assert below > 0.0 and above == 0.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(s=st.floats(0.2, 0.9), nu_share=st.floats(0.02, 0.3),
+           omega_share=st.floats(0.0, 0.5), e_d=st.floats(0.0, 0.04),
+           y0_decades=st.floats(-9.0, -5.0), reach=st.floats(0.0, 0.99))
+    def test_rate_changes_sign_at_mu_max_of_drawn_configs(
+            self, s, nu_share, omega_share, e_d, y0_decades, reach):
+        # The distance is a share of the leak-free cutoff, where the
+        # leak-free rate is positive.
+        shipped = load_config(CONFIGS / "passive_tha.cfg")
+        cfg = replace(shipped, s=s, nu=s * nu_share, omega=s * nu_share * omega_share,
+                      channel=replace(shipped.channel, e_d=e_d, y0=10.0 ** y0_decades),
+                      mu_leak=0.0, distance_min=0.0, distance_max=1000.0)
+        assume(_ref_passive_rate(cfg, 0.0)(0.0) > 0.0)
+        distance = reach * passive_cutoff(cfg)
+        mu_max = passive_mu_max(cfg, distance)
+        below, above = (
+            run_scenario(replace(cfg, mu_leak=mu_max * factor, distance_min=distance,
+                                 distance_max=distance)).rows[0, CONTAMINATED]
             for factor in (1.0 - 1e-6, 1.0 + 1e-6))
         assert below > 0.0 and above == 0.0
 
@@ -1313,13 +1389,14 @@ class TestCliErrorContract:
                        f"{key} must be finite and >= 0, got {float(value)!r}\n")
 
     def test_window_outside_its_interval_is_named_once(self, capsys):
-        # Not also named by the rule that the window be odd.
+        # Named once, by the fringe layer's own rule.
         argv = ["wavelength", "--config", str(CONFIGS / "fringe.cfg"),
                 "--override", "fringe.smooth_window=0"]
         assert main(argv) == 2
         assert capsys.readouterr().err == (
             "error:config: invalid configuration fields: "
-            "fringe.smooth_window must be finite and >= 1, got 0\n")
+            "fringe.smooth_window (smooth_window must be an odd integer >= 1, "
+            "got 0)\n")
 
     def test_grid_point_beyond_the_largest_double(self, capsys):
         # 3 * step is inf: the last point of the grid does not exist.
