@@ -22,8 +22,8 @@ configs produce byte-identical output files.
 from __future__ import annotations
 
 import math
+import os
 import re
-import sys
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
@@ -87,8 +87,6 @@ LEAKAGE_HEADER = "drive_voltage_v,count_rate_hz,pulse_width_s,mu"
 
 # Largest sweep grid a config may ask for (one row per point).
 MAX_SWEEP_POINTS = 1_000_000
-# The ulp of doubles in [2**1024, 2**1025), past the largest double.
-_ULP_PAST_MAX = 2.0 * math.ulp(sys.float_info.max)
 
 
 # ============================================================
@@ -150,24 +148,24 @@ class ScenarioConfig(Record):
 
     Attributes:
         mode: One of `MODES`.
-        channel: Channel and receiver parameters (distance field is
-            overwritten during sweeps).
-        s, nu, omega: Signal and decoy intensities.
+        channel: A ChannelParams of the channel and receiver (its
+            distance is overwritten during sweeps).
+        s, nu, omega: Signal and decoy intensities, each one number.
         p_z: Key-basis probability (pre-encoder analysis).
         q_proto: Sifting factor (post-encoder analysis).
         f_ec: Error-correction inefficiency.
         mu_leak: Leaked mean photon number used by the sweep modes.
         distance_min, distance_max, step: Sweep grid [km].
-        emission: Driving configurations for device mode.
+        emission: A tuple or list of EmissionSpec, for device mode.
         reference_trace, unknown_trace, lambda_ref_nm, smooth_window:
-            Fringe-mode inputs.
-        iv_trace, temperature, windows: I-V fit mode inputs.
+            Fringe-mode inputs; a path is a str or os.PathLike.
+        iv_trace, temperature, windows: I-V fit mode inputs (lo, hi pairs).
 
-    Only the fields the mode reads are checked: by the rows of `_KEYS`
-    (and `_CHANNEL_KEYS` in a sweep mode), a None value as required and
-    any other against the row's interval; then by the rules below, each
-    skipped where a key it reads is bad already. One ConfigurationError
-    names every bad key once, by its config key: `channel.y0`, not `y0`.
+    Only the fields the mode reads are checked: by the rows of `_KEYS` (and
+    `_CHANNEL_KEYS` in a sweep mode), None as required, a wrong kind as such
+    and any other value against the row's interval; then by the rules below,
+    each skipped where a key it reads is bad. One ConfigurationError names
+    every bad key once, by its config key: `channel.y0`, not `y0`.
     """
 
     mode: str
@@ -202,7 +200,10 @@ class ScenarioConfig(Record):
                 f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
         _out_of_range(bad, self.__dict__, _KEYS[self.mode])
         if self.mode in _SWEEP_MODES:
-            _out_of_range(bad, self.channel.__dict__, _CHANNEL_KEYS)
+            if isinstance(self.channel, ChannelParams):
+                _out_of_range(bad, self.channel.__dict__, _CHANNEL_KEYS)
+            else:
+                _expected(bad, "channel", ChannelParams, self.channel)
             if bad.keys().isdisjoint(_GRID_KEYS):
                 self._check_grid(bad)
             if bad.keys().isdisjoint(_INTENSITY_KEYS):
@@ -210,44 +211,50 @@ class ScenarioConfig(Record):
         elif self.mode == "fringe":
             _rule(bad, "fringe.smooth_window", check_smooth_window, self.smooth_window)
         elif self.mode == "iv_fit":
-            if not self.windows:
-                _name(bad, "ivfit.windows", "at least one lo:hi window")
-            for lo, hi in self.windows:
-                _rule(bad, "ivfit.windows", check_fit_window, lo, hi)
-        elif not (bad or self.emission):
-            _name(bad, "emission", "at least one emission.N.* block")
+            try:
+                if not self.windows:
+                    _name(bad, "ivfit.windows", "at least one lo:hi window")
+                for lo, hi in self.windows:
+                    _rule(bad, "ivfit.windows", check_fit_window, lo, hi)
+            except (TypeError, ValueError):  # not pairs
+                _expected(bad, "ivfit.windows", _windows, self.windows)
+        elif not (bad or isinstance(self.emission, (list, tuple)) and self.emission
+                  and all(isinstance(spec, EmissionSpec) for spec in self.emission)):
+            _name(bad, "emission", "at least one emission.N.* block or EmissionSpec")
         if bad:
             raise ConfigurationError(
                 "invalid configuration fields: " + "; ".join(bad.values()))
 
     def _check_grid(self, bad: dict[str, str]) -> None:
-        # The points min + k*step and the products k*step lie below
-        # M = max + step and are each rounded by at most ulp(M)/2, so
-        # neighbours differ by at least step - 2 ulp(M): a larger step
-        # keeps every point distinct without building the grid. An M that
-        # overflows lies below 2**1025, in the binade of _ULP_PAST_MAX.
-        top = self.distance_max + self.step
+        # Every point min + k*step and every product k*step lies at or below
+        # far, the last point of `sweep_distances`, and is rounded by at most
+        # ulp(far)/2, so neighbours differ by at least step - 2 ulp(far): a
+        # larger step keeps every point distinct without building the grid.
         if self.distance_max < self.distance_min:
             _name(bad, "sweep.distance_max", "must be >= sweep.distance_min")
         elif not (steps := _grid_steps(self)) < MAX_SWEEP_POINTS:
             _name(bad, "sweep.step", f"grid exceeds {MAX_SWEEP_POINTS} points")
-        elif steps >= 1.0 and not self.step > 2.0 * (
-                math.ulp(top) if top < math.inf else _ULP_PAST_MAX):
+        elif (far := self.distance_min + math.floor(steps) * self.step) == math.inf:
+            _name(bad, "sweep.distance_max", "last grid point overflows a double")
+        elif steps >= 1.0 and not self.step > 2.0 * math.ulp(far):
             _name(bad, "sweep.step",
                   "too small for distinct grid points at these distances")
-        elif (far := self.distance_min + math.floor(steps) * self.step) == math.inf:
-            # The last point of `sweep_distances`.
-            _name(bad, "sweep.distance_max", "last grid point overflows a double")
-        else:
+        elif "channel" not in bad:
             for name in ("alpha_sig", "alpha_par"):
-                if not math.isfinite(getattr(self.channel, name) * far):
-                    _name(bad, f"channel.{name}",
-                          "fiber loss overflows a double at sweep.distance_max")
+                if (key := f"channel.{name}") not in bad and not math.isfinite(
+                        getattr(self.channel, name) * far):
+                    _name(bad, key, "fiber loss overflows a double at sweep.distance_max")
 
 
 def _name(bad: dict[str, str], key: str, reason) -> None:
     # A rule's message "key (reason)", unless bad names the key already.
     bad.setdefault(key, f"{key} ({reason})")
+
+
+def _expected(bad: dict[str, str], key: str, kind, value) -> None:
+    expected = {float: "a number", int: "an integer", Path: "a file path",
+                _windows: "lo:hi pairs", ChannelParams: "a ChannelParams"}[kind]
+    bad.setdefault(key, f"{key}: expected {expected}, got {value!r}")
 
 
 def _rule(bad: dict[str, str], key: str, check, *values) -> None:
@@ -259,14 +266,17 @@ def _rule(bad: dict[str, str], key: str, check, *values) -> None:
 
 
 def _out_of_range(bad: dict[str, str], values: dict, rows) -> None:
-    # Names in bad each key not yet there whose value is None or out of its interval.
-    for key, field, _, bounds in rows:
-        if values[field] is None:
+    # Names each key not yet in bad whose value is None, of a wrong kind or out of range.
+    for key, field, kind, bounds in rows:
+        if (value := values[field]) is None:
             _name(bad, key, "required")
+        elif (isinstance(value, np.ndarray) and value.ndim or kind is Path
+              and not isinstance(value, (str, os.PathLike))):
+            _expected(bad, key, kind, value)
         elif bounds and key not in bad:
             lo, hi, lo_open, hi_open = bounds
             try:
-                check_range(key, values[field], lo, hi, lo_open, hi_open)
+                check_range(key, value, lo, hi, lo_open, hi_open)
             except DomainError as exc:
                 bad[key] = str(exc)
 
@@ -324,9 +334,7 @@ def _take(data: dict, key: str, bad: dict, kind=float, base_dir: Path | str = ".
             return Path(base_dir) / raw  # an absolute path stays as it is
     except ValueError:
         pass
-    expected = {float: "a number", int: "an integer", Path: "a file path",
-                _windows: "lo:hi pairs"}[kind]
-    bad[key] = f"{key}: expected {expected}, got {raw!r}"
+    _expected(bad, key, kind, raw)
     return None
 
 

@@ -275,7 +275,9 @@ def bandgap_wavelength(e_g: float) -> float:
 # ============================================================
 
 def check_fit_window(v_lo, v_hi) -> None:
-    """Raise DomainError unless v_lo and v_hi are finite with v_lo < v_hi."""
+    """Raise DomainError unless v_lo and v_hi are finite numbers with v_lo < v_hi."""
+    if any(isinstance(edge, np.ndarray) and edge.ndim for edge in (v_lo, v_hi)):
+        raise DomainError(f"v_lo and v_hi must be numbers, got {v_lo!r} and {v_hi!r}")
     check_range("v_lo", v_lo, -math.inf)
     check_range("v_hi", v_hi, v_lo, lo_open=True)
 

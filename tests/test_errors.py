@@ -3,6 +3,7 @@ malformed voltage scans; and the frozen-record contract."""
 
 import math
 import os
+import re
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from voaleak import (
     CarrierState,
@@ -43,7 +45,8 @@ from voaleak import (
 )
 from voaleak.decoy import check_intensities
 from voaleak.errors import check_range, interval, replace, unchecked
-from voaleak.scenario import config_from_mapping, parse_config_text, run_scenario
+from voaleak.scenario import (_KEYS, config_from_mapping, parse_config_text,
+                              result_to_text, run_scenario)
 from voaleak.security import binary_entropy, coin_imbalance
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -540,7 +543,8 @@ NON_FLOATS = st.one_of(
 
 
 def _run(**fields):
-    return run_scenario(ScenarioConfig(**fields))
+    # Rendered, so that a result of the wrong shape cannot pass as returned.
+    return result_to_text(run_scenario(ScenarioConfig(**fields)))
 
 
 def _run_window(lo, hi, **fields):
@@ -641,3 +645,68 @@ def test_a_non_float_argument_returns_or_raises_a_voaleak_error(call, fields, ar
         call(**_with(fields, arg, value))
     except VoaleakError:
         pass
+
+
+# The config key each numeric argument of a ScenarioConfig call sets.
+CONFIG_KEYS = {field: key for rows in _KEYS.values() for key, field, *_ in rows}
+CONFIG_KEYS.update(lo="ivfit.windows", hi="ivfit.windows")
+
+
+@pytest.mark.parametrize("call, fields, arg",
+                         [a[1:] for a in ARGUMENTS if a[0].startswith("ScenarioConfig")],
+                         ids=[f"{a[0]}.{a[3]}" for a in ARGUMENTS
+                              if a[0].startswith("ScenarioConfig")])
+@settings(max_examples=10, deadline=None)
+@given(value=arrays(st.sampled_from([np.float64, np.int64]), st.integers(2, 4)))
+@example(value=np.array([0.5, 1.0]))
+@example(value=np.array([1, 3, 5]))
+def test_an_array_in_a_config_number_is_named_by_its_key(call, fields, arg, value):
+    # A config field takes one number; an array of them is refused by key.
+    with pytest.raises(ConfigurationError, match=re.escape(CONFIG_KEYS[arg])):
+        call(**_with(fields, arg, value))
+
+
+IV_FIT = dict(mode="iv_fit", iv_trace=DATA / "iv_trace.csv")
+FRINGE = dict(mode="fringe", reference_trace=DATA / "fringe_reference.csv",
+              unknown_trace=DATA / "fringe_voa.csv", lambda_ref_nm=1550.82)
+SPEC = EmissionSpec(count_rate=1.0, pulse_width=1e-9)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(mode="passive_tha", channel=ChannelParams(alpha_sig=np.array([0.2, 0.3]))),
+     "channel.alpha_sig: expected a number, got array([0.2, 0.3])"),
+    (dict(mode="passive_tha", channel=ChannelParams(y0=np.array([1e-6, 2e-6]))),
+     "channel.y0: expected a number, got array([1.e-06, 2.e-06])"),
+    (dict(IV_FIT, windows=((np.array([0.0, 0.1]), np.array([0.45, 0.5])),)),
+     "ivfit.windows (v_lo and v_hi must be numbers, got array([0. , 0.1]) "
+     "and array([0.45, 0.5 ]))"),
+    (dict(mode="passive_tha", channel=None),
+     "channel: expected a ChannelParams, got None"),
+    (dict(mode="dual_source", channel={"y0": 0.1}),
+     "channel: expected a ChannelParams, got {'y0': 0.1}"),
+    (dict(mode="device", emission=(1,)),
+     "emission (at least one emission.N.* block or EmissionSpec)"),
+    (dict(mode="device", emission=SPEC),
+     "emission (at least one emission.N.* block or EmissionSpec)"),
+    (dict(IV_FIT, windows=5), "ivfit.windows: expected lo:hi pairs, got 5"),
+    (dict(IV_FIT, windows=((1,),)), "ivfit.windows: expected lo:hi pairs, got ((1,),)"),
+    (dict(IV_FIT, iv_trace=5), "ivfit.trace: expected a file path, got 5"),
+    (dict(FRINGE, reference_trace=5), "fringe.reference_trace: expected a file path, got 5"),
+], ids=["channel-alpha-array", "channel-y0-array", "window-edge-arrays", "channel-none",
+        "channel-dict", "emission-int", "emission-bare", "windows-int", "window-one-edge",
+        "iv-trace-int", "reference-trace-int"])
+def test_a_field_of_the_wrong_kind_is_named(fields, message):
+    # Given through the Python API: refused at construction, not in the run.
+    with pytest.raises(ConfigurationError) as info:
+        ScenarioConfig(**fields)
+    assert str(info.value) == f"invalid configuration fields: {message}"
+
+
+@pytest.mark.parametrize("fields", [
+    dict(mode="passive_tha", step=np.array(1.0), distance_max=np.array(2.0)),
+    dict(IV_FIT, iv_trace=str(DATA / "iv_trace.csv"), windows=[[0.0, 0.45], [0.5, 0.8]]),
+    dict(FRINGE, reference_trace=str(DATA / "fringe_reference.csv")),
+    dict(mode="device", emission=[SPEC, SPEC]),
+], ids=["0-d-arrays", "str-path-window-lists", "str-path", "emission-list"])
+def test_the_kinds_each_field_takes_run(fields):
+    _run(**fields)

@@ -20,6 +20,7 @@ from hypothesis.extra.numpy import arrays
 
 import voaleak.scenario as scenario
 from voaleak import (
+    ChannelParams,
     ConfigurationError,
     DecoyObservations,
     DomainError,
@@ -44,6 +45,7 @@ from voaleak import (
     single_photon_bounds,
 )
 from voaleak.cli import main
+from voaleak.errors import unchecked
 from voaleak.scenario import (
     FRINGE_HEADER,
     IV_HEADER,
@@ -360,12 +362,9 @@ class TestScenarioConfigValidation:
 
     @pytest.mark.parametrize("distance_min, distance_max, step", [
         # The points 1e16, 1e16 + 2, ..., 1e16 + 8 are five distinct
-        # doubles, but a step of 2 is not more than 2 ulp(max + step) = 4,
+        # doubles, but a step of 2 is not more than 2 ulp(1e16 + 8) = 4,
         # so points could coincide and the rule rejects it (README).
         (1e16, 1e16 + 8, 2.0),
-        # distance_max + step overflows: the spacing there is taken as
-        # 2**972 (README), and 5e292 is less than twice that.
-        (sys.float_info.max - 5e293, sys.float_info.max, 5e292),
     ])
     def test_grid_points_must_be_distinct(self, distance_min, distance_max, step):
         with pytest.raises(ConfigurationError, match=re.escape(
@@ -394,14 +393,15 @@ class TestScenarioConfigValidation:
 
 # Smoothing windows and fit-window edges of every kind: Python ints within
 # and beyond a double, floats with signed zeros, infinities and nan, numpy
-# integer and float scalars, bools, text and Decimals.
+# integer and float scalars, bools, text, Decimals and arrays of floats.
 _RULE_VALUES = st.one_of(
     st.integers(-9, 9), st.integers(-10**400, 10**400), st.floats(0.0, 1.0),
     st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
     st.sampled_from([np.int8, np.uint8, np.int64, np.uint64]).flatmap(
         lambda t: st.integers(np.iinfo(t).min, np.iinfo(t).max).map(t)),
     st.floats().map(np.float64), st.floats(width=32).map(np.float32),
-    st.booleans(), st.text(max_size=3), st.decimals())
+    st.booleans(), st.text(max_size=3), st.decimals(),
+    st.lists(st.floats(0.0, 1.0), min_size=2, max_size=3).map(np.array))
 _IV = IvCurve(*shockley_curve(2.0))
 _FRINGE = FringeTrace(*synthetic_fringe(3.0, 0.4))
 
@@ -425,6 +425,7 @@ class TestConfigRulesAreTheLayers:
     @settings(max_examples=300, deadline=None)
     @given(window=st.tuples(_RULE_VALUES, _RULE_VALUES))
     @example(window=(0, 10**400))
+    @example(window=(np.array([0.0, 0.1]), np.array([0.45, 0.5])))
     def test_fit_window(self, window):
         # The trace's currents are positive and its fit slope too, so the
         # window is fit_ideality's only source of a DomainError.
@@ -439,6 +440,51 @@ class TestConfigRulesAreTheLayers:
             mode="fringe", reference_trace=Path("r.csv"), unknown_trace=Path("u.csv"),
             lambda_ref_nm=1550.0, smooth_window=window)) == \
             _refuses(DomainError, lambda: find_extrema_pair(_FRINGE, window))
+
+
+@st.composite
+def _grids_near_edges(draw):
+    # (distance_min, distance_max, step) a few ulps from a binade edge 2**e or
+    # below the largest double, with a step of a quarter to four ulps there and
+    # up to eight steps from min to max, capped at the largest double.
+    edge = draw(st.one_of(st.integers(-30, 1023).map(lambda e: 2.0 ** e),
+                          st.just(sys.float_info.max)))
+    ulp = math.ulp(edge)
+    distance_min = edge + draw(st.integers(-8, 8)) * ulp / 2
+    step = draw(st.integers(1, 16)) * ulp / 4
+    assume(math.isfinite(distance_min))
+    distance_max = min(distance_min + draw(st.integers(0, 8)) * step,
+                       sys.float_info.max)
+    return distance_min, distance_max, step
+
+
+class TestGridRule:
+    """The grid rule keeps each point of an accepted grid a distinct finite
+    double, and accepts every grid whose step is more than twice the spacing
+    of the doubles at its last point."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid=_grids_near_edges())
+    # 10 points 5e292 apart below the largest double, where ulp is 2**971.
+    @example(grid=(sys.float_info.max - 5e293, sys.float_info.max, 5e292))
+    def test_grid_near_binade_edges(self, grid):
+        distance_min, distance_max, step = grid
+        fields = dict(mode="passive_tha", distance_min=distance_min,
+                      distance_max=distance_max, step=step)
+        # The grid the config sweeps, built without the config's checks.
+        points = sweep_distances(unchecked(ScenarioConfig, fields))
+        last = points[-1]
+        loss_finite = all(math.isfinite(alpha * last) for alpha in (
+            ChannelParams.alpha_sig, ChannelParams.alpha_par))
+        try:
+            ScenarioConfig(**fields)
+        except ConfigurationError:
+            assert not (len(points) >= 2 and math.isfinite(last)
+                        and step > 2.0 * math.ulp(last) and loss_finite)
+            return
+        assert np.isfinite(points).all()
+        assert (np.diff(points) > 0.0).all()
+        assert len(points) <= MAX_SWEEP_POINTS
 
 
 class TestSweepDistances:
